@@ -40,6 +40,10 @@ _PRECISION_ERRORS = (PrecisionExhausted, NoConvergence)
 _VERIFICATION_ERRORS = (VerificationError, ConsistencyError, BranchError,
                         NoValidPlacement)
 
+# gibbs solve/verify/periodic list one compatibility residual per spin
+# configuration on V_{n-1}; a larger V_{n-1} is refused before any work
+MAX_LISTED_VERTICES = 12
+
 
 def _add_context_flags(sub):
     sub.add_argument("--p", type=int, required=True)
@@ -242,12 +246,24 @@ def _cmd_lemmas(args):
     return body, 0
 
 
+def _check_listing_size(k: int, n: int):
+    listed = 0
+    for m in range(n):
+        listed += k ** m
+        if listed > MAX_LISTED_VERTICES:
+            raise DomainError(
+                f"V_{n - 1} of the order-{k} tree has more than "
+                f"{MAX_LISTED_VERTICES} vertices: the compatibility report "
+                f"would list more than 2^{MAX_LISTED_VERTICES} residuals")
+
+
 def _cmd_gibbs(args):
     ctx = _ctx(args)
+    tree = gibbs.CayleyTree(args.k)
+    _check_listing_size(tree.k, args.n)
     couplings = gibbs.Couplings(parse_padic(args.J, ctx),
                                 parse_padic(args.J1, ctx),
                                 parse_padic(args.J0, ctx))
-    tree = gibbs.CayleyTree(args.k)
 
     def orbit_from_word(text: str):
         a, b = couplings.a, couplings.b
@@ -260,7 +276,8 @@ def _cmd_gibbs(args):
     if args.action == "solve":
         field = gibbs.solve_7_11(tree, couplings, args.n)
         report = gibbs.check_compatibility(tree, couplings, field, field, args.n)
-        return {"field": field.to_json(), "compatibility": report.to_json()}, 0
+        return ({"field": field.to_json(), "compatibility": report.to_json()},
+                0 if report.ok else 3)
 
     if args.action == "verify":
         if args.source == "solve":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 from .errors import (
@@ -137,17 +137,18 @@ class Couplings:
     def ctx(self) -> PrimeContext:
         return self.J.ctx
 
-    @property
+    # exp_p of each coupling runs once per instance, on first access
+    @cached_property
     def a(self) -> PadicNumber:
-        return exp_p(self.J) if not self.J.is_zero else self.ctx.one()
+        return exp_p(self.J)
 
-    @property
+    @cached_property
     def b(self) -> PadicNumber:
-        return exp_p(self.J1) if not self.J1.is_zero else self.ctx.one()
+        return exp_p(self.J1)
 
-    @property
+    @cached_property
     def c(self) -> PadicNumber:
-        return exp_p(self.J0) if not self.J0.is_zero else self.ctx.one()
+        return exp_p(self.J0)
 
 
 Configuration = dict  # Vertex -> spin in {-1, +1}
@@ -157,11 +158,6 @@ def configurations(vertices: list[Vertex]):
     """All 2^|vertices| spin assignments, in a fixed deterministic order."""
     for spins in product(SPINS, repeat=len(vertices)):
         yield dict(zip(vertices, spins))
-
-
-def concat(sigma: Configuration, omega: Configuration) -> Configuration:
-    """sigma v omega: agrees with sigma on V_{n-1} and omega on W_n."""
-    return {**sigma, **omega}
 
 
 def interaction_sums(tree: CayleyTree, sigma: Configuration, n: int) -> tuple[int, int, int]:
@@ -237,24 +233,94 @@ class GibbsField:
 
 # -- measures ----------------------------------------------------------------
 
-def measure_weight(tree: CayleyTree, couplings: Couplings, field: GibbsField,
-                   sigma: Configuration, n: int) -> PadicNumber:
-    """exp_p(H_n) * product of boundary components, via exp_p(J)^(pair sums)."""
+def _interaction_weight(tree: CayleyTree, couplings: Couplings,
+                        sigma: Configuration, n: int) -> PadicNumber:
+    """exp_p(H_n) as a^(nearest sum) * b^(prolonged sum) * c^(one-level sum)."""
     s1, s2, s3 = interaction_sums(tree, sigma, n)
-    w = couplings.a ** s1 * couplings.b ** s2 * couplings.c ** s3
+    return couplings.a ** s1 * couplings.b ** s2 * couplings.c ** s3
+
+
+def _times_boundary(w: PadicNumber, tree: CayleyTree, field: GibbsField,
+                    sigma: Configuration, n: int) -> PadicNumber:
+    """w times h_y^(sigma(x) sigma(y)) over the edges (x, y) into W_n."""
     for x, y in tree.boundary_edges(n):
         h = field.component(y, sigma[x], sigma[y])
         w = w * h if sigma[x] * sigma[y] > 0 else w / h
     return w
 
 
+def measure_weight(tree: CayleyTree, couplings: Couplings, field: GibbsField,
+                   sigma: Configuration, n: int) -> PadicNumber:
+    """exp_p(H_n) * product of boundary components, via exp_p(J)^(pair sums)."""
+    return _times_boundary(_interaction_weight(tree, couplings, sigma, n),
+                           tree, field, sigma, n)
+
+
+def _sibling_sum(c_pow: list[PadicNumber],
+                 factors: list[tuple[PadicNumber, PadicNumber]]) -> PadicNumber:
+    """Sum over the spins t of k siblings of c^(sum_{i<j} t_i t_j) prod_i f_i(t_i).
+
+    factors[i] is (f_i(+1), f_i(-1)).  The one-level sum depends only on the
+    number j of + siblings, ((2j - k)^2 - k) / 2, so the products are
+    accumulated per j (c_pow[j] is c to that power): O(k^2), not 2^k.
+    """
+    zero = c_pow[0].ctx.zero()
+    by_count = [c_pow[0].ctx.one()]
+    for plus, minus in factors:
+        nxt = [zero] * (len(by_count) + 1)
+        for j, w in enumerate(by_count):
+            nxt[j + 1] = nxt[j + 1] + w * plus
+            nxt[j] = nxt[j] + w * minus
+        by_count = nxt
+    total = zero
+    for cj, w in zip(c_pow, by_count):
+        total = total + cj * w
+    return total
+
+
+_ROOT_STATES: tuple[SpinPair, ...] = ((0, 1), (0, -1))
+
+
+def _subtree_sums(tree: CayleyTree, couplings: Couplings, field: GibbsField,
+                  n: int, level: int) -> dict:
+    """Per x on W_level, per state (sigma(parent x), sigma(x)): the summed weight
+    of all spins below x in V_n.
+
+    Every edge (y, t) below x contributes a^(sigma(y) t), b^(sigma(parent y) t)
+    and, on W_n, h_t^(sigma(y) t); every sibling group contributes its
+    c-coupling.  The sums are built bottom-up from W_n, one level at a time,
+    so Z_n costs O(|V_n| k^2).  The root has no parent: its states carry
+    parent spin 0, which drops the b-factor of its children.
+    """
+    k, one = tree.k, couplings.ctx.one()
+    a_pow = {1: couplings.a, -1: one / couplings.a}
+    b_pow = {1: couplings.b, -1: one / couplings.b, 0: one}
+    c_pow = [couplings.c ** (((2 * j - k) ** 2 - k) // 2) for j in range(k + 1)]
+    sums = {y: {(sx, sy): field.component(y, sx, sy) ** (sx * sy)
+                for sx, sy in PAIRS}
+            for y in tree.level(n)}
+    for ell in range(n - 1, level - 1, -1):
+        states = PAIRS if ell else _ROOT_STATES
+        sums = {
+            x: {(sp, sx): _sibling_sum(c_pow, [
+                    tuple(a_pow[sx * t] * b_pow[sp * t] * sums[y][(sx, t)]
+                          for t in (1, -1))
+                    for y in tree.successors(x)])
+                for sp, sx in states}
+            for x in tree.level(ell)
+        }
+    return sums
+
+
 def partition_fn(tree: CayleyTree, couplings: Couplings, field: GibbsField,
                  n: int) -> PadicNumber:
-    """Z_n: exact sum of weights over all configurations of V_n."""
-    total = couplings.ctx.zero()
-    for sigma in configurations(tree.vertices(n)):
-        total = total + measure_weight(tree, couplings, field, sigma, n)
+    """Z_n, the sum of weights over all configurations of V_n, by tree recursion."""
     ctx = couplings.ctx
+    if n == 0:
+        total = ctx.from_int(len(SPINS))  # a lone root: no edges, weight 1
+    else:
+        root = _subtree_sums(tree, couplings, field, n, 0)[ROOT]
+        total = root[_ROOT_STATES[0]] + root[_ROOT_STATES[1]]
     if total.is_zero or total.valuation > ctx.residual_digits:
         raise ZeroPartitionFunction("|Z_n|_p is below the precision floor")
     return total
@@ -285,22 +351,27 @@ class CompatibilityReport:
 def check_compatibility(tree: CayleyTree, couplings: Couplings,
                         field_n: GibbsField, field_prev: GibbsField,
                         n: int) -> CompatibilityReport:
-    """For every sigma on V_{n-1}: sum over omega of mu^n(sigma v omega) = mu^{n-1}(sigma)."""
+    """For every sigma on V_{n-1}: sum over omega of mu^n(sigma v omega) = mu^{n-1}(sigma).
+
+    Given sigma, the sum over omega on W_n factorizes over the sibling groups
+    below W_{n-1}: it is exp_p(H_{n-1}(sigma)) times, per x on W_{n-1}, the
+    precomputed sum of the weights below x in the state sigma fixes there.
+    """
     if n < 1:
         raise DomainError("compatibility needs n >= 1")
     ctx = couplings.ctx
     z_n = partition_fn(tree, couplings, field_n, n)
     z_prev = partition_fn(tree, couplings, field_prev, n - 1)
-    boundary = tree.level(n)
+    below = _subtree_sums(tree, couplings, field_n, n, n - 1)
     residuals = []
     ok = True
     for sigma in configurations(tree.vertices(n - 1)):
-        acc = ctx.zero()
-        for omega in configurations(boundary):
-            acc = acc + measure_weight(tree, couplings, field_n,
-                                       concat(sigma, omega), n)
-        lhs = acc / z_n
-        rhs = measure_weight(tree, couplings, field_prev, sigma, n - 1) / z_prev
+        inner = _interaction_weight(tree, couplings, sigma, n - 1)
+        marginal = inner
+        for x, sums in below.items():
+            marginal = marginal * sums[(sigma[x[:-1]] if x else 0, sigma[x])]
+        lhs = marginal / z_n
+        rhs = _times_boundary(inner, tree, field_prev, sigma, n - 1) / z_prev
         residuals.append(norm_diff(lhs, rhs))
         if not eq_to_precision(lhs, rhs, ctx.residual_digits):
             ok = False
@@ -344,16 +415,10 @@ def field_equation_residual(tree: CayleyTree, couplings: Couplings,
     return worst
 
 
-def field_satisfies_equations(tree: CayleyTree, couplings: Couplings,
-                              field: GibbsField, n: int) -> bool:
+def _solves_equations(couplings: Couplings, residual: Fraction) -> bool:
+    """A field equation residual within the library-wide p^-(N-g) tolerance."""
     ctx = couplings.ctx
-    for ell in range(1, n):
-        for y in tree.level(ell):
-            lhs, rhs = _lhs_rhs_products(tree, couplings, field, y)
-            if not all(eq_to_precision(left, right, ctx.residual_digits)
-                       for left, right in zip(lhs, rhs)):
-                return False
-    return True
+    return residual <= Fraction(1, ctx.p ** ctx.residual_digits)
 
 
 def solve_7_11(tree: CayleyTree, couplings: Couplings, n: int = 2,
@@ -419,7 +484,8 @@ def solve_7_11(tree: CayleyTree, couplings: Couplings, n: int = 2,
 
     comp = {(1, 1): u, (-1, 1): ctx.one(), (1, -1): w / u, (-1, -1): u * v / w}
     field = GibbsField.uniform(tree, n, comp)
-    if not field_satisfies_equations(tree, couplings, field, n):
+    if not _solves_equations(couplings,
+                             field_equation_residual(tree, couplings, field, n)):
         raise NoConvergence("converged products do not satisfy the field equations")
     return field
 
@@ -473,7 +539,7 @@ def periodic_field_from_orbit(tree: CayleyTree, couplings: Couplings,
         field = GibbsField.from_levels(tree, n, levels)
         residual = field_equation_residual(tree, couplings, field, n)
         diagnostics[name] = residual
-        if field_satisfies_equations(tree, couplings, field, n):
+        if _solves_equations(couplings, residual):
             accepted.append(PlacementCandidate(name, field, residual))
     if not accepted:
         raise NoValidPlacement(
@@ -498,6 +564,6 @@ def diagonal_field_from_orbit(tree: CayleyTree, couplings: Couplings,
     levels = _orbit_levels(ctx, values, ((1, 1), (-1, -1)))
     field = GibbsField.from_levels(tree, n, levels)
     residual = field_equation_residual(tree, couplings, field, n)
-    if not field_satisfies_equations(tree, couplings, field, n):
+    if not _solves_equations(couplings, residual):
         raise NoValidPlacement({"diagonal": str(residual)})
     return PlacementCandidate("diagonal", field, residual)

@@ -135,3 +135,36 @@ class TestGibbs:
                                      "--diagonal"])
         assert code == 0
         assert len(body["orbit"]) == 2
+
+    def test_solve_incompatible_field_exits_3(self, capsys):
+        # solve_7_11 ignores c = exp_p(J0): with J0 != 0 the field it returns
+        # fails compatibility, and solve reports that like verify does
+        argv = [*self.BASE, "solve", "--J", "5/1", "--J1", "5/1", "--J0", "25/1"]
+        code, body = invoke(capsys, argv)
+        assert code == 3
+        assert not body["compatibility"]["ok"]
+        assert body["compatibility"]["max_residual"] == "1/625"
+        argv[3] = "verify"
+        assert run(argv) == 3
+
+    def test_depth_3_runs(self, capsys):
+        code, body = invoke(capsys, [*self.BASE, "verify", "--J", "5/1",
+                                     "--J1", "5/1", "--n", "3"])
+        assert code == 0
+        assert body["compatibility"]["ok"]
+        assert len(body["compatibility"]["residuals"]) == 2 ** 7
+
+    def test_size_guard_refuses_large_listing(self, capsys):
+        # |V_3| = 15 at k = 2 would list 2^15 residuals
+        for action in ("solve", "verify", "periodic"):
+            code = run([*self.BASE, action, "--J", "5/1", "--J1", "5/1",
+                        "--n", "4"])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "more than 12 vertices" in captured.err
+        # k = 1 lists |V_{n-1}| = n vertices: n = 12 passes, n = 13 does not
+        assert run([*self.BASE, "verify", "--source", "unit", "--k", "1",
+                    "--n", "12"]) == 0
+        assert run([*self.BASE, "verify", "--source", "unit", "--k", "1",
+                    "--n", "13"]) == 1

@@ -23,11 +23,14 @@ from padicdyn import (
     in_Ep,
     measure,
     measure_weight,
+    norm_diff,
     partition_fn,
     periodic_field_from_orbit,
     solve_7_11,
 )
-from padicdyn.gibbs import PAIRS, concat, interaction_sums
+from padicdyn.gibbs import PAIRS, interaction_sums
+
+from conftest import random_unit
 
 
 @pytest.fixture
@@ -59,6 +62,42 @@ def brute_force_sums(tree, sigma, n):
                 else:
                     s2 += sigma[x] * sigma[y]
     return s1, s2, s3
+
+
+def oracle_partition_fn(tree, c, field, n):
+    """Brute force: Z_n summed over all 2^|V_n| configurations."""
+    total = c.ctx.zero()
+    for sigma in configurations(tree.vertices(n)):
+        total = total + measure_weight(tree, c, field, sigma, n)
+    return total
+
+
+def oracle_compatibility(tree, c, field_n, field_prev, n):
+    """Brute force: per sigma on V_{n-1}, the marginal summed over every omega
+    on W_n; returns (ok, residuals) with check_compatibility's sigma order."""
+    ctx = c.ctx
+    sigmas = list(configurations(tree.vertices(n - 1)))
+    marginals = []
+    for sigma in sigmas:
+        acc = ctx.zero()
+        for omega in configurations(tree.level(n)):
+            acc = acc + measure_weight(tree, c, field_n, {**sigma, **omega}, n)
+        marginals.append(acc)
+    z_n = ctx.zero()
+    for acc in marginals:
+        z_n = z_n + acc
+    z_prev = oracle_partition_fn(tree, c, field_prev, n - 1)
+    residuals = [norm_diff(acc / z_n,
+                           measure_weight(tree, c, field_prev, sigma, n - 1) / z_prev)
+                 for sigma, acc in zip(sigmas, marginals)]
+    floor = Fraction(1, ctx.p ** ctx.residual_digits)
+    return all(r <= floor for r in residuals), residuals
+
+
+def random_field(tree, n, ctx, rng):
+    """Independent random unit components on every edge of V_n."""
+    return GibbsField({y: {pair: random_unit(ctx, rng) for pair in PAIRS}
+                       for y in tree.vertices(n) if y})
 
 
 class TestTree:
@@ -204,6 +243,65 @@ class TestCompatibility:
         assert not report.ok
         # frozen regression: the (1+p) perturbation shows up at norm 1/5
         assert report.max_residual == Fraction(1, 5)
+
+
+class TestRecursionAgainstOracle:
+    """The tree recursion against brute-force enumeration of every configuration."""
+
+    CASES = [(k, n, J) for k in (1, 2, 3) for n in (1, 2)
+             for J in ((5, 5, 0), (5, 25, 125), (10, 15, 5))
+             if (k, n) != (3, 2) or J == (5, 25, 125)]
+
+    @staticmethod
+    def floor(ctx):
+        return Fraction(1, ctx.p ** ctx.residual_digits)
+
+    @pytest.mark.parametrize("k, n, J", CASES)
+    def test_partition_fn(self, ctx5, rng, k, n, J):
+        tree, c = CayleyTree(k), couplings(ctx5, *J)
+        for m in range(n + 1):
+            field = random_field(tree, m, ctx5, rng)
+            assert norm_diff(partition_fn(tree, c, field, m),
+                             oracle_partition_fn(tree, c, field, m)) <= self.floor(ctx5)
+
+    @pytest.mark.parametrize("k, n, J", CASES)
+    def test_compatibility(self, ctx5, rng, k, n, J):
+        tree, c = CayleyTree(k), couplings(ctx5, *J)
+        field_n = random_field(tree, n, ctx5, rng)
+        for field_prev in (field_n, random_field(tree, n, ctx5, rng)):
+            report = check_compatibility(tree, c, field_n, field_prev, n)
+            ok, residuals = oracle_compatibility(tree, c, field_n, field_prev, n)
+            assert report.ok is ok
+            assert len(report.residuals) == len(residuals) == 2 ** len(
+                tree.vertices(n - 1))
+            for got, want in zip(report.residuals, residuals):
+                if want > self.floor(ctx5):
+                    assert got == want
+                else:
+                    assert got <= self.floor(ctx5)
+            assert report.max_residual == max(report.residuals)
+
+    def test_compatible_fields_agree(self, ctx5, tree):
+        # solved fields give the verdict ok = True on both sides
+        c = couplings(ctx5, 5, 5, 0)
+        for n in (1, 2):
+            field = solve_7_11(tree, c, n)
+            report = check_compatibility(tree, c, field, field, n)
+            ok, residuals = oracle_compatibility(tree, c, field, field, n)
+            assert report.ok and ok
+            assert max(residuals) <= self.floor(ctx5)
+
+    def test_depth_3(self, ctx5, tree):
+        # 2^15 configurations of V_3: out of reach of the enumeration
+        c = couplings(ctx5, 5, 5, 0)
+        field = solve_7_11(tree, c, 3)
+        report = check_compatibility(tree, c, field, field, 3)
+        assert report.ok
+        assert len(report.residuals) == 2 ** 7
+        assert report.max_residual <= self.floor(ctx5)
+        pert = field.with_component(
+            (1, 1, 1), (1, 1), field.component((1, 1, 1), 1, 1) * ctx5.from_int(6))
+        assert not check_compatibility(tree, c, pert, field, 3).ok
 
 
 class TestSolve:
