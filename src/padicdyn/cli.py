@@ -1,7 +1,7 @@
 """Command-line front end: every library operation as a JSON-emitting subcommand.
 
 Exit codes: 0 success, 1 domain error, 2 precision exhaustion,
-3 verification failure.
+3 verification failure; each error class declares its own in errors.py.
 """
 from __future__ import annotations
 
@@ -12,33 +12,12 @@ import sys
 from fractions import Fraction
 
 from . import fixedpoints, gibbs
-from .errors import (
-    BranchError,
-    ConsistencyError,
-    DivisionByZero,
-    DomainError,
-    EscapeError,
-    LengthMismatch,
-    NoConvergence,
-    NotAFixedPoint,
-    NotASquare,
-    NoValidPlacement,
-    PoleError,
-    PrecisionExhausted,
-    VerificationError,
-    ZeroInput,
-    ZeroPartitionFunction,
-)
+from .errors import DomainError, NoValidPlacement, PadicError
 from .maps import MapParams, deriv_g_norm, eval_f, eval_g, eval_k
 from .padic import PrimeContext, exp_p, norm_diff, norm_str, parse_padic, to_json
 from .symbolic import RepellerGeometry, basin_status, check_word
 
-_DOMAIN_ERRORS = (DomainError, PoleError, ZeroInput, NotASquare, DivisionByZero,
-                  ZeroPartitionFunction, NotAFixedPoint, LengthMismatch,
-                  EscapeError, ValueError)
-_PRECISION_ERRORS = (PrecisionExhausted, NoConvergence)
-_VERIFICATION_ERRORS = (VerificationError, ConsistencyError, BranchError,
-                        NoValidPlacement)
+_ERROR_KIND = {1: "domain", 2: "precision", 3: "verification"}
 
 # gibbs solve/verify/periodic list one compatibility residual per spin
 # configuration on V_{n-1}; a larger V_{n-1} is refused before any work
@@ -343,16 +322,11 @@ def run(argv=None) -> int:
     except NoValidPlacement as exc:
         print(json.dumps({"error": "no valid placement",
                           "diagnostics": exc.diagnostics}, indent=2))
-        return 3
-    except _PRECISION_ERRORS as exc:
-        print(f"precision error: {exc}", file=sys.stderr)
-        return 2
-    except _VERIFICATION_ERRORS as exc:
-        print(f"verification error: {exc}", file=sys.stderr)
-        return 3
-    except _DOMAIN_ERRORS as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
+    except (PadicError, ValueError) as exc:
+        code = getattr(exc, "exit_code", 1)
+        print(f"{_ERROR_KIND[code]} error: {exc}", file=sys.stderr)
+        return code
     print(json.dumps(body, indent=2))
     return code
 

@@ -1,8 +1,14 @@
-"""Exception hierarchy shared by all padicdyn modules."""
+"""Exception hierarchy shared by all padicdyn modules.
+
+Each class declares the CLI exit code it maps to: 1 domain error (the
+default), 2 precision exhaustion or non-convergence, 3 verification failure.
+"""
 
 
 class PadicError(Exception):
     """Base class for every error raised by this library."""
+
+    exit_code = 1
 
 
 class DivisionByZero(PadicError):
@@ -11,6 +17,8 @@ class DivisionByZero(PadicError):
 
 class PrecisionExhausted(PadicError):
     """Cancellation destroyed too many significant digits to trust the result."""
+
+    exit_code = 2
 
 
 class DomainError(PadicError):
@@ -30,11 +38,15 @@ class PoleError(PadicError):
 
 
 class NoConvergence(PadicError):
-    """An iteration exceeded its budget without stabilising."""
+    """An iteration stopped short of its fixed point at working precision."""
+
+    exit_code = 2
 
 
 class ConsistencyError(PadicError):
     """An internal algebraic identity failed beyond tolerance."""
+
+    exit_code = 3
 
 
 class NotAFixedPoint(PadicError):
@@ -43,6 +55,8 @@ class NotAFixedPoint(PadicError):
 
 class BranchError(PadicError):
     """Neither square-root branch satisfied the required postcondition."""
+
+    exit_code = 3
 
 
 class EscapeError(PadicError):
@@ -55,6 +69,8 @@ class EscapeError(PadicError):
 
 class VerificationError(PadicError):
     """A constructed object failed its forward verification."""
+
+    exit_code = 3
 
 
 class LengthMismatch(PadicError):
@@ -70,6 +86,8 @@ class NoValidPlacement(PadicError):
 
     Carries the full placement diagnostics so callers can report them.
     """
+
+    exit_code = 3
 
     def __init__(self, diagnostics, message: str = ""):
         self.diagnostics = diagnostics

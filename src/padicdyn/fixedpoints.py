@@ -10,10 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, NoConvergence, NotAFixedPoint
+from .errors import ConsistencyError, NotAFixedPoint
 from .maps import MapParams, deriv_g_norm, eval_g
 from .padic import (
     PadicNumber,
+    converge,
     diff_valuation,
     eq_to_precision,
     in_Ep,
@@ -34,28 +35,11 @@ LEMMA_3_4_CLAUSES = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 def find_x0(params: MapParams) -> PadicNumber:
     """Iterate g from 1 to the unique fixed point in E_p, at full precision.
 
-    The iteration contracts by |b^4 - 1|_p per step; it runs until successive
-    iterates are indistinguishable (or rounding stops further progress), so
-    the result carries all N digits rather than only N - g.
+    The iteration contracts by |b^4 - 1|_p per step and runs to the rounding
+    floor, so the result carries all N digits rather than only N - g.
     """
-    ctx = params.ctx
-    u = ctx.one()
-    best_dv = -1
-    for _ in range(ctx.precision + 2 * ctx.guard + 4):
-        nxt = eval_g(params, u)
-        dv = diff_valuation(nxt, u)
-        if dv is None:
-            return nxt
-        if dv <= best_dv:  # rounding floor reached
-            if dv >= ctx.residual_digits:
-                return nxt
-            break
-        best_dv = dv
-        u = nxt
-    else:
-        if best_dv >= ctx.residual_digits:
-            return u
-    raise NoConvergence("fixed-point iteration did not stabilise; precision bug")
+    return converge(lambda u: eval_g(params, u), params.ctx.one(),
+                    "fixed-point iteration of g")
 
 
 def quadratic_coeffs(params: MapParams, x0: PadicNumber) -> tuple[PadicNumber, PadicNumber]:

@@ -23,7 +23,7 @@ from .errors import (
 from .padic import (
     PadicNumber,
     PrimeContext,
-    diff_valuation,
+    converge,
     eq_to_precision,
     exp_p,
     is_unit,
@@ -448,39 +448,22 @@ def solve_7_11(tree: CayleyTree, couplings: Couplings, n: int = 2,
         v = initial[(-1, -1)] * initial[(1, -1)]
         w = initial[(1, 1)] * initial[(1, -1)]
 
-    budget = ctx.precision + 2 * ctx.guard
-    for s_name in ("u", "v"):
-        s = u if s_name == "u" else v
-        trace = []
-        for _ in range(budget):
-            nxt = F_pow_k(s)
-            trace.append(diff_valuation(nxt, s))
-            if eq_to_precision(nxt, s, ctx.residual_digits):
-                s = nxt
-                break
-            s = nxt
-        else:
-            raise NoConvergence(f"iteration for {s_name} stalled; trace {trace}")
-        if s_name == "u":
-            u = s
-        else:
-            v = s
+    u = converge(F_pow_k, u, "iteration for u")
+    v = converge(F_pow_k, v, "iteration for v")
 
     target = (((ab2 * u + 1) * u)) ** k
-    if w.is_zero:
-        w = u
-    for _ in range(budget):
+
+    def newton_w(w: PadicNumber) -> PadicNumber:
         base = a2 * u * v + b2 * w
         lhs = w * base ** k
         # compare before subtracting so convergence is not mistaken for
         # catastrophic cancellation
         if eq_to_precision(lhs, target, ctx.residual_digits):
-            break
-        phi = lhs - target
+            return w
         dphi = base ** k + w * k * b2 * base ** (k - 1)
-        w = w - phi / dphi
-    else:
-        raise NoConvergence("Newton iteration for w stalled above tolerance")
+        return w - (lhs - target) / dphi
+
+    w = converge(newton_w, u if w.is_zero else w, "Newton iteration for w")
 
     comp = {(1, 1): u, (-1, 1): ctx.one(), (1, -1): w / u, (-1, -1): u * v / w}
     field = GibbsField.uniform(tree, n, comp)

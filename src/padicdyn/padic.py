@@ -7,12 +7,14 @@ Zero is encoded with valuation None (conceptually +infinity).
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
     DivisionByZero,
     DomainError,
+    NoConvergence,
     NotASquare,
     PrecisionExhausted,
     ZeroInput,
@@ -30,8 +32,6 @@ __all__ = [
     "in_Ep",
     "in_Zp",
     "is_unit",
-    "in_ball",
-    "on_sphere",
     "diff_valuation",
     "norm_diff",
     "eq_to_precision",
@@ -296,6 +296,34 @@ def diff_valuation(x: PadicNumber, y: PadicNumber) -> int | None:
     return v + _vp(s, ctx.p)
 
 
+def converge(step: Callable[[PadicNumber], PadicNumber], start: PadicNumber,
+             what: str) -> PadicNumber:
+    """Iterate step from start until it reaches its fixed point at precision N.
+
+    Returns the newer iterate once two iterates agree in every digit, or once
+    the digits settled per step stop growing (the rounding floor) with at
+    least N - g of them settled.  A floor below N - g, or more than
+    N + 2g + 4 steps, raises NoConvergence naming the loop `what` and
+    listing the digits settled at each step.
+    """
+    ctx = start.ctx
+    x = start
+    settled: list[int] = []
+    for _ in range(ctx.precision + 2 * ctx.guard + 4):
+        nxt = step(x)
+        dv = diff_valuation(nxt, x)
+        if dv is None:
+            return nxt
+        if dv <= (settled[-1] if settled else -1):  # rounding floor reached
+            if dv >= ctx.residual_digits:
+                return nxt
+            settled.append(dv)
+            break
+        settled.append(dv)
+        x = nxt
+    raise NoConvergence(f"{what} did not converge; digits settled per step {settled}")
+
+
 def norm_diff(x: PadicNumber, y: PadicNumber) -> Fraction:
     """|x - y|_p, with indistinguishable values reported as 0."""
     dv = diff_valuation(x, y)
@@ -355,16 +383,6 @@ class Ball:
             "radius_exponent": self.radius_exponent,
             "closed": self.closed,
         }
-
-
-def in_ball(x: PadicNumber, ball: Ball) -> bool:
-    return ball.contains(x)
-
-
-def on_sphere(x: PadicNumber, center: PadicNumber, radius_exponent: int) -> bool:
-    """|x - center|_p == p^radius_exponent, exactly."""
-    dv = diff_valuation(x, center)
-    return dv is not None and dv == -radius_exponent
 
 
 # -- exp / log --------------------------------------------------------------

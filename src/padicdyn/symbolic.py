@@ -18,7 +18,7 @@ from .errors import (
     DomainError,
     EscapeError,
     LengthMismatch,
-    NoConvergence,
+    PrecisionExhausted,
     VerificationError,
 )
 from .fixedpoints import discriminant, find_x0, repelling_roots
@@ -26,6 +26,7 @@ from .maps import MapParams, eval_g, eval_k
 from .padic import (
     Ball,
     PadicNumber,
+    converge,
     diff_valuation,
     eq_to_precision,
     norm_diff,
@@ -136,14 +137,12 @@ class RepellerGeometry:
         i_root, i_other = sqrt_both(ctx.from_int(-1))
         m = params.radius_exponent
         # alpha_i is the square root of -1 sharing x_i's closed r-ball
-        dv = diff_valuation(x1, i_root)
-        if dv is None or dv >= m:
+        if Ball(x1, -m, closed=True).contains(i_root):
             alpha1, alpha2 = i_root, i_other
         else:
             alpha1, alpha2 = i_other, i_root
         for alpha, xi in ((alpha1, x1), (alpha2, x2)):
-            dv = diff_valuation(alpha, xi)
-            if dv is not None and dv < m:
+            if not Ball(xi, -m, closed=True).contains(alpha):
                 raise DomainError("square roots of -1 do not pair with x1, x2")
         x1sq, x2sq = x1 * x1, x2 * x2
         kappa = diff_valuation(x1sq, x2sq)
@@ -225,28 +224,14 @@ class RepellerGeometry:
     def periodic_point_k(self, word: Word) -> PadicNumber:
         """The unique point of X with k-itinerary word, word, word, ..."""
         word = check_word(word)
-        ctx = self.params.ctx
-        per_pass = len(word) * self.expansion_exponent
-        budget = ctx.precision // per_pass + 4
-        y = self.center_sq(word[0])
-        best_dv = -1
-        for _ in range(budget):
-            z = y
+
+        def one_pass(y: PadicNumber) -> PadicNumber:
             for sym in reversed(word):
-                z = self.inverse_branch(sym, z)
-            dv = diff_valuation(z, y)
-            if dv is None:
-                return z
-            if dv <= best_dv:  # rounding floor reached
-                if dv >= ctx.residual_digits:
-                    return z
-                break
-            best_dv = dv
-            y = z
-        else:
-            if best_dv >= ctx.residual_digits:
-                return y
-        raise NoConvergence("inverse-branch composition failed to stabilise")
+                y = self.inverse_branch(sym, y)
+            return y
+
+        return converge(one_pass, self.center_sq(word[0]),
+                        "inverse-branch composition")
 
     def periodic_point_g(self, word: Word) -> PadicNumber:
         """The g-periodic point whose square has k-itinerary word.
@@ -288,11 +273,22 @@ class RepellerGeometry:
     # -- coding -------------------------------------------------------------
 
     def itinerary(self, x: PadicNumber, length: int) -> Word:
+        """The first `length` k-symbols of x.
+
+        Each k-step spends expansion_exponent trusted digits, so an escape
+        once more than N - g of them are spent is precision loss, not proof
+        that x lies off the repeller.
+        """
+        ctx = self.params.ctx
         out = []
         current = x
         for step in range(length):
             j = self.in_X(current)
             if j is None:
+                if step * self.expansion_exponent > ctx.residual_digits:
+                    raise PrecisionExhausted(
+                        f"orbit left X at step {step}, after the "
+                        f"{ctx.residual_digits} trusted digits were spent")
                 raise EscapeError(step)
             out.append(j)
             if step + 1 < length:

@@ -1,6 +1,9 @@
 """CLI subcommands: JSON output, determinism, and exit codes."""
 import json
 
+import pytest
+
+import padicdyn
 from padicdyn.cli import run
 
 STRICT = ["--p", "13", "--a", "170/1", "--b", "14/1"]
@@ -10,6 +13,26 @@ def invoke(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip().startswith("{") else out
+
+
+# the exit-code table in README.md
+EXIT_CODES = {
+    "PadicError": 1, "DomainError": 1, "PoleError": 1, "ZeroInput": 1,
+    "NotASquare": 1, "DivisionByZero": 1, "ZeroPartitionFunction": 1,
+    "NotAFixedPoint": 1, "LengthMismatch": 1, "EscapeError": 1,
+    "PrecisionExhausted": 2, "NoConvergence": 2,
+    "VerificationError": 3, "ConsistencyError": 3, "BranchError": 3,
+    "NoValidPlacement": 3,
+}
+ERROR_CLASSES = sorted(
+    (obj for obj in vars(padicdyn).values()
+     if isinstance(obj, type) and issubclass(obj, padicdyn.PadicError)),
+    key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_exit_code_matches_readme(cls):
+    assert cls.exit_code == EXIT_CODES[cls.__name__]
 
 
 class TestFixedPoints:
@@ -67,6 +90,13 @@ class TestDynamics:
                              "--length", "4"])
         assert code == 0
         assert body["itinerary"] == [1, 2, 1, 2]
+
+    def test_itinerary_past_trusted_digits_exits_2(self, capsys):
+        code, body = invoke(capsys, ["periodic", *STRICT, "--word", "1,2"])
+        digits = ",".join(str(d) for d in body["point"]["digits"])
+        code = run(["itinerary", *STRICT, "--x", f"0;{digits}", "--length", "120"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("precision error: ")
 
     def test_periodic_non_strict_exits_1(self, capsys):
         code = run(["periodic", "--p", "13", "--a", "14/1", "--b", "14/1",
@@ -146,6 +176,14 @@ class TestGibbs:
         assert body["compatibility"]["max_residual"] == "1/625"
         argv[3] = "verify"
         assert run(argv) == 3
+
+    def test_newton_stall_exits_2(self, capsys):
+        code = run([*self.BASE, "solve", "--J", "330/1", "--J1", "470/1",
+                    "--k", "3", "--n", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precision error: ")
+        assert "Newton iteration for w" in err
 
     def test_depth_3_runs(self, capsys):
         code, body = invoke(capsys, [*self.BASE, "verify", "--J", "5/1",

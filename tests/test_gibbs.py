@@ -336,6 +336,20 @@ class TestSolve:
         f3 = solve_7_11(t3, c, 2)
         assert check_compatibility(t3, c, f3, f3, 1).ok  # n = 1 keeps it fast
 
+    @pytest.mark.parametrize("J, J1", [(615, 305), (365, 305), (120, 185)])
+    def test_k3_field_agrees_with_higher_precision(self, J, J1):
+        # at these couplings the w equation's derivative has valuation 2, so
+        # an error in u at digit 57 shows in w at digit 55; the N = 64 field
+        # must match the N = 128 one on its N - g trusted digits
+        t3 = CayleyTree(3)
+        lo, hi = PrimeContext(5), PrimeContext(5, 128)
+        f_lo = solve_7_11(t3, couplings(lo, J, J1), 1)
+        f_hi = solve_7_11(t3, couplings(hi, J, J1), 1)
+        for pair in PAIRS:
+            x, y = f_lo.component((1,), *pair), f_hi.component((1,), *pair)
+            assert x.valuation == y.valuation
+            assert x.digits(lo.residual_digits) == y.digits(lo.residual_digits)
+
 
 class TestPeriodicFields:
     def orbit_setup(self):

@@ -1,4 +1,5 @@
 """Core arithmetic against independent rational and modular oracles."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from padicdyn import (
     Ball,
     DomainError,
+    NoConvergence,
     NotASquare,
     PrecisionExhausted,
     PrimeContext,
@@ -25,6 +27,7 @@ from padicdyn import (
     sqrt_both,
     sqrt_exists,
 )
+from padicdyn.padic import converge
 from conftest import random_padic, random_unit
 
 
@@ -145,6 +148,41 @@ class TestBall:
         assert Ball(c, -1, closed=True).contains(x)
         assert not Ball(c, -1, closed=False).contains(x)
         assert Ball(c, -1, closed=False).contains(c + ctx.from_int(ctx.p ** 2))
+
+
+class TestConverge:
+    ctx = PrimeContext(5)
+
+    @staticmethod
+    def alternating(e):
+        """A step that adds and subtracts 5^e in turn: it settles e digits."""
+        signs = itertools.cycle((1, -1))
+        return lambda x: x + next(signs) * 5 ** e
+
+    def test_contraction_reaches_every_digit(self):
+        x = converge(lambda x: 1 + 5 * x, self.ctx.one(), "contraction")
+        assert x == self.ctx.from_rational(-1, 4)
+
+    def test_fixed_start_returns_at_once(self):
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return x
+        start = self.ctx.from_int(7)
+        assert converge(step, start, "identity") == start
+        assert len(calls) == 1
+
+    def test_floor_at_or_above_residual_digits_returns(self):
+        # a floor of 60 settled digits is >= N - g = 56
+        x = converge(self.alternating(60), self.ctx.one(), "deep floor")
+        assert eq_to_precision(x, self.ctx.one(), self.ctx.residual_digits)
+
+    def test_floor_below_residual_digits_raises(self):
+        with pytest.raises(NoConvergence) as err:
+            converge(self.alternating(10), self.ctx.one(), "shallow floor")
+        assert str(err.value) == (
+            "shallow floor did not converge; digits settled per step [10, 10]")
 
 
 class TestExpLog:

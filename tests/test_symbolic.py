@@ -9,6 +9,7 @@ from padicdyn import (
     EscapeError,
     LengthMismatch,
     MapParams,
+    PrecisionExhausted,
     PrimeContext,
     RepellerGeometry,
     all_words,
@@ -204,6 +205,20 @@ class TestCoding:
         with pytest.raises(EscapeError) as err:
             geom.itinerary(geom.x0, 4)
         assert err.value.step == 0
+
+    def test_escape_after_trusted_digits_is_precision_loss(self):
+        # each k-step at (13, 170, 14) spends one trusted digit: by step 120
+        # the N = 64 point has none left, while at N = 200 its orbit stays on X
+        def geom_at(precision):
+            ctx = PrimeContext(13, precision)
+            return RepellerGeometry.build(
+                MapParams(ctx.from_int(170), ctx.from_int(14)))
+
+        geom = geom_at(64)
+        with pytest.raises(PrecisionExhausted):
+            geom.itinerary(geom.periodic_point_k((1, 2)), 120)
+        geom = geom_at(200)
+        assert geom.itinerary(geom.periodic_point_k((1, 2)), 120) == (1, 2) * 60
 
     def test_metric_values(self, geom):
         p = geom.params.ctx.p
