@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, NotAFixedPoint
-from .maps import MapParams, deriv_g_norm, eval_g
+from .maps import MapParams, deriv_g, deriv_g_norm, eval_g
 from .padic import (
     PadicNumber,
     converge,
@@ -33,13 +33,17 @@ LEMMA_3_4_CLAUSES = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 
 
 def find_x0(params: MapParams) -> PadicNumber:
-    """Iterate g from 1 to the unique fixed point in E_p, at full precision.
+    """Newton's method on g(u) - u from 1 to the unique fixed point in E_p.
 
-    The iteration contracts by |b^4 - 1|_p per step and runs to the rounding
+    |g'|_p = p^-m on E_p, so the Newton denominator 1 - g'(u) is a unit and
+    each step roughly doubles the digits settled.  It runs to the rounding
     floor, so the result carries all N digits rather than only N - g.
     """
-    return converge(lambda u: eval_g(params, u), params.ctx.one(),
-                    "fixed-point iteration of g")
+    def newton(u: PadicNumber) -> PadicNumber:
+        slope = deriv_g(params, u)
+        return (eval_g(params, u) - u * slope) / (1 - slope)
+
+    return converge(newton, params.ctx.one(), "Newton iteration for x0")
 
 
 def quadratic_coeffs(params: MapParams, x0: PadicNumber) -> tuple[PadicNumber, PadicNumber]:

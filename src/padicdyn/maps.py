@@ -84,6 +84,21 @@ def eval_k(params: MapParams, x: PadicNumber) -> PadicNumber:
     return root * root
 
 
+def deriv_g(params: MapParams, u: PadicNumber) -> PadicNumber:
+    """g'(u) = 2au(b^4 - 1)/(b^2 + u^2)^2."""
+    a, b = params.a, params.b
+    den = _checked_den(params, lambda: b * b + u * u)
+    return a * u * (b ** 4 - 1) * 2 / (den * den)
+
+
+def deriv_k(params: MapParams, x: PadicNumber) -> PadicNumber:
+    """k'(x) = 2a^2(b^2 x + 1)(b^4 - 1)/(b^2 + x)^3."""
+    a, b = params.a, params.b
+    b2 = b * b
+    den = _checked_den(params, lambda: b2 + x)
+    return a * a * (b2 * x + 1) * (b ** 4 - 1) * 2 / (den * den * den)
+
+
 def conjugate_f_to_g(params: MapParams, u: PadicNumber) -> PadicNumber:
     """The conjugating homeomorphism u -> a*u: g(a*u) = a*f(u).
 
@@ -93,13 +108,5 @@ def conjugate_f_to_g(params: MapParams, u: PadicNumber) -> PadicNumber:
 
 
 def deriv_g_norm(params: MapParams, x: PadicNumber) -> Fraction:
-    """|g'(x)|_p from the exact norm factorization of 2ax(b^4 - 1)/(b^2 + x^2)^2."""
-    a, b, ctx = params.a, params.b, params.ctx
-    den = _checked_den(params, lambda: b * b + x * x)
-    if x.is_zero:
-        return Fraction(0)
-    two_a = a * 2
-    b4m1 = b ** 4 - 1
-    if b4m1.is_zero:
-        return Fraction(0)
-    return (two_a.norm() * x.norm() * b4m1.norm()) / den.norm() ** 2
+    """|g'(x)|_p; valuations of products and quotients are exact."""
+    return deriv_g(params, x).norm()

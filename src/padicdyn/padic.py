@@ -147,7 +147,12 @@ class PrimeContext:
 
 @dataclass(frozen=True)
 class PadicNumber:
-    """A p-adic value p^valuation * unit, normalized so p does not divide unit."""
+    """A p-adic value p^valuation * unit, normalized so p does not divide unit.
+
+    `==` compares the representation (ctx, valuation, unit) and never coerces
+    an int, so `ctx.one() == 1` is False.  Compare values with
+    diff_valuation or eq_to_precision.
+    """
 
     ctx: PrimeContext
     valuation: int | None

@@ -22,7 +22,7 @@ from .errors import (
     VerificationError,
 )
 from .fixedpoints import discriminant, find_x0, repelling_roots
-from .maps import MapParams, eval_g, eval_k
+from .maps import MapParams, deriv_k, eval_g, eval_k
 from .padic import (
     Ball,
     PadicNumber,
@@ -222,16 +222,37 @@ class RepellerGeometry:
     # -- periodic points ----------------------------------------------------
 
     def periodic_point_k(self, word: Word) -> PadicNumber:
-        """The unique point of X with k-itinerary word, word, word, ..."""
+        """The unique point of X with k-itinerary word, word, word, ...
+
+        One pass of inverse branches from the centre of ball w_1 lands in the
+        word's depth-|w| cylinder; Newton's method on k^n(x) - x (n = |w|)
+        then runs from there, with (k^n)'(x) by the chain rule along the
+        forward orbit.  |(k^n)'|_p = p^(nm), so the denominator (k^n)' - 1
+        never cancels.  When n * m >= N - g the forward orbit keeps no
+        trusted digit, so the pass itself is iterated instead: it contracts
+        by p^(-nm) and settles the N - g digits in one step.
+        """
         word = check_word(word)
+        params = self.params
+        ctx = params.ctx
 
         def one_pass(y: PadicNumber) -> PadicNumber:
             for sym in reversed(word):
                 y = self.inverse_branch(sym, y)
             return y
 
-        return converge(one_pass, self.center_sq(word[0]),
-                        "inverse-branch composition")
+        center = self.center_sq(word[0])
+        if len(word) * self.expansion_exponent >= ctx.residual_digits:
+            return converge(one_pass, center, "inverse-branch composition")
+
+        def newton(x: PadicNumber) -> PadicNumber:
+            image, slope = x, ctx.one()
+            for _ in word:
+                slope = slope * deriv_k(params, image)
+                image = eval_k(params, image)
+            return (x * slope - image) / (slope - 1)
+
+        return converge(newton, one_pass(center), "Newton iteration for k^n(x) = x")
 
     def periodic_point_g(self, word: Word) -> PadicNumber:
         """The g-periodic point whose square has k-itinerary word.

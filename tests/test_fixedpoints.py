@@ -23,6 +23,8 @@ from padicdyn import (
     sqrt_exists,
     verify_lemma_3_4,
 )
+from padicdyn import fixedpoints
+from padicdyn.padic import converge
 from conftest import strict_params
 
 
@@ -40,6 +42,29 @@ class TestX0:
             params = strict_params(ctx, rng)
             x0 = find_x0(params)
             assert norm_diff(x0, params.a) == norm_diff(x0, ctx.one()) * params.radius
+
+    @pytest.mark.parametrize("precision", [64, 128])
+    @pytest.mark.parametrize("p, a, b", [(13, 170, 14), (5, 26, 6), (13, 2198, 170)])
+    def test_newton_matches_iteration_of_g(self, p, a, b, precision):
+        # g itself contracts E_p to x0: Newton must land on the same N digits
+        ctx = PrimeContext(p, precision)
+        params = MapParams(ctx.from_int(a), ctx.from_int(b))
+        oracle = converge(lambda u: eval_g(params, u), ctx.one(), "iteration of g")
+        assert find_x0(params) == oracle
+
+    def test_newton_steps_are_few(self, monkeypatch):
+        # the linear iteration of g takes 63 steps here
+        ctx = PrimeContext(13)
+        params = MapParams(ctx.from_int(170), ctx.from_int(14))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return eval_g(*args)
+
+        monkeypatch.setattr(fixedpoints, "eval_g", counted)
+        find_x0(params)
+        assert 0 < len(calls) <= 10
 
 
 class TestCubicStructure:

@@ -18,6 +18,7 @@ from padicdyn import (
     norm_diff,
     sqrt,
 )
+from padicdyn.maps import deriv_g, deriv_k
 from conftest import random_padic, strict_params
 
 
@@ -84,6 +85,32 @@ class TestRationalOracle:
                 continue
             want = (qa * (qb ** 2 * qx + 1) / (qb ** 2 + qx)) ** 2
             got = eval_k(params, ctx.from_fraction(qx))
+            assert eq_to_precision(got, ctx.from_fraction(want),
+                                   ctx.residual_digits)
+
+    def test_deriv_g(self, ctx, rng):
+        # quotient rule on g = num/den, apart from the factored closed form
+        qa, qb, params = rational_params(ctx)
+        for _ in range(40):
+            qu = Fraction(rng.randrange(-50, 51), rng.randrange(1, 40))
+            num, den = qa * (qb ** 2 * qu ** 2 + 1), qb ** 2 + qu ** 2
+            want = (2 * qa * qb ** 2 * qu * den - num * 2 * qu) / den ** 2
+            got = deriv_g(params, ctx.from_fraction(qu))
+            assert eq_to_precision(got, ctx.from_fraction(want),
+                                   ctx.residual_digits)
+
+    def test_deriv_k(self, ctx, rng):
+        # quotient rule on k = a^2 (b^2 x + 1)^2 / (b^2 + x)^2
+        qa, qb, params = rational_params(ctx)
+        for _ in range(40):
+            qx = Fraction(rng.randrange(-50, 51), rng.randrange(1, 40))
+            if qb ** 2 + qx == 0:
+                continue
+            lin, den = qb ** 2 * qx + 1, qb ** 2 + qx
+            num = qa ** 2 * lin ** 2
+            want = (2 * qa ** 2 * qb ** 2 * lin * den ** 2
+                    - num * 2 * den) / den ** 4
+            got = deriv_k(params, ctx.from_fraction(qx))
             assert eq_to_precision(got, ctx.from_fraction(want),
                                    ctx.residual_digits)
 

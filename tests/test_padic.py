@@ -141,6 +141,18 @@ class TestDigitsAndParsing:
         assert not in_Ep(ctx.from_int(2)) or ctx.p == 3  # 2 = 1+1 only for p=3
 
 
+class TestEquality:
+    def test_compares_representation_without_coercion(self):
+        ctx = PrimeContext(5)
+        assert ctx.one() == ctx.from_int(1)
+        assert ctx.from_int(-3) == ctx.from_rational(-6, 2)
+        assert ctx.one() != 1
+        assert ctx.from_rational(1, 2) != Fraction(1, 2)
+        assert ctx.one() != PrimeContext(5, 32).one()
+        assert diff_valuation(ctx.one(), ctx.from_int(1)) is None
+        assert eq_to_precision(ctx.from_int(6), ctx.one(), 1)
+
+
 class TestBall:
     def test_open_vs_closed(self, ctx):
         c = ctx.one()

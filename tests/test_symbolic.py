@@ -23,6 +23,8 @@ from padicdyn import (
     k_membership,
     norm_diff,
 )
+from padicdyn import symbolic
+from padicdyn.padic import converge
 from conftest import random_Ep, strict_params
 
 
@@ -193,6 +195,62 @@ class TestPeriodicPoints:
         for i in range(3):
             assert eq_to_precision(orbit[i], eval_g(params, orbit[(i + 1) % 3]),
                                    params.ctx.residual_digits)
+
+
+def iterated_passes(geom, word):
+    """The construction itself: iterate one pass of inverse branches from the
+    centre of ball w_1 until the pass fixes its point."""
+    def one_pass(y):
+        for sym in reversed(word):
+            y = geom.inverse_branch(sym, y)
+        return y
+
+    return converge(one_pass, geom.center_sq(word[0]), "inverse-branch passes")
+
+
+class TestNewtonAgainstInverseBranches:
+    @pytest.mark.parametrize("precision", [64, 128])
+    @pytest.mark.parametrize("p, a, b", [(13, 170, 14), (5, 26, 6), (13, 2198, 170)])
+    def test_every_word_up_to_length_5(self, p, a, b, precision):
+        ctx = PrimeContext(p, precision)
+        geom = RepellerGeometry.build(MapParams(ctx.from_int(a), ctx.from_int(b)))
+        for length in range(1, 6):
+            for word in all_words(length):
+                assert geom.periodic_point_k(word) == iterated_passes(geom, word), word
+
+    @pytest.mark.parametrize("word", [(1,), (2,), (1,) * 7, (1, 2, 1, 2, 2, 1, 2),
+                                      (2, 2, 2, 2, 2, 2, 1)])
+    def test_both_sides_of_the_trusted_orbit_bound(self, word):
+        # N - g = 8 and m = 3: a length-1 word runs Newton (3 < 8); the forward
+        # orbit of a length-7 word spends 21 >= 8 digits, where Newton cannot
+        # converge and the passes are iterated instead
+        ctx = PrimeContext(13, 16)
+        geom = RepellerGeometry.build(
+            MapParams(ctx.from_int(1 + 13 ** 4), ctx.from_int(1 + 13 ** 3)))
+        assert geom.expansion_exponent == 3
+        assert geom.periodic_point_k(word) == iterated_passes(geom, word)
+
+    def test_one_pass_then_few_newton_steps(self, monkeypatch):
+        # iterating the passes makes 70 inverse-branch calls here; each
+        # Newton step makes 5 k-steps, and at most 10 steps are allowed
+        ctx = PrimeContext(13)
+        geom = RepellerGeometry.build(MapParams(ctx.from_int(170), ctx.from_int(14)))
+        branches, k_steps = [], []
+        inverse_branch = RepellerGeometry.inverse_branch
+
+        def counted_branch(self, j, x):
+            branches.append(j)
+            return inverse_branch(self, j, x)
+
+        def counted_k(*args):
+            k_steps.append(args)
+            return eval_k(*args)
+
+        monkeypatch.setattr(RepellerGeometry, "inverse_branch", counted_branch)
+        monkeypatch.setattr(symbolic, "eval_k", counted_k)
+        geom.periodic_point_k((1, 2, 2, 1, 2))
+        assert branches == [2, 1, 2, 2, 1]
+        assert 0 < len(k_steps) <= 50
 
 
 class TestCoding:
