@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 domain error, 2 precision exhaustion,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -48,7 +49,10 @@ def _word(text: str):
     return check_word(tuple(int(s) for s in text.replace(",", " ").split()))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: each parse_args
+    call fills a fresh Namespace, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="padicdyn",
         description="p-adic dynamics of the generalized Ising mapping")

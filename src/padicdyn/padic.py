@@ -87,6 +87,7 @@ class PrimeContext:
     p: int
     precision: int = 64
     guard: int = 8
+    _powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _modulus: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -96,7 +97,11 @@ class PrimeContext:
             raise DomainError(f"p must be an odd prime >= 3, got {self.p}")
         if not (self.precision > self.guard >= 1):
             raise DomainError("need precision > guard >= 1")
-        object.__setattr__(self, "_modulus", self.p ** self.precision)
+        powers = [1]
+        for _ in range(self.precision):
+            powers.append(powers[-1] * self.p)
+        object.__setattr__(self, "_powers", tuple(powers))  # p^0 .. p^N
+        object.__setattr__(self, "_modulus", powers[-1])
 
     @property
     def modulus(self) -> int:
@@ -114,7 +119,13 @@ class PrimeContext:
         return PadicNumber(self, 0, 1)
 
     def from_int(self, m: int) -> "PadicNumber":
-        return self.from_rational(m, 1)
+        if m == 0:
+            return self.zero()
+        p, v = self.p, 0
+        while m % p == 0:
+            m //= p
+            v += 1
+        return PadicNumber(self, v, m % self._modulus)
 
     def from_rational(self, m: int, n: int = 1) -> "PadicNumber":
         """Canonical N-digit expansion of m/n."""
@@ -145,18 +156,39 @@ class PrimeContext:
         return PadicNumber(self, valuation, unit % self.modulus)
 
 
-@dataclass(frozen=True)
 class PadicNumber:
     """A p-adic value p^valuation * unit, normalized so p does not divide unit.
 
-    `==` compares the representation (ctx, valuation, unit) and never coerces
-    an int, so `ctx.one() == 1` is False.  Compare values with
-    diff_valuation or eq_to_precision.
+    Values are immutable: assigning to or deleting an attribute raises
+    AttributeError.  `==` compares the representation (ctx, valuation, unit)
+    and never coerces an int, so `ctx.one() == 1` is False.  Compare values
+    with diff_valuation or eq_to_precision.
     """
 
-    ctx: PrimeContext
-    valuation: int | None
-    unit: int
+    __slots__ = ("ctx", "valuation", "unit")
+
+    def __init__(self, ctx: PrimeContext, valuation: int | None, unit: int):
+        _set_ctx(self, ctx)
+        _set_valuation(self, valuation)
+        _set_unit(self, unit)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: PadicNumber is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: PadicNumber is immutable")
+
+    def __reduce__(self):
+        return PadicNumber, (self.ctx, self.valuation, self.unit)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.valuation == other.valuation and self.unit == other.unit
+                and _same_ctx(self.ctx, other.ctx))
+
+    def __hash__(self):
+        return hash((self.ctx, self.valuation, self.unit))
 
     @property
     def is_zero(self) -> bool:
@@ -186,7 +218,7 @@ class PadicNumber:
 
     def _coerce(self, other):
         if isinstance(other, PadicNumber):
-            if other.ctx != self.ctx:
+            if not _same_ctx(other.ctx, self.ctx):
                 raise DomainError("mixed PrimeContext arithmetic")
             return other
         if isinstance(other, int):
@@ -200,28 +232,33 @@ class PadicNumber:
         if y is None:
             return NotImplemented
         x, ctx = self, self.ctx
-        if x.is_zero:
+        xv, yv = x.valuation, y.valuation
+        if xv is None:
             return y
-        if y.is_zero:
+        if yv is None:
             return x
-        v = min(x.valuation, y.valuation)
-        pN = ctx.modulus
-        s = (x.unit * ctx.p ** min(x.valuation - v, ctx.precision)
-             + y.unit * ctx.p ** min(y.valuation - v, ctx.precision)) % pN
+        powers, N, pN = ctx._powers, ctx.precision, ctx._modulus
+        if xv <= yv:
+            v, s = xv, (x.unit + y.unit * powers[min(yv - xv, N)]) % pN
+        else:
+            v, s = yv, (x.unit * powers[min(xv - yv, N)] + y.unit) % pN
+        p = ctx.p
+        if s % p:
+            return PadicNumber(ctx, v, s)
         if s == 0:
             return ctx.zero()
-        t = _vp(s, ctx.p)
-        if t > ctx.precision - ctx.guard:
+        t = _vp(s, p)
+        if t > N - ctx.guard:
             raise PrecisionExhausted(
                 f"cancellation of {t} digits leaves fewer than {ctx.guard} significant digits")
-        return PadicNumber(ctx, v + t, (s // ctx.p ** t) % pN)
+        return PadicNumber(ctx, v + t, s // powers[t])
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_zero:
+        if self.valuation is None:
             return self
-        return PadicNumber(self.ctx, self.valuation, self.ctx.modulus - self.unit)
+        return PadicNumber(self.ctx, self.valuation, self.ctx._modulus - self.unit)
 
     def __sub__(self, other):
         y = self._coerce(other)
@@ -236,10 +273,10 @@ class PadicNumber:
         y = self._coerce(other)
         if y is None:
             return NotImplemented
-        if self.is_zero or y.is_zero:
+        if self.valuation is None or y.valuation is None:
             return self.ctx.zero()
         return PadicNumber(self.ctx, self.valuation + y.valuation,
-                           self.unit * y.unit % self.ctx.modulus)
+                           self.unit * y.unit % self.ctx._modulus)
 
     __rmul__ = __mul__
 
@@ -247,13 +284,13 @@ class PadicNumber:
         y = self._coerce(other)
         if y is None:
             return NotImplemented
-        if y.is_zero:
+        if y.valuation is None:
             raise DivisionByZero("p-adic division by zero")
-        if self.is_zero:
+        if self.valuation is None:
             return self
-        inv = pow(y.unit, -1, self.ctx.modulus)
+        pN = self.ctx._modulus
         return PadicNumber(self.ctx, self.valuation - y.valuation,
-                           self.unit * inv % self.ctx.modulus)
+                           self.unit * pow(y.unit, -1, pN) % pN)
 
     def __rtruediv__(self, other):
         y = self._coerce(other)
@@ -282,20 +319,33 @@ class PadicNumber:
         return f"PadicNumber(p={self.ctx.p}, {self.valuation};{shown},...)"
 
 
+_set_ctx = PadicNumber.ctx.__set__
+_set_valuation = PadicNumber.valuation.__set__
+_set_unit = PadicNumber.unit.__set__
+
+
+def _same_ctx(a: PrimeContext, b: PrimeContext) -> bool:
+    """Equal contexts interoperate; identity is the common, cheap case."""
+    return a is b or a == b
+
+
 # -- comparison at precision ------------------------------------------------
 
 def diff_valuation(x: PadicNumber, y: PadicNumber) -> int | None:
     """ord_p(x - y), or None when x and y are indistinguishable at precision N."""
-    if x.ctx != y.ctx:
-        raise DomainError("mixed PrimeContext comparison")
-    if x.is_zero and y.is_zero:
-        return None
-    if x.is_zero or y.is_zero:
-        return (y if x.is_zero else x).valuation
     ctx = x.ctx
-    v = min(x.valuation, y.valuation)
-    s = (x.unit * ctx.p ** min(x.valuation - v, ctx.precision)
-         - y.unit * ctx.p ** min(y.valuation - v, ctx.precision)) % ctx.modulus
+    if not _same_ctx(ctx, y.ctx):
+        raise DomainError("mixed PrimeContext comparison")
+    xv, yv = x.valuation, y.valuation
+    if xv is None:
+        return yv
+    if yv is None:
+        return xv
+    powers, N = ctx._powers, ctx.precision
+    if xv <= yv:
+        v, s = xv, (x.unit - y.unit * powers[min(yv - xv, N)]) % ctx._modulus
+    else:
+        v, s = yv, (x.unit * powers[min(xv - yv, N)] - y.unit) % ctx._modulus
     if s == 0:
         return None
     return v + _vp(s, ctx.p)
@@ -393,47 +443,84 @@ class Ball:
 # -- exp / log --------------------------------------------------------------
 
 def exp_p(x: PadicNumber) -> PadicNumber:
-    """p-adic exponential; requires |x|_p <= 1/p."""
+    """p-adic exponential; requires |x|_p <= 1/p.
+
+    Sums x^n/n! for as long as the term's valuation n*v(x) - v_p(n!) stays
+    within N + g, in plain integers mod p^N: the unit powers over a running
+    common denominator, the p-free part of n!, inverted once at the end.
+    Every step is a ring operation mod p^N, so the digits are those of the
+    term-by-term PadicNumber series.
+    """
     ctx = x.ctx
     if x.is_zero:
         return ctx.one()
-    if x.valuation < 1:
+    v = x.valuation
+    if v < 1:
         raise DomainError("exp_p needs |x|_p <= 1/p")
-    budget = ctx.precision + ctx.guard
-    acc = ctx.one()
-    term = ctx.one()
+    p, N, powers, pN = ctx.p, ctx.precision, ctx._powers, ctx._modulus
+    budget = N + ctx.guard
+    acc, den = 1, 1       # the partial sum is acc / den
+    num, v_fact = 1, 0    # x.unit^n mod p^N and v_p(n!)
     n = 0
     while True:
         n += 1
-        term = term * x / n
-        if term.is_zero or term.valuation > budget:
-            return acc
-        acc = acc + term
+        m = n
+        while m % p == 0:
+            m //= p
+            v_fact += 1
+        num = num * x.unit % pN
+        term_v = n * v - v_fact
+        if term_v > budget:
+            return PadicNumber(ctx, 0, acc * pow(den, -1, pN) % pN)
+        acc *= m
+        if term_v < N:  # a deeper term is 0 mod p^N
+            acc = (acc + num * powers[term_v]) % pN
+        den *= m
         if n > 64 * budget:  # unreachable for valid inputs
             raise DomainError("exp_p series failed to terminate")
 
 
 def log_p(x: PadicNumber) -> PadicNumber:
-    """p-adic logarithm; requires |x - 1|_p < 1."""
+    """p-adic logarithm; requires |x - 1|_p < 1.
+
+    With t = x - 1 = p^v u, sums (-1)^(n+1) t^n/n for as long as the term's
+    valuation n*v - v_p(n) stays within N + g.  The result keeps t's
+    valuation, and its unit is a sum over the running common denominator
+    D_n, the p-free part of n!, inverted once at the end.  The numerators
+    R_n = u^n p^((n-1)v) D_(n-1) are carried mod p^(N+e), with p^e above
+    every n the series reaches, so dividing R_n by p^(v_p(n)) leaves it
+    exact mod p^N: every residue is that of the term-by-term PadicNumber
+    series.
+    """
     ctx = x.ctx
     t = x - 1
     if t.is_zero:
         return ctx.zero()
     if x.is_zero or t.valuation < 1:
         raise DomainError("log_p needs |x - 1|_p < 1")
-    budget = ctx.precision + ctx.guard
-    acc = ctx.zero()
-    power = ctx.one()
+    v = t.valuation
+    p, N, powers, pN = ctx.p, ctx.precision, ctx._powers, ctx._modulus
+    budget = N + ctx.guard
+    e = 0                 # the series stops before n = 2 * budget
+    while p ** (e + 1) <= 2 * budget:
+        e += 1
+    M = pN * p ** e
+    step = t.unit * powers[v]
+    acc, den = 0, 1       # the unit of the partial sum is acc / den
+    R = t.unit
     n = 0
     while True:
         n += 1
-        power = power * t
-        term = power / n if n % 2 == 1 else -(power / n)
-        if term.is_zero or term.valuation > budget:
-            return acc
-        acc = acc + term
-        if n > 64 * budget:
-            raise DomainError("log_p series failed to terminate")
+        m, v_n = n, 0
+        while m % p == 0:
+            m //= p
+            v_n += 1
+        if n * v - v_n > budget:
+            return PadicNumber(ctx, v, acc * pow(den, -1, pN) % pN)
+        term = R // powers[v_n]
+        acc = (acc * m + (term if n % 2 else -term)) % pN
+        den *= m
+        R = R * step * m % M
 
 
 # -- square roots -----------------------------------------------------------

@@ -258,10 +258,10 @@ class RepellerGeometry:
         """The g-periodic point whose square has k-itinerary word.
 
         The square root s of the k-periodic point is taken in B_r(x_{w1}).
-        Because g is even, the forward orbit returns to +s or to -s (the
-        latter exactly when the word's last symbol differs from its first);
-        whichever sign the orbit selects is the periodic point, and it is
-        verified by forward iteration before returning.
+        Because g is even, the forward orbit returns to +s or to -s, the
+        latter exactly when the word's last symbol differs from its first;
+        that sign is the periodic point.  Forward iteration verifies it
+        wherever the orbit keeps a trusted digit, min(N - g, N - |w|m - 2).
         """
         word = check_word(word)
         ctx = self.params.ctx
@@ -271,16 +271,17 @@ class RepellerGeometry:
         if len(hits) != 1:
             raise BranchError("square root of the periodic point missed both balls")
         s = hits[0]
+        point = -s if word[-1] != word[0] else s
         digits = min(ctx.residual_digits,
                      ctx.precision - len(word) * self.params.radius_exponent - 2)
-        z = s
-        for _ in word:
-            z = eval_g(self.params, z)
-        for candidate in (s, -s):
-            if eq_to_precision(z, candidate, digits):
-                # g(-s) = g(s), so g^m(candidate) = z = candidate either way
-                return candidate
-        raise VerificationError("g-orbit verification of the periodic point failed")
+        if digits > 0:
+            z = s
+            for _ in word:
+                z = eval_g(self.params, z)
+            # g(-s) = g(s), so g^m(point) = z = point
+            if not eq_to_precision(z, point, digits):
+                raise VerificationError("g-orbit verification of the periodic point failed")
+        return point
 
     def g_orbit(self, word: Word) -> list[PadicNumber]:
         """[h_0, ..., h_{m-1}] with h_i = g(h_{i+1 mod m}), h_0 the word's point."""
@@ -328,15 +329,18 @@ class RepellerGeometry:
         return Fraction(0)
 
     def julia_cylinders(self, depth: int) -> list[tuple[Word, Ball]]:
-        """One ball per word of length depth, covering the depth-th Julia stage."""
+        """One ball per word of length depth, covering the depth-th Julia stage.
+
+        The centre of w1 w2 ... wd is the w1-branch of the centre of its
+        suffix w2 ... wd, so each suffix is composed once: 2^(d+1) - 4
+        inverse-branch calls at depth d.
+        """
         if depth < 1:
             raise DomainError("depth must be >= 1")
         m = self.params.radius_exponent
-        out = []
-        for word in all_words(depth):
-            center = self.center_sq(word[-1])
-            for sym in reversed(word[:-1]):
-                center = self.inverse_branch(sym, center)
-            radius_exp = -(m + (depth - 1) * self.expansion_exponent)
-            out.append((word, Ball(center, radius_exp)))
-        return out
+        centers = {(j,): self.center_sq(j) for j in (1, 2)}
+        for _ in range(depth - 1):
+            centers = {(sym, *suffix): self.inverse_branch(sym, center)
+                       for suffix, center in centers.items() for sym in (1, 2)}
+        radius_exp = -(m + (depth - 1) * self.expansion_exponent)
+        return [(word, Ball(centers[word], radius_exp)) for word in all_words(depth)]

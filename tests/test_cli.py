@@ -4,7 +4,8 @@ import json
 import pytest
 
 import padicdyn
-from padicdyn.cli import run
+from padicdyn import MapParams, PrimeContext, RepellerGeometry, to_json
+from padicdyn.cli import build_parser, run
 
 STRICT = ["--p", "13", "--a", "170/1", "--b", "14/1"]
 
@@ -33,6 +34,30 @@ ERROR_CLASSES = sorted(
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
 def test_error_exit_code_matches_readme(cls):
     assert cls.exit_code == EXIT_CODES[cls.__name__]
+
+
+class TestParserReuse:
+    """One parser serves every run() call of a process; nothing carries over."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_map_default_after_map_g(self, capsys):
+        code, body = invoke(capsys, ["periodic", *STRICT, "--word", "1,2", "--map", "g"])
+        assert code == 0 and body["map"] == "g"
+        code, body = invoke(capsys, ["periodic", *STRICT, "--word", "1,2"])
+        assert code == 0 and body["map"] == "k"
+        ctx = PrimeContext(13)
+        geom = RepellerGeometry.build(MapParams(ctx.from_int(170), ctx.from_int(14)))
+        assert body["point"] == to_json(geom.periodic_point_k((1, 2)))
+
+    def test_valid_call_after_argparse_error(self, capsys):
+        assert run(["fixed-points", "--p", "13", "--a", "170/1"]) == 1
+        assert "required: --b" in capsys.readouterr().err
+        code, body = invoke(capsys, ["fixed-points", *STRICT])
+        assert code == 0
+        assert body["classifications"] == {
+            "x0": "attracting", "x1": "repelling", "x2": "repelling"}
 
 
 class TestFixedPoints:

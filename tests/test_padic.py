@@ -1,12 +1,16 @@
 """Core arithmetic against independent rational and modular oracles."""
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from padicdyn import (
     Ball,
+    DivisionByZero,
     DomainError,
     NoConvergence,
     NotASquare,
@@ -153,6 +157,165 @@ class TestEquality:
         assert eq_to_precision(ctx.from_int(6), ctx.one(), 1)
 
 
+class TestValueSemantics:
+    def test_values_are_immutable(self):
+        x = PrimeContext(5).from_int(7)
+        for name in ("ctx", "valuation", "unit", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
+        with pytest.raises(AttributeError):
+            del x.unit
+        assert (x.valuation, x.unit) == (0, 7)
+
+    def test_equal_contexts_built_apart_interoperate(self):
+        c1, c2 = PrimeContext(5), PrimeContext(5)
+        assert c1 is not c2 and c1 == c2
+        x, y = c1.from_rational(2, 3), c2.from_rational(7, 11)
+        assert x + y == c1.from_rational(2 * 11 + 7 * 3, 33)
+        assert x * y == c2.from_rational(14, 33)
+        assert diff_valuation(x / y, c1.from_rational(22, 21)) is None
+        assert c1.from_int(4) == c2.from_int(4)
+
+    @pytest.mark.parametrize("other", [PrimeContext(5, 32), PrimeContext(5, guard=4),
+                                       PrimeContext(7)])
+    def test_mixed_contexts_raise(self, other):
+        x, y = PrimeContext(5).from_int(2), other.from_int(2)
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y,
+                   lambda: diff_valuation(x, y)):
+            with pytest.raises(DomainError):
+                op()
+
+    def test_hash_agrees_with_equality(self, rng):
+        c1, c2 = PrimeContext(13), PrimeContext(13)
+        for _ in range(50):
+            m, n = rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(1, 10 ** 6)
+            x, y = c1.from_rational(m, n), c2.from_rational(m, n)
+            assert x == y and hash(x) == hash(y)
+        values = {c1.zero(), c2.zero(), c1.one(), c2.one(), c1.from_int(2)}
+        assert len(values) == 3
+        assert PrimeContext(13, 32).one() not in values
+
+    def test_copy_and_pickle_keep_the_value(self):
+        x = PrimeContext(5).from_rational(3, 7)
+        for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert clone == x and hash(clone) == hash(x)
+
+
+def _vp(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _agrees(x, q: Fraction, digits: int) -> bool:
+    """x = p^v u against q = p^v m/n (p-free m, n): u n = m mod p^digits."""
+    p = x.ctx.p
+    if q == 0:
+        return x.is_zero
+    m, n = q.numerator, q.denominator
+    vm, vn = _vp(m, p), _vp(n, p)
+    if x.valuation != vm - vn:
+        return False
+    return (x.unit * (n // p ** vn) - m // p ** vm) % p ** digits == 0
+
+
+CONTEXTS = st.sampled_from([(p, N) for p in (3, 5, 13) for N in (16, 64)])
+RATIONALS = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+                      st.integers(1, 10 ** 6)).filter(lambda q: q != 0)
+SCALED = st.builds(lambda q, e: q * Fraction(3 * 5 * 13) ** e,
+                   RATIONALS, st.integers(-4, 4))
+OPERAND = st.sampled_from(["padic", "int", "fraction"])
+FRACTION_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True,
+                             database=None)
+
+
+class TestFractionOracle:
+    """+ - x / and negation against fractions.Fraction, by integer congruence.
+
+    A sum is right to N - t digits, t being the digits its operands' leading
+    terms cancel; a product or quotient to all N.
+    """
+
+    @staticmethod
+    def check(ctx, op, qa, qb, got):
+        N, p = ctx.precision, ctx.p
+        want = {"add": qa + qb, "sub": qa - qb, "mul": qa * qb, "div": qa / qb}[op]
+        if op in ("add", "sub") and want != 0:
+            lead = min(vp_fraction(qa, p), vp_fraction(qb, p))
+            cancelled = vp_fraction(want, p) - lead
+            if cancelled >= N:
+                return got.is_zero
+            return _agrees(got, want, N - cancelled)
+        if want == 0:
+            return got.is_zero
+        return _agrees(got, want, N)
+
+    @FRACTION_SETTINGS
+    @given(CONTEXTS, SCALED, SCALED, st.sampled_from(["add", "sub", "mul", "div"]),
+           OPERAND, st.booleans())
+    def test_binary_ops(self, pn, qa, qb, op, kind, reflected):
+        ctx = PrimeContext(*pn)
+        if kind == "int":
+            qb = Fraction(qb.numerator)
+        operand = {"padic": ctx.from_fraction(qb), "int": qb.numerator,
+                   "fraction": qb}[kind]
+        x = ctx.from_fraction(qa)
+        fn = {"add": lambda u, w: u + w, "sub": lambda u, w: u - w,
+              "mul": lambda u, w: u * w, "div": lambda u, w: u / w}[op]
+        if reflected:
+            qa, qb = qb, qa
+            left, right = operand, x
+        else:
+            left, right = x, operand
+        if op == "div" and qb == 0:
+            with pytest.raises(DivisionByZero):
+                fn(left, right)
+            return
+        try:
+            got = fn(left, right)
+        except PrecisionExhausted:
+            want = qa + qb if op == "add" else qa - qb
+            lead = min(vp_fraction(qa, ctx.p), vp_fraction(qb, ctx.p))
+            assert op in ("add", "sub")
+            assert vp_fraction(want, ctx.p) - lead > ctx.residual_digits
+            return
+        assert self.check(ctx, op, qa, qb, got)
+
+    @FRACTION_SETTINGS
+    @given(CONTEXTS, SCALED, RATIONALS, st.integers(0, 70), st.booleans())
+    def test_cancelling_sums(self, pn, qa, r, k, subtract):
+        # qb = -qa + r * 195^k cancels about k digits of the leading terms
+        ctx = PrimeContext(*pn)
+        qb = -qa + r * Fraction(3 * 5 * 13) ** k
+        assume(qb != 0)
+        if subtract:
+            qb, op = -qb, "sub"
+        else:
+            op = "add"
+        x, y = ctx.from_fraction(qa), ctx.from_fraction(qb)
+        want = qa + qb if op == "add" else qa - qb
+        lead = min(vp_fraction(qa, ctx.p), vp_fraction(qb, ctx.p))
+        try:
+            got = x + y if op == "add" else x - y
+        except PrecisionExhausted:
+            assert vp_fraction(want, ctx.p) - lead > ctx.residual_digits
+            return
+        assert vp_fraction(want, ctx.p) - lead <= ctx.residual_digits or got.is_zero
+        assert self.check(ctx, op, qa, qb, got)
+
+    @FRACTION_SETTINGS
+    @given(CONTEXTS, SCALED)
+    def test_negation_and_from_int(self, pn, q):
+        ctx = PrimeContext(*pn)
+        assert _agrees(-ctx.from_fraction(q), -q, ctx.precision)
+        assert -(-ctx.from_fraction(q)) == ctx.from_fraction(q)
+        n = q.numerator
+        assert ctx.from_int(n) == ctx.from_rational(n, 1)
+        assert _agrees(ctx.from_int(n), Fraction(n), ctx.precision)
+
+
 class TestBall:
     def test_open_vs_closed(self, ctx):
         c = ctx.one()
@@ -195,6 +358,68 @@ class TestConverge:
             converge(self.alternating(10), self.ctx.one(), "shallow floor")
         assert str(err.value) == (
             "shallow floor did not converge; digits settled per step [10, 10]")
+
+
+def oracle_exp_p(x):
+    """exp_p as the term-by-term PadicNumber series: term <- term * x / n."""
+    ctx = x.ctx
+    if x.is_zero:
+        return ctx.one()
+    budget = ctx.precision + ctx.guard
+    acc = term = ctx.one()
+    n = 0
+    while True:
+        n += 1
+        term = term * x / n
+        if term.is_zero or term.valuation > budget:
+            return acc
+        acc = acc + term
+
+
+def oracle_log_p(x):
+    """log_p as the term-by-term PadicNumber series: +-(x - 1)^n / n."""
+    ctx = x.ctx
+    t = x - 1
+    if t.is_zero:
+        return ctx.zero()
+    budget = ctx.precision + ctx.guard
+    acc, power = ctx.zero(), ctx.one()
+    n = 0
+    while True:
+        n += 1
+        power = power * t
+        term = power / n if n % 2 == 1 else -(power / n)
+        if term.is_zero or term.valuation > budget:
+            return acc
+        acc = acc + term
+
+
+class TestExpLogAgainstSeries:
+    """The integer evaluation matches the PadicNumber series digit for digit."""
+
+    @pytest.mark.parametrize("precision", [16, 64, 128])
+    @pytest.mark.parametrize("p", [3, 5, 13])
+    def test_random_inputs(self, p, precision):
+        ctx = PrimeContext(p, precision)
+        rng = random.Random(p * precision)
+        for _ in range(25):
+            x = random_padic(ctx, rng, vmin=1, vmax=min(ctx.residual_digits, 12))
+            assert exp_p(x) == oracle_exp_p(x)
+            assert exp_p(-x) == oracle_exp_p(-x)
+            assert log_p(ctx.one() + x) == oracle_log_p(ctx.one() + x)
+            u = ctx.from_digits(0, [1] + random_unit(ctx, rng).digits(precision - 1))
+            assert log_p(u) == oracle_log_p(u)
+
+    @pytest.mark.parametrize("p", [3, 5, 13])
+    def test_valuations_near_the_budget(self, p):
+        # deep inputs sum few terms; the last ones lie past N and add nothing
+        ctx = PrimeContext(p, 16)
+        rng = random.Random(p)
+        for v in range(1, ctx.precision + ctx.guard + 2):
+            x = random_unit(ctx, rng) * ctx.from_int(p) ** v
+            assert exp_p(x) == oracle_exp_p(x)
+            if v < ctx.residual_digits:
+                assert log_p(ctx.one() + x) == oracle_log_p(ctx.one() + x)
 
 
 class TestExpLog:

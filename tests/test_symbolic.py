@@ -12,6 +12,7 @@ from padicdyn import (
     PrecisionExhausted,
     PrimeContext,
     RepellerGeometry,
+    VerificationError,
     all_words,
     basin_status,
     check_word,
@@ -253,6 +254,30 @@ class TestNewtonAgainstInverseBranches:
         assert 0 < len(k_steps) <= 50
 
 
+class TestPeriodicPointGSign:
+    @staticmethod
+    def geom_at(precision):
+        # m = 3: a length-7 word spends 21 digits, more than N - 2 at N = 16
+        ctx = PrimeContext(13, precision)
+        return RepellerGeometry.build(
+            MapParams(ctx.from_int(1 + 13 ** 4), ctx.from_int(1 + 13 ** 3)))
+
+    def test_sign_from_the_word_at_low_precision(self):
+        low, high = self.geom_at(16), self.geom_at(64)
+        digits = low.params.ctx.residual_digits
+        for word in all_words(7):
+            point = low.periodic_point_g(word)
+            assert point.digits(digits) == high.periodic_point_g(word).digits(digits), word
+            s = [r for r in (point, -point) if low.ball_g(word[0]).contains(r)][0]
+            assert (point == -s) == (word[-1] != word[0])
+
+    def test_forward_check_kept_where_digits_remain(self, geom, monkeypatch):
+        # an orbit that returns to the other sign fails the check
+        monkeypatch.setattr(symbolic, "eval_g", lambda params, x: -eval_g(params, x))
+        with pytest.raises(VerificationError):
+            geom.periodic_point_g((1, 2, 2))
+
+
 class TestCoding:
     def test_itinerary_roundtrip(self, geom):
         for word in [(1,), (2, 1), (1, 2, 2)]:
@@ -317,3 +342,25 @@ class TestCylinders:
         for depth in (1, 2, 3):
             for word, ball in geom.julia_cylinders(depth):
                 assert ball.contains(geom.periodic_point_k(word))
+
+    def test_suffixes_are_composed_once(self, monkeypatch):
+        ctx = PrimeContext(13)
+        geom = RepellerGeometry.build(MapParams(ctx.from_int(170), ctx.from_int(14)))
+        want = {}
+        for word in all_words(5):  # each word's own chain of inverse branches
+            center = geom.center_sq(word[-1])
+            for sym in reversed(word[:-1]):
+                center = geom.inverse_branch(sym, center)
+            want[word] = center
+        calls = []
+        inverse_branch = RepellerGeometry.inverse_branch
+
+        def counted_branch(self, j, x):
+            calls.append(j)
+            return inverse_branch(self, j, x)
+
+        monkeypatch.setattr(RepellerGeometry, "inverse_branch", counted_branch)
+        cylinders = geom.julia_cylinders(5)
+        assert len(calls) == 2 ** 6 - 4
+        assert [word for word, _ in cylinders] == all_words(5)
+        assert all(ball.center == want[word] for word, ball in cylinders)
