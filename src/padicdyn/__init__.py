@@ -40,8 +40,6 @@ from .gibbs import (
     check_compatibility,
     configurations,
     diagonal_field_from_orbit,
-    hamiltonian,
-    measure,
     measure_weight,
     partition_fn,
     periodic_field_from_orbit,

@@ -2,10 +2,11 @@
 
 A boundary field h assigns four unit components to every edge.  The measures
 mu_h^(n) built from exp_p of the Hamiltonian are compatible across levels
-exactly when h satisfies a three-equation product system in the edge
-components; translation-invariant solutions of that system are found by
-fixed-point iteration, and level-periodic candidate fields are built from
-periodic g-orbits.
+exactly when the sums of the weights below each vertex are proportional to
+the field components on its edge.  The translation-invariant field solves one
+scalar fixed-point equation built from those sums, J0 included; level-periodic
+candidate fields are built from periodic g-orbits and checked against the
+J0 = 0 product system.
 """
 from __future__ import annotations
 
@@ -69,25 +70,6 @@ class CayleyTree:
         if not x:
             raise DomainError("the root has no parent")
         return x[:-1]
-
-    @staticmethod
-    def distance(x: Vertex, y: Vertex) -> int:
-        c = 0
-        for a, b in zip(x, y):
-            if a != b:
-                break
-            c += 1
-        return (len(x) - c) + (len(y) - c)
-
-    @staticmethod
-    def compose(g: Vertex, x: Vertex) -> Vertex:
-        """The semigroup operation; tau_g(x) = g o x, tau_() = identity."""
-        return g + x
-
-    @staticmethod
-    def in_H(g: Vertex, m: int) -> bool:
-        """Membership in H_m, the translations preserving level mod m."""
-        return len(g) % m == 0
 
     def edges(self, n: int) -> list[tuple[Vertex, Vertex]]:
         """L_n: nearest-neighbor pairs (parent, child) inside V_n."""
@@ -167,15 +149,6 @@ def interaction_sums(tree: CayleyTree, sigma: Configuration, n: int) -> tuple[in
     s2 = sum(sigma[x] * sigma[y] for x, y in prolonged)
     s3 = sum(sigma[x] * sigma[y] for x, y in one_level)
     return s1, s2, s3
-
-
-def hamiltonian(tree: CayleyTree, couplings: Couplings, sigma: Configuration,
-                n: int | None = None) -> PadicNumber:
-    """H_n = J*(nearest sum) + J1*(prolonged sum) + J0*(one-level sum)."""
-    if n is None:
-        n = max(len(v) for v in sigma)
-    s1, s2, s3 = interaction_sums(tree, sigma, n)
-    return couplings.J * s1 + couplings.J1 * s2 + couplings.J0 * s3
 
 
 @dataclass(frozen=True)
@@ -278,6 +251,11 @@ def _sibling_sum(c_pow: list[PadicNumber],
     return total
 
 
+def _c_powers(couplings: Couplings, k: int) -> list[PadicNumber]:
+    """c to the one-level sum ((2j - k)^2 - k) / 2 of k siblings, j of them +."""
+    return [couplings.c ** (((2 * j - k) ** 2 - k) // 2) for j in range(k + 1)]
+
+
 _ROOT_STATES: tuple[SpinPair, ...] = ((0, 1), (0, -1))
 
 
@@ -295,7 +273,7 @@ def _subtree_sums(tree: CayleyTree, couplings: Couplings, field: GibbsField,
     k, one = tree.k, couplings.ctx.one()
     a_pow = {1: couplings.a, -1: one / couplings.a}
     b_pow = {1: couplings.b, -1: one / couplings.b, 0: one}
-    c_pow = [couplings.c ** (((2 * j - k) ** 2 - k) // 2) for j in range(k + 1)]
+    c_pow = _c_powers(couplings, k)
     sums = {y: {(sx, sy): field.component(y, sx, sy) ** (sx * sy)
                 for sx, sy in PAIRS}
             for y in tree.level(n)}
@@ -324,12 +302,6 @@ def partition_fn(tree: CayleyTree, couplings: Couplings, field: GibbsField,
     if total.is_zero or total.valuation > ctx.residual_digits:
         raise ZeroPartitionFunction("|Z_n|_p is below the precision floor")
     return total
-
-
-def measure(tree: CayleyTree, couplings: Couplings, field: GibbsField,
-            sigma: Configuration, n: int) -> PadicNumber:
-    return measure_weight(tree, couplings, field, sigma, n) / partition_fn(
-        tree, couplings, field, n)
 
 
 @dataclass(frozen=True)
@@ -421,56 +393,36 @@ def _solves_equations(couplings: Couplings, residual: Fraction) -> bool:
     return residual <= Fraction(1, ctx.p ** ctx.residual_digits)
 
 
-def solve_7_11(tree: CayleyTree, couplings: Couplings, n: int = 2,
-               initial: dict | None = None) -> GibbsField:
-    """Translation-invariant solution of the product system, gauge h_{-+} = 1.
+def solve_7_11(tree: CayleyTree, couplings: Couplings, n: int = 2) -> GibbsField:
+    """Translation-invariant field h_{++} = h_{--} = u, h_{+-} = h_{-+} = 1.
 
-    In the component products u = h_{++}h_{-+}, v = h_{--}h_{+-},
-    w = h_{++}h_{+-} the system decouples: u and v each solve the scalar
-    fixed-point equation s = F(s)^k with F(s) = ((ab)^2 s + 1)/(a^2 s + b^2),
-    a contraction on units (|F'| = |b^4 - 1|_p < 1), and w then solves
-    w (a^2 uv + b^2 w)^k = (((ab)^2 u + 1) u)^k, handled by a Newton
-    iteration because plain iteration in w is indifferent.
+    Let S(s', s) be the sibling sum below a vertex in the state
+    (sigma(parent), sigma(vertex)) = (s', s) when its children carry this
+    field, as _subtree_sums forms it.  The field is compatible when
+    S(s', s) / h^(s' s) does not depend on s, and the spin flip, which maps
+    the field to itself, gives S(-, -) = S(+, +) and S(-, +) = S(+, -).  So
+    u is the fixed point of u -> S(+, +) / S(+, -), iterated from 1; one
+    more step must keep N - g of its digits, or NoConvergence is raised.  At
+    J0 = 0 the map is u -> F(u)^k with F(u) = ((ab)^2 u + 1)/(a^2 u + b^2),
+    a contraction on units (|F'| = |b^4 - 1|_p < 1).
     """
-    ctx = couplings.ctx
-    a, b = couplings.a, couplings.b
-    a2, b2 = a * a, b * b
-    ab2 = (a * b) ** 2
-    k = tree.k
+    ctx, k = couplings.ctx, tree.k
+    a, b, one = couplings.a, couplings.b, ctx.one()
+    ab, b_a, a_b = a * b, b / a, a / b
+    inv_ab, c_pow = one / ab, _c_powers(couplings, k)
 
-    def F_pow_k(s: PadicNumber) -> PadicNumber:
-        return ((ab2 * s + 1) / (a2 * s + b2)) ** k
+    def step(u: PadicNumber) -> PadicNumber:
+        # a child with spin t below the state (s', s) weighs a^(st) b^(s't)
+        # times h_{s t}^(st)
+        plus = _sibling_sum(c_pow, [(ab * u, inv_ab)] * k)
+        minus = _sibling_sum(c_pow, [(b_a, a_b * u)] * k)
+        return plus / minus
 
-    if initial is None:
-        u = v = w = ctx.one()
-    else:
-        u = initial[(1, 1)] * initial[(-1, 1)]
-        v = initial[(-1, -1)] * initial[(1, -1)]
-        w = initial[(1, 1)] * initial[(1, -1)]
-
-    u = converge(F_pow_k, u, "iteration for u")
-    v = converge(F_pow_k, v, "iteration for v")
-
-    target = (((ab2 * u + 1) * u)) ** k
-
-    def newton_w(w: PadicNumber) -> PadicNumber:
-        base = a2 * u * v + b2 * w
-        lhs = w * base ** k
-        # compare before subtracting so convergence is not mistaken for
-        # catastrophic cancellation
-        if eq_to_precision(lhs, target, ctx.residual_digits):
-            return w
-        dphi = base ** k + w * k * b2 * base ** (k - 1)
-        return w - (lhs - target) / dphi
-
-    w = converge(newton_w, u if w.is_zero else w, "Newton iteration for w")
-
-    comp = {(1, 1): u, (-1, 1): ctx.one(), (1, -1): w / u, (-1, -1): u * v / w}
-    field = GibbsField.uniform(tree, n, comp)
-    if not _solves_equations(couplings,
-                             field_equation_residual(tree, couplings, field, n)):
-        raise NoConvergence("converged products do not satisfy the field equations")
-    return field
+    u = converge(step, one, "iteration for u")
+    if not eq_to_precision(step(u), u, ctx.residual_digits):
+        raise NoConvergence("the field u is not a fixed point to N - g digits")
+    return GibbsField.uniform(tree, n, {(1, 1): u, (-1, 1): one,
+                                        (1, -1): one, (-1, -1): u})
 
 
 # -- periodic boundary fields from g-orbits ----------------------------------

@@ -150,10 +150,15 @@ class TestGibbs:
         assert body["compatibility"]["max_residual"] == "0"
 
     def test_solve_and_verify(self, capsys):
-        argv = [*self.BASE, "solve", "--J", "5/1", "--J1", "5/1"]
-        code, body = invoke(capsys, argv)
-        assert code == 0
-        assert body["compatibility"]["ok"]
+        # J0 != 0 enters the solved field through c = exp_p(J0)
+        for J0 in ("0/1", "25/1"):
+            argv = [*self.BASE, "solve", "--J", "5/1", "--J1", "5/1", "--J0", J0]
+            code, body = invoke(capsys, argv)
+            assert code == 0
+            assert body["compatibility"]["ok"]
+            argv[3:4] = ["verify", "--source", "solve"]
+            code, body = invoke(capsys, argv)
+            assert code == 0 and body["compatibility"]["ok"]
 
     def test_verify_unit_with_J_alone_still_compatible(self, capsys):
         # with J1 = 0 the product system collapses to 1, so the unit field
@@ -191,24 +196,30 @@ class TestGibbs:
         assert code == 0
         assert len(body["orbit"]) == 2
 
-    def test_solve_incompatible_field_exits_3(self, capsys):
-        # solve_7_11 ignores c = exp_p(J0): with J0 != 0 the field it returns
-        # fails compatibility, and solve reports that like verify does
-        argv = [*self.BASE, "solve", "--J", "5/1", "--J1", "5/1", "--J0", "25/1"]
-        code, body = invoke(capsys, argv)
+    def test_solve_incompatible_field_exits_3(self, capsys, monkeypatch):
+        # solve reports a field that fails compatibility like verify does
+        solve = padicdyn.gibbs.solve_7_11
+
+        def perturbed(tree, couplings, n):
+            field = solve(tree, couplings, n)
+            child = (1,) * n
+            return field.with_component(child, (1, 1), field.component(
+                child, 1, 1) * couplings.ctx.from_int(6))
+
+        monkeypatch.setattr(padicdyn.gibbs, "solve_7_11", perturbed)
+        code, body = invoke(capsys, [*self.BASE, "solve", "--J", "5/1",
+                                     "--J1", "5/1"])
         assert code == 3
         assert not body["compatibility"]["ok"]
-        assert body["compatibility"]["max_residual"] == "1/625"
-        argv[3] = "verify"
-        assert run(argv) == 3
+        assert body["compatibility"]["max_residual"] == "1/5"
 
-    def test_newton_stall_exits_2(self, capsys):
-        code = run([*self.BASE, "solve", "--J", "330/1", "--J1", "470/1",
-                    "--k", "3", "--n", "1"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("precision error: ")
-        assert "Newton iteration for w" in err
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_former_newton_stall_exits_0(self, capsys, n):
+        # k = 3 couplings on which the former w-Newton stalled (exit 2)
+        code, body = invoke(capsys, [*self.BASE, "solve", "--J", "330/1",
+                                     "--J1", "470/1", "--k", "3", "--n", n])
+        assert code == 0
+        assert body["compatibility"]["ok"]
 
     def test_depth_3_runs(self, capsys):
         code, body = invoke(capsys, [*self.BASE, "verify", "--J", "5/1",

@@ -9,6 +9,7 @@ from padicdyn import (
     DomainError,
     GibbsField,
     MapParams,
+    NoConvergence,
     NoValidPlacement,
     PrimeContext,
     RepellerGeometry,
@@ -19,16 +20,15 @@ from padicdyn import (
     eq_to_precision,
     exp_p,
     find_x0,
-    hamiltonian,
     in_Ep,
-    measure,
     measure_weight,
     norm_diff,
     partition_fn,
     periodic_field_from_orbit,
     solve_7_11,
 )
-from padicdyn.gibbs import PAIRS, interaction_sums
+from padicdyn.gibbs import PAIRS, field_equation_residual, interaction_sums
+from padicdyn.padic import converge
 
 from conftest import random_unit
 
@@ -47,13 +47,23 @@ def couplings(ctx, J, J1, J0=0):
     return Couplings(ctx.from_int(J), ctx.from_int(J1), ctx.from_int(J0))
 
 
+def tree_distance(x, y):
+    """Path length between two vertices: up to the common prefix and down."""
+    c = 0
+    for a, b in zip(x, y):
+        if a != b:
+            break
+        c += 1
+    return (len(x) - c) + (len(y) - c)
+
+
 def brute_force_sums(tree, sigma, n):
     """Independent oracle: classify all vertex pairs by tree distance."""
     vs = tree.vertices(n)
     s1 = s2 = s3 = 0
     for i, x in enumerate(vs):
         for y in vs[i + 1:]:
-            d = tree.distance(x, y)
+            d = tree_distance(x, y)
             if d == 1:
                 s1 += sigma[x] * sigma[y]
             elif d == 2:
@@ -94,6 +104,40 @@ def oracle_compatibility(tree, c, field_n, field_prev, n):
     return all(r <= floor for r in residuals), residuals
 
 
+def oracle_solve_7_11(tree, c, n=2):
+    """The former solver: the J0 = 0 product system in the component products
+    u = h_{++}h_{-+}, v = h_{--}h_{+-}, w = h_{++}h_{+-}, with u and v by
+    iteration of s -> F(s)^k and w by a Newton iteration; c is ignored."""
+    ctx = c.ctx
+    a, b = c.a, c.b
+    a2, b2 = a * a, b * b
+    ab2 = (a * b) ** 2
+    k = tree.k
+
+    def F_pow_k(s):
+        return ((ab2 * s + 1) / (a2 * s + b2)) ** k
+
+    u = converge(F_pow_k, ctx.one(), "iteration for u")
+    v = converge(F_pow_k, ctx.one(), "iteration for v")
+    target = ((ab2 * u + 1) * u) ** k
+
+    def newton_w(w):
+        base = a2 * u * v + b2 * w
+        lhs = w * base ** k
+        if eq_to_precision(lhs, target, ctx.residual_digits):
+            return w
+        dphi = base ** k + w * k * b2 * base ** (k - 1)
+        return w - (lhs - target) / dphi
+
+    w = converge(newton_w, ctx.one(), "Newton iteration for w")
+    comp = {(1, 1): u, (-1, 1): ctx.one(), (1, -1): w / u, (-1, -1): u * v / w}
+    field = GibbsField.uniform(tree, n, comp)
+    if field_equation_residual(tree, c, field, n) > Fraction(
+            1, ctx.p ** ctx.residual_digits):
+        raise NoConvergence("converged products do not satisfy the field equations")
+    return field
+
+
 def random_field(tree, n, ctx, rng):
     """Independent random unit components on every edge of V_n."""
     return GibbsField({y: {pair: random_unit(ctx, rng) for pair in PAIRS}
@@ -113,22 +157,11 @@ class TestTree:
         assert len(tree.edges(2)) == 6
         assert len(tree.boundary_edges(2)) == 4
 
-    def test_distance(self, tree):
-        assert tree.distance((), (1, 2)) == 2
-        assert tree.distance((1,), (2,)) == 2
-        assert tree.distance((1, 1), (1, 2)) == 2
-        assert tree.distance((1, 2), (1, 2)) == 0
-
     def test_pair_classes(self, tree):
         assert len(tree.one_level_pairs(1)) == 1
         assert len(tree.prolonged_pairs(1)) == 0
         assert len(tree.prolonged_pairs(2)) == 4
         assert len(tree.one_level_pairs(2)) == 3
-
-    def test_semigroup(self, tree):
-        assert tree.compose((), (1, 2)) == (1, 2)
-        assert tree.compose((2, 1), (1,)) == (2, 1, 1)
-        assert tree.in_H((1, 2), 2) and not tree.in_H((1,), 2)
 
     def test_order_validation(self):
         with pytest.raises(DomainError):
@@ -159,33 +192,13 @@ class TestHamiltonian:
                 assert interaction_sums(tree, sigma, n) == brute_force_sums(
                     tree, sigma, n)
 
-    def test_all_plus_level_1(self, ctx5, tree):
-        c = couplings(ctx5, 5, 25, 125)
-        sigma = {v: 1 for v in tree.vertices(1)}
-        want = c.J * 2 + c.J0
-        assert diff_valuation(hamiltonian(tree, c, sigma, 1), want) is None
-
-    def test_spin_flip_invariance(self, ctx5, tree, rng):
-        c = couplings(ctx5, 5, 25, 125)
-        for _ in range(10):
-            sigma = {v: rng.choice((-1, 1)) for v in tree.vertices(2)}
-            flipped = {v: -s for v, s in sigma.items()}
-            assert diff_valuation(hamiltonian(tree, c, sigma, 2),
-                                  hamiltonian(tree, c, flipped, 2)) is None
-
-    def test_norm_bound(self, ctx5, tree, rng):
-        c = couplings(ctx5, 5, 25, 125)
-        for _ in range(10):
-            sigma = {v: rng.choice((-1, 1)) for v in tree.vertices(2)}
-            assert hamiltonian(tree, c, sigma, 2).norm() <= Fraction(1, 5)
-
 
 class TestMeasures:
     def test_uniform_case(self, ctx5, tree):
         c = couplings(ctx5, 0, 0, 0)
         field = GibbsField.unit(tree, 1, ctx5)
         sigma = {v: 1 for v in tree.vertices(1)}
-        mu = measure(tree, c, field, sigma, 1)
+        mu = measure_weight(tree, c, field, sigma, 1) / partition_fn(tree, c, field, 1)
         assert diff_valuation(mu, ctx5.from_rational(1, 8)) is None
 
     def test_normalization(self, ctx5, tree, rng):
@@ -198,10 +211,6 @@ class TestMeasures:
         for sigma in configurations(tree.vertices(2)):
             total = total + measure_weight(tree, c, field, sigma, 2) / z
         assert eq_to_precision(total, ctx5.one(), ctx5.residual_digits)
-        # spot-check that measure() agrees with weight/Z
-        sigma = {v: 1 for v in tree.vertices(2)}
-        assert diff_valuation(measure(tree, c, field, sigma, 2),
-                              measure_weight(tree, c, field, sigma, 2) / z) is None
 
     def test_all_plus_weight_expansion(self, ctx5, tree):
         c = couplings(ctx5, 5, 0, 25)
@@ -336,19 +345,75 @@ class TestSolve:
         f3 = solve_7_11(t3, c, 2)
         assert check_compatibility(t3, c, f3, f3, 1).ok  # n = 1 keeps it fast
 
-    @pytest.mark.parametrize("J, J1", [(615, 305), (365, 305), (120, 185)])
+    @pytest.mark.parametrize("J, J1", [(615, 305), (365, 305), (120, 185),
+                                       (330, 470), (505, 120)])
     def test_k3_field_agrees_with_higher_precision(self, J, J1):
-        # at these couplings the w equation's derivative has valuation 2, so
-        # an error in u at digit 57 shows in w at digit 55; the N = 64 field
-        # must match the N = 128 one on its N - g trusted digits
+        # the N = 64 field must match the N = 128 one on its N - g trusted
+        # digits; the first three pairs once lost two digits to a w-Newton
+        # slope of valuation 2, and on the last two it stalled or gave an
+        # incompatible field
         t3 = CayleyTree(3)
         lo, hi = PrimeContext(5), PrimeContext(5, 128)
-        f_lo = solve_7_11(t3, couplings(lo, J, J1), 1)
+        c_lo = couplings(lo, J, J1)
+        f_lo = solve_7_11(t3, c_lo, 2)
         f_hi = solve_7_11(t3, couplings(hi, J, J1), 1)
+        assert check_compatibility(t3, c_lo, f_lo, f_lo, 2).ok
         for pair in PAIRS:
             x, y = f_lo.component((1,), *pair), f_hi.component((1,), *pair)
             assert x.valuation == y.valuation
             assert x.digits(lo.residual_digits) == y.digits(lo.residual_digits)
+
+
+def seeded_couplings(ctx, rng, count, J0=False):
+    """(J, J1, J0) = 5t with 5 not dividing t < 125; J0 = 0 unless asked."""
+    def five_t():
+        return 5 * rng.choice([t for t in range(1, 125) if t % 5])
+    return [couplings(ctx, five_t(), five_t(), five_t() if J0 else 0)
+            for _ in range(count)]
+
+
+def same_field(f, g, digits):
+    return f.assign.keys() == g.assign.keys() and all(
+        eq_to_precision(f.assign[v][pair], g.assign[v][pair], digits)
+        for v in f.assign for pair in PAIRS)
+
+
+class TestSolveAgainstOracle:
+    """The sibling-sum fixed point against the former solver and brute force."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_agrees_with_former_solver(self, ctx5, rng, k):
+        tree, compared = CayleyTree(k), 0
+        for c in seeded_couplings(ctx5, rng, 10):
+            for n in (1, 2):
+                try:
+                    want = oracle_solve_7_11(tree, c, n)
+                except NoConvergence:
+                    continue
+                if not check_compatibility(tree, c, want, want, n).ok:
+                    continue
+                assert same_field(solve_7_11(tree, c, n), want,
+                                  ctx5.residual_digits)
+                compared += 1
+        assert compared >= 14
+
+    def test_k2_equals_diagonal_field(self, ctx5, rng):
+        for c in seeded_couplings(ctx5, rng, 10):
+            x0 = find_x0(MapParams(c.a, c.b))
+            diagonal = diagonal_field_from_orbit(CayleyTree(2), c, [x0], 2)
+            assert same_field(solve_7_11(CayleyTree(2), c, 2), diagonal.field,
+                              ctx5.residual_digits)
+
+    @pytest.mark.parametrize("k, count", [(1, 2), (2, 4), (3, 2)])
+    def test_J0_fields_pass_brute_force(self, ctx5, rng, k, count):
+        # n = 2: at n = 1 the spin flip balances any symmetric field
+        tree = CayleyTree(k)
+        cases = [couplings(ctx5, 5, 5, 25)] + seeded_couplings(
+            ctx5, rng, count - 1, J0=True)
+        for c in cases:
+            field = solve_7_11(tree, c, 2)
+            ok, _ = oracle_compatibility(tree, c, field, field, 2)
+            assert ok
 
 
 class TestPeriodicFields:
@@ -404,7 +469,6 @@ class TestPeriodicFields:
         cand = diagonal_field_from_orbit(tree, c, orbit, n=3)
         # h_{tau_g(x)} = h_x for g in H_2: levels congruent mod 2 share values
         for x, y in (((1,), (1, 2, 1)), ((2,), (2, 1, 1))):
-            assert tree.in_H((1, 2), 2)
             for pair in PAIRS:
                 assert diff_valuation(cand.field.component(x, *pair),
                                       cand.field.component(y, *pair)) is None
