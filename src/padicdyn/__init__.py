@@ -40,12 +40,11 @@ from .gibbs import (
     check_compatibility,
     configurations,
     diagonal_field_from_orbit,
-    measure_weight,
     partition_fn,
     periodic_field_from_orbit,
     solve_7_11,
 )
-from .maps import MapParams, conjugate_f_to_g, deriv_g_norm, eval_f, eval_g, eval_k
+from .maps import MapParams, deriv_g_norm, eval_f, eval_g, eval_k
 from .padic import (
     Ball,
     PadicNumber,

@@ -169,16 +169,12 @@ def _cmd_periodic(args):
     params = _params(args)
     geom = RepellerGeometry.build(params)
     word = _word(args.word)
-    if args.map == "k":
-        point = geom.periodic_point_k(word)
-        final = point
-        for _ in word:
-            final = eval_k(params, final)
-    else:
-        point = geom.periodic_point_g(word)
-        final = point
-        for _ in word:
-            final = eval_g(params, final)
+    find, step = {"k": (geom.periodic_point_k, eval_k),
+                  "g": (geom.periodic_point_g, eval_g)}[args.map]
+    point = find(word)
+    final = point
+    for _ in word:
+        final = step(params, final)
     return {
         "word": list(word),
         "map": args.map,

@@ -5,15 +5,15 @@ mu_h^(n) built from exp_p of the Hamiltonian are compatible across levels
 exactly when the sums of the weights below each vertex are proportional to
 the field components on its edge.  The translation-invariant field solves one
 scalar fixed-point equation built from those sums, J0 included; level-periodic
-candidate fields are built from periodic g-orbits and checked against the
-J0 = 0 product system.
+candidate fields are built from periodic g-orbits and checked, level by
+level, against the same sums.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import combinations, product
+from functools import cached_property
+from itertools import product
 
 from .errors import (
     DomainError,
@@ -65,40 +65,6 @@ class CayleyTree:
         """S(x), the k direct successors of x."""
         return [x + (i,) for i in range(1, self.k + 1)]
 
-    @staticmethod
-    def parent(x: Vertex) -> Vertex:
-        if not x:
-            raise DomainError("the root has no parent")
-        return x[:-1]
-
-    def edges(self, n: int) -> list[tuple[Vertex, Vertex]]:
-        """L_n: nearest-neighbor pairs (parent, child) inside V_n."""
-        return [(self.parent(y), y) for y in self.vertices(n) if y]
-
-    def boundary_edges(self, n: int) -> list[tuple[Vertex, Vertex]]:
-        """Edges from W_{n-1} into W_n; none at n = 0."""
-        if n == 0:
-            return []
-        return [(self.parent(y), y) for y in self.level(n)]
-
-    def prolonged_pairs(self, n: int) -> list[tuple[Vertex, Vertex]]:
-        """Distance-2 pairs along a ray: grandparent and grandchild."""
-        return [(y[:-2], y) for y in self.vertices(n) if len(y) >= 2]
-
-    def one_level_pairs(self, n: int) -> list[tuple[Vertex, Vertex]]:
-        """Distance-2 pairs within one level: successors of a common vertex."""
-        out = []
-        for x in self.vertices(n - 1):
-            out.extend(combinations(self.successors(x), 2))
-        return out
-
-
-@lru_cache(maxsize=None)
-def _pair_lists(k: int, n: int):
-    tree = CayleyTree(k)
-    return (tuple(tree.edges(n)), tuple(tree.prolonged_pairs(n)),
-            tuple(tree.one_level_pairs(n)))
-
 
 @dataclass(frozen=True)
 class Couplings:
@@ -133,22 +99,10 @@ class Couplings:
         return exp_p(self.J0)
 
 
-Configuration = dict  # Vertex -> spin in {-1, +1}
-
-
 def configurations(vertices: list[Vertex]):
     """All 2^|vertices| spin assignments, in a fixed deterministic order."""
     for spins in product(SPINS, repeat=len(vertices)):
         yield dict(zip(vertices, spins))
-
-
-def interaction_sums(tree: CayleyTree, sigma: Configuration, n: int) -> tuple[int, int, int]:
-    """Integer pair sums (nearest, prolonged, one-level) of sigma(x)sigma(y)."""
-    edges, prolonged, one_level = _pair_lists(tree.k, n)
-    s1 = sum(sigma[x] * sigma[y] for x, y in edges)
-    s2 = sum(sigma[x] * sigma[y] for x, y in prolonged)
-    s3 = sum(sigma[x] * sigma[y] for x, y in one_level)
-    return s1, s2, s3
 
 
 @dataclass(frozen=True)
@@ -204,30 +158,7 @@ class GibbsField:
         }
 
 
-# -- measures ----------------------------------------------------------------
-
-def _interaction_weight(tree: CayleyTree, couplings: Couplings,
-                        sigma: Configuration, n: int) -> PadicNumber:
-    """exp_p(H_n) as a^(nearest sum) * b^(prolonged sum) * c^(one-level sum)."""
-    s1, s2, s3 = interaction_sums(tree, sigma, n)
-    return couplings.a ** s1 * couplings.b ** s2 * couplings.c ** s3
-
-
-def _times_boundary(w: PadicNumber, tree: CayleyTree, field: GibbsField,
-                    sigma: Configuration, n: int) -> PadicNumber:
-    """w times h_y^(sigma(x) sigma(y)) over the edges (x, y) into W_n."""
-    for x, y in tree.boundary_edges(n):
-        h = field.component(y, sigma[x], sigma[y])
-        w = w * h if sigma[x] * sigma[y] > 0 else w / h
-    return w
-
-
-def measure_weight(tree: CayleyTree, couplings: Couplings, field: GibbsField,
-                   sigma: Configuration, n: int) -> PadicNumber:
-    """exp_p(H_n) * product of boundary components, via exp_p(J)^(pair sums)."""
-    return _times_boundary(_interaction_weight(tree, couplings, sigma, n),
-                           tree, field, sigma, n)
-
+# -- weights -----------------------------------------------------------------
 
 def _sibling_sum(c_pow: list[PadicNumber],
                  factors: list[tuple[PadicNumber, PadicNumber]]) -> PadicNumber:
@@ -237,16 +168,15 @@ def _sibling_sum(c_pow: list[PadicNumber],
     number j of + siblings, ((2j - k)^2 - k) / 2, so the products are
     accumulated per j (c_pow[j] is c to that power): O(k^2), not 2^k.
     """
-    zero = c_pow[0].ctx.zero()
-    by_count = [c_pow[0].ctx.one()]
-    for plus, minus in factors:
-        nxt = [zero] * (len(by_count) + 1)
-        for j, w in enumerate(by_count):
-            nxt[j + 1] = nxt[j + 1] + w * plus
-            nxt[j] = nxt[j] + w * minus
+    (plus, minus), *rest = factors
+    by_count = [minus, plus]
+    for plus, minus in rest:
+        nxt = [w * minus for w in by_count] + [by_count[-1] * plus]
+        for j in range(1, len(by_count)):
+            nxt[j] = nxt[j] + by_count[j - 1] * plus
         by_count = nxt
-    total = zero
-    for cj, w in zip(c_pow, by_count):
+    total = c_pow[0] * by_count[0]
+    for cj, w in zip(c_pow[1:], by_count[1:]):
         total = total + cj * w
     return total
 
@@ -273,15 +203,17 @@ def _subtree_sums(tree: CayleyTree, couplings: Couplings, field: GibbsField,
     k, one = tree.k, couplings.ctx.one()
     a_pow = {1: couplings.a, -1: one / couplings.a}
     b_pow = {1: couplings.b, -1: one / couplings.b, 0: one}
+    # a^(sigma(y) t) b^(sigma(parent y) t), by the two exponents
+    ab_pow = {(i, j): a_pow[i] * b_pow[j] for i in a_pow for j in b_pow}
     c_pow = _c_powers(couplings, k)
-    sums = {y: {(sx, sy): field.component(y, sx, sy) ** (sx * sy)
-                for sx, sy in PAIRS}
+    sums = {y: {(sx, sy): h if sx == sy else one / h
+                for (sx, sy), h in field.assign[y].items()}
             for y in tree.level(n)}
     for ell in range(n - 1, level - 1, -1):
         states = PAIRS if ell else _ROOT_STATES
         sums = {
             x: {(sp, sx): _sibling_sum(c_pow, [
-                    tuple(a_pow[sx * t] * b_pow[sp * t] * sums[y][(sx, t)]
+                    tuple(ab_pow[sx * t, sp * t] * sums[y][(sx, t)]
                           for t in (1, -1))
                     for y in tree.successors(x)])
                 for sp, sx in states}
@@ -328,22 +260,30 @@ def check_compatibility(tree: CayleyTree, couplings: Couplings,
     Given sigma, the sum over omega on W_n factorizes over the sibling groups
     below W_{n-1}: it is exp_p(H_{n-1}(sigma)) times, per x on W_{n-1}, the
     precomputed sum of the weights below x in the state sigma fixes there.
+    exp_p(H_{n-1}(sigma)) is a unit common to both sides, so it is left out:
+    the sides compared are prod_x S_x / Z_n and prod_x h_x^(sigma sigma) / Z_{n-1}.
     """
     if n < 1:
         raise DomainError("compatibility needs n >= 1")
     ctx = couplings.ctx
+    one = ctx.one()
     z_n = partition_fn(tree, couplings, field_n, n)
     z_prev = partition_fn(tree, couplings, field_prev, n - 1)
     below = _subtree_sums(tree, couplings, field_n, n, n - 1)
+    # h_x^(sigma(parent x) sigma(x)) per state; a lone root has no edge
+    edge = {x: {(sp, sx): field_prev.component(x, sp, sx) ** (sp * sx) if x else one
+                for sp, sx in sums}
+            for x, sums in below.items()}
     residuals = []
     ok = True
     for sigma in configurations(tree.vertices(n - 1)):
-        inner = _interaction_weight(tree, couplings, sigma, n - 1)
-        marginal = inner
+        marginal = boundary = one
         for x, sums in below.items():
-            marginal = marginal * sums[(sigma[x[:-1]] if x else 0, sigma[x])]
+            state = (sigma[x[:-1]] if x else 0, sigma[x])
+            marginal = marginal * sums[state]
+            boundary = boundary * edge[x][state]
         lhs = marginal / z_n
-        rhs = _times_boundary(inner, tree, field_prev, sigma, n - 1) / z_prev
+        rhs = boundary / z_prev
         residuals.append(norm_diff(lhs, rhs))
         if not eq_to_precision(lhs, rhs, ctx.residual_digits):
             ok = False
@@ -352,38 +292,34 @@ def check_compatibility(tree: CayleyTree, couplings: Couplings,
 
 # -- the boundary-field equations --------------------------------------------
 
-def _lhs_rhs_products(tree: CayleyTree, couplings: Couplings, field: GibbsField,
-                      y: Vertex):
-    """The three (LHS, RHS) pairs of the product system at edge (parent(y), y)."""
-    a, b = couplings.a, couplings.b
-    a2, ab2 = a * a, (a * b) ** 2
-    b2 = b * b
-    ctx = couplings.ctx
-    hxy = field.assign[y]
-    lhs = (hxy[(1, 1)] * hxy[(-1, 1)],
-           hxy[(-1, -1)] * hxy[(1, -1)],
-           hxy[(1, 1)] * hxy[(1, -1)])
-    rhs = [ctx.one(), ctx.one(), ctx.one()]
-    for z in tree.successors(y):
-        hyz = field.assign[z]
-        u = hyz[(1, 1)] * hyz[(-1, 1)]
-        v = hyz[(-1, -1)] * hyz[(1, -1)]
-        rhs[0] = rhs[0] * (ab2 * u + 1) / (a2 * u + b2)
-        rhs[1] = rhs[1] * (ab2 * v + 1) / (a2 * v + b2)
-        rhs[2] = rhs[2] * ((ab2 * u + 1) * hyz[(-1, 1)]) / (
-            (a2 * hyz[(-1, -1)] * hyz[(-1, 1)] + b2) * hyz[(1, -1)])
-    return lhs, tuple(rhs)
-
-
 def field_equation_residual(tree: CayleyTree, couplings: Couplings,
                             field: GibbsField, n: int) -> Fraction:
-    """Worst residual of the product system over all interior edges up to level n."""
+    """Worst residual of the recursive equations between levels m - 1 and m, m = 2..n.
+
+    With S_x the sums below x on W_{m-1} and h_x its components, the measures
+    of levels m - 1 and m differ at sigma by a constant times the product
+    over x of R_x(sigma(parent x), sigma(x)), R_x(s', s) = S_x(s', s) / h_x^(s' s).
+    They are compatible exactly when R_x(s', +) = R_x(s', -) for every x and
+    s', and the product of R_x(s', s') over the successors x of each y on
+    W_{m-2} does not depend on s'.  Every h is a unit, so both identities are
+    compared with the h's multiplied across:
+    S_x(s', s') = S_x(s', -s') h_x(s', +) h_x(s', -) and
+    prod_x S_x(+, +) h_x(-, -) = prod_x S_x(-, -) h_x(+, +).
+    """
+    one = couplings.ctx.one()
     worst = Fraction(0)
-    for ell in range(1, n):
-        for y in tree.level(ell):
-            lhs, rhs = _lhs_rhs_products(tree, couplings, field, y)
-            for left, right in zip(lhs, rhs):
-                worst = max(worst, norm_diff(left, right))
+    for m in range(2, n + 1):
+        below = _subtree_sums(tree, couplings, field, m, m - 1)
+        for y in tree.level(m - 2):
+            plus = minus = one
+            for x in tree.successors(y):
+                sums, h = below[x], field.assign[x]
+                for s in SPINS:
+                    worst = max(worst, norm_diff(
+                        sums[(s, s)], sums[(s, -s)] * h[(s, 1)] * h[(s, -1)]))
+                plus = plus * sums[(1, 1)] * h[(-1, -1)]
+                minus = minus * sums[(-1, -1)] * h[(1, 1)]
+            worst = max(worst, norm_diff(plus, minus))
     return worst
 
 
@@ -457,8 +393,9 @@ def periodic_field_from_orbit(tree: CayleyTree, couplings: Couplings,
 
     Every edge at level ell carries h_{(ell-1) mod m} in one chosen component,
     the rest set to 1.  All four single-component placements are scanned
-    (or just the requested one) and those satisfying the product system are
-    returned; if none does, NoValidPlacement carries the residual of each.
+    (or just the requested one) and those solving the recursive equations
+    (field_equation_residual) are returned; if none does, NoValidPlacement
+    carries the residual of each.
     """
     if not orbit:
         raise DomainError("empty orbit")
@@ -485,7 +422,7 @@ def periodic_field_from_orbit(tree: CayleyTree, couplings: Couplings,
 def diagonal_field_from_orbit(tree: CayleyTree, couplings: Couplings,
                               orbit: list[PadicNumber],
                               n: int = 2) -> PlacementCandidate:
-    """Two-component variant that does solve the system (for k = 2).
+    """Two-component variant that does solve the equations (for k = 2).
 
     Placing q_i = (h_i / a)^2 in both diagonal slots works because
     F(q) = g(h)/a when q = (h/a)^2, so the diagonal products telescope

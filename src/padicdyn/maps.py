@@ -1,10 +1,11 @@
-"""The three rational maps of the renormalization dynamics and their conjugacies.
+"""The three rational maps of the renormalization dynamics.
 
 f(u) = ((abu)^2 + 1)/(b^2 + a^2 u^2)
 g(u) = a (b^2 u^2 + 1)/(b^2 + u^2)
 k(x) = (a (b^2 x + 1)/(b^2 + x))^2
 
-with parameters a, b in the unit group E_p = {x : |x - 1|_p < 1}.
+with parameters a, b in the unit group E_p = {x : |x - 1|_p < 1}; u -> a u
+conjugates f to g, and k(x^2) = g(x)^2.
 """
 from __future__ import annotations
 
@@ -97,14 +98,6 @@ def deriv_k(params: MapParams, x: PadicNumber) -> PadicNumber:
     b2 = b * b
     den = _checked_den(params, lambda: b2 + x)
     return a * a * (b2 * x + 1) * (b ** 4 - 1) * 2 / (den * den * den)
-
-
-def conjugate_f_to_g(params: MapParams, u: PadicNumber) -> PadicNumber:
-    """The conjugating homeomorphism u -> a*u: g(a*u) = a*f(u).
-
-    |a|_p = 1, so this is an isometry.
-    """
-    return params.a * u
 
 
 def deriv_g_norm(params: MapParams, x: PadicNumber) -> Fraction:

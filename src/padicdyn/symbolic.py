@@ -162,10 +162,6 @@ class RepellerGeometry:
     def ball_g(self, j: int) -> Ball:
         return Ball(self.x1 if j == 1 else self.x2, -self.params.radius_exponent)
 
-    def ball_alpha(self, j: int) -> Ball:
-        return Ball(self.alpha1 if j == 1 else self.alpha2,
-                    -self.params.radius_exponent, closed=True)
-
     def in_X(self, x: PadicNumber) -> int | None:
         """Index of the square-picture ball containing x, or None."""
         if self.ball_sq(1).contains(x):

@@ -161,7 +161,7 @@ class TestGibbs:
             assert code == 0 and body["compatibility"]["ok"]
 
     def test_verify_unit_with_J_alone_still_compatible(self, capsys):
-        # with J1 = 0 the product system collapses to 1, so the unit field
+        # with J1 = 0 the field equations hold for the unit field, so it
         # remains compatible for any J
         code, body = invoke(capsys, [*self.BASE, "verify", "--source", "unit",
                                      "--J", "5/1"])
@@ -169,7 +169,7 @@ class TestGibbs:
 
     def test_verify_unit_both_couplings_exits_3(self, capsys):
         # the unit field stops being compatible only when both J and J1 are
-        # nonzero: the residual of the product system is (a^2-1)(b^2-1)
+        # nonzero: the residual of the field equations is |(a^2-1)(b^2-1)|
         code = run([*self.BASE, "verify", "--source", "unit",
                     "--J", "5/1", "--J1", "5/1"])
         assert code == 3

@@ -1,5 +1,7 @@
 """Cayley-tree combinatorics, measures, compatibility, and boundary fields."""
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -21,13 +23,12 @@ from padicdyn import (
     exp_p,
     find_x0,
     in_Ep,
-    measure_weight,
     norm_diff,
     partition_fn,
     periodic_field_from_orbit,
     solve_7_11,
 )
-from padicdyn.gibbs import PAIRS, field_equation_residual, interaction_sums
+from padicdyn.gibbs import PAIRS, field_equation_residual
 from padicdyn.padic import converge
 
 from conftest import random_unit
@@ -45,6 +46,53 @@ def tree():
 
 def couplings(ctx, J, J1, J0=0):
     return Couplings(ctx.from_int(J), ctx.from_int(J1), ctx.from_int(J0))
+
+
+# -- the brute-force oracle: pair lists and configuration weights --------------
+
+def edges(tree, n):
+    """L_n: nearest-neighbor pairs (parent, child) inside V_n."""
+    return [(y[:-1], y) for y in tree.vertices(n) if y]
+
+
+def boundary_edges(tree, n):
+    """Edges from W_{n-1} into W_n; none at n = 0."""
+    return [(y[:-1], y) for y in tree.level(n)] if n else []
+
+
+def prolonged_pairs(tree, n):
+    """Distance-2 pairs along a ray: grandparent and grandchild."""
+    return [(y[:-2], y) for y in tree.vertices(n) if len(y) >= 2]
+
+
+def one_level_pairs(tree, n):
+    """Distance-2 pairs within one level: successors of a common vertex."""
+    return [pair for x in tree.vertices(n - 1)
+            for pair in combinations(tree.successors(x), 2)]
+
+
+@lru_cache(maxsize=None)
+def pair_lists(k, n):
+    tree = CayleyTree(k)
+    return (tuple(edges(tree, n)), tuple(prolonged_pairs(tree, n)),
+            tuple(one_level_pairs(tree, n)))
+
+
+def interaction_sums(tree, sigma, n):
+    """Integer pair sums (nearest, prolonged, one-level) of sigma(x)sigma(y)."""
+    return tuple(sum(sigma[x] * sigma[y] for x, y in pairs)
+                 for pairs in pair_lists(tree.k, n))
+
+
+def measure_weight(tree, c, field, sigma, n):
+    """exp_p(H_n) as a^(nearest sum) b^(prolonged sum) c^(one-level sum), times
+    h_y^(sigma(x) sigma(y)) over the edges (x, y) into W_n."""
+    s1, s2, s3 = interaction_sums(tree, sigma, n)
+    w = c.a ** s1 * c.b ** s2 * c.c ** s3
+    for x, y in boundary_edges(tree, n):
+        h = field.component(y, sigma[x], sigma[y])
+        w = w * h if sigma[x] * sigma[y] > 0 else w / h
+    return w
 
 
 def tree_distance(x, y):
@@ -132,10 +180,37 @@ def oracle_solve_7_11(tree, c, n=2):
     w = converge(newton_w, ctx.one(), "Newton iteration for w")
     comp = {(1, 1): u, (-1, 1): ctx.one(), (1, -1): w / u, (-1, -1): u * v / w}
     field = GibbsField.uniform(tree, n, comp)
-    if field_equation_residual(tree, c, field, n) > Fraction(
+    if product_system_residual(tree, c, field, n) > Fraction(
             1, ctx.p ** ctx.residual_digits):
         raise NoConvergence("converged products do not satisfy the field equations")
     return field
+
+
+def product_system_residual(tree, c, field, n):
+    """The former solver's check: the worst residual of the J0 = 0 product
+    system at the edges (parent y, y), y on levels 1 to n - 1.  It is not
+    sufficient at k = 3, nor for J0 != 0."""
+    ctx = c.ctx
+    a2, b2, ab2 = c.a * c.a, c.b * c.b, (c.a * c.b) ** 2
+    worst = Fraction(0)
+    for ell in range(1, n):
+        for y in tree.level(ell):
+            hxy = field.assign[y]
+            lhs = (hxy[(1, 1)] * hxy[(-1, 1)],
+                   hxy[(-1, -1)] * hxy[(1, -1)],
+                   hxy[(1, 1)] * hxy[(1, -1)])
+            rhs = [ctx.one(), ctx.one(), ctx.one()]
+            for z in tree.successors(y):
+                hyz = field.assign[z]
+                u = hyz[(1, 1)] * hyz[(-1, 1)]
+                v = hyz[(-1, -1)] * hyz[(1, -1)]
+                rhs[0] = rhs[0] * (ab2 * u + 1) / (a2 * u + b2)
+                rhs[1] = rhs[1] * (ab2 * v + 1) / (a2 * v + b2)
+                rhs[2] = rhs[2] * ((ab2 * u + 1) * hyz[(-1, 1)]) / (
+                    (a2 * hyz[(-1, -1)] * hyz[(-1, 1)] + b2) * hyz[(1, -1)])
+            for left, right in zip(lhs, rhs):
+                worst = max(worst, norm_diff(left, right))
+    return worst
 
 
 def random_field(tree, n, ctx, rng):
@@ -154,14 +229,14 @@ class TestTree:
 
     def test_vertex_counts(self, tree):
         assert len(tree.vertices(2)) == 7
-        assert len(tree.edges(2)) == 6
-        assert len(tree.boundary_edges(2)) == 4
+        assert len(edges(tree, 2)) == 6
+        assert len(boundary_edges(tree, 2)) == 4
 
     def test_pair_classes(self, tree):
-        assert len(tree.one_level_pairs(1)) == 1
-        assert len(tree.prolonged_pairs(1)) == 0
-        assert len(tree.prolonged_pairs(2)) == 4
-        assert len(tree.one_level_pairs(2)) == 3
+        assert len(one_level_pairs(tree, 1)) == 1
+        assert len(prolonged_pairs(tree, 1)) == 0
+        assert len(prolonged_pairs(tree, 2)) == 4
+        assert len(one_level_pairs(tree, 2)) == 3
 
     def test_order_validation(self):
         with pytest.raises(DomainError):
@@ -289,6 +364,64 @@ class TestRecursionAgainstOracle:
                 else:
                     assert got <= self.floor(ctx5)
             assert report.max_residual == max(report.residuals)
+            if field_prev is field_n and n >= 2:
+                # the per-vertex identity reaches the enumeration's verdict
+                residual = field_equation_residual(tree, c, field_n, n)
+                assert (residual <= self.floor(ctx5)) is ok
+
+    EQUATION_CASES = [(k, n, J) for k, n in ((1, 3), (2, 2), (3, 2))
+                      for J in ((5, 5, 0), (5, 25, 125), (10, 15, 5))
+                      if k != 3 or J == (5, 25, 125)]
+
+    @pytest.mark.parametrize("k, n, J", EQUATION_CASES)
+    def test_equation_residual(self, ctx5, k, n, J):
+        # residual <= p^-(N-g) exactly when the enumeration finds the
+        # measures of every level m = 2..n compatible with level m - 1
+        tree, c = CayleyTree(k), couplings(ctx5, *J)
+        solved = solve_7_11(tree, c, n)
+        six = ctx5.from_int(6)
+        sixth = ctx5.one() / six
+        x1, x2 = (1,), (min(2, k),)
+
+        def scaled(*changes):
+            field = solved
+            for y, pair, factor in changes:
+                field = field.with_component(
+                    y, pair, field.component(y, *pair) * factor)
+            return field
+
+        # scaling h_x(s', s') by l and h_x(s', -s') by 1/l scales
+        # R_x(s', .) by 1/l: the per-vertex identity still holds, and the
+        # product over the successors of x's parent holds when the l's of
+        # s' = + and s' = - multiply to the same value
+        fields = [
+            solved,
+            scaled(((1,) * n, (1, 1), six)),                # a leaf
+            scaled((x1, (-1, 1), six)),                     # R_x(-, +) only
+            scaled((x1, (1, 1), six), (x1, (1, -1), sixth)),   # products only
+            scaled((x1, (1, 1), six), (x1, (1, -1), sixth),
+                   (x2, (-1, -1), six), (x2, (-1, 1), sixth)),
+        ]
+        verdicts = []
+        for field in fields:
+            ok = all(oracle_compatibility(tree, c, field, field, m)[0]
+                     for m in range(2, n + 1))
+            residual = field_equation_residual(tree, c, field, n)
+            assert (residual <= self.floor(ctx5)) is ok
+            verdicts.append(ok)
+        assert verdicts == [True, False, False, False, True]
+
+    @pytest.mark.parametrize("J, J1", [(615, 305), (365, 305), (120, 185)])
+    def test_former_k3_fields_rejected(self, ctx5, J, J1):
+        # the former solver's k = 3 fields pass its product system but are
+        # incompatible at n = 2; the residual reports the enumeration's 1/25
+        tree, c = CayleyTree(3), couplings(ctx5, J, J1)
+        field = oracle_solve_7_11(tree, c, 2)
+        assert product_system_residual(tree, c, field, 2) == 0
+        ok, residuals = oracle_compatibility(tree, c, field, field, 2)
+        assert not ok
+        assert field_equation_residual(tree, c, field, 2) == max(
+            residuals) == Fraction(1, 25)
 
     def test_compatible_fields_agree(self, ctx5, tree):
         # solved fields give the verdict ok = True on both sides
@@ -472,6 +605,30 @@ class TestPeriodicFields:
             for pair in PAIRS:
                 assert diff_valuation(cand.field.component(x, *pair),
                                       cand.field.component(y, *pair)) is None
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_residual_agrees_with_product_system(self, n):
+        # k = 2, J0 = 0: every placement of these tests gets the same
+        # accept/reject verdict from the sibling sums and the product system
+        ctx, c, tree, params = self.orbit_setup()
+        x0 = find_x0(params)
+        floor = Fraction(1, ctx.p ** ctx.residual_digits)
+        one = ctx.one()
+        diagonal = ((1, 1), (-1, -1))
+        verdicts = []
+        for orbit in ([x0], RepellerGeometry.build(params).g_orbit((1, 2)), [x0, x0]):
+            placements = [((pair,), orbit) for pair in PAIRS]
+            placements.append((diagonal, [(h / c.a) ** 2 for h in orbit]))
+            for slots, values in placements:
+                field = GibbsField.from_levels(tree, n, [
+                    {pair: h if pair in slots else one for pair in PAIRS}
+                    for h in values])
+                accept = field_equation_residual(tree, c, field, n) <= floor
+                assert accept is (product_system_residual(tree, c, field, n) <= floor)
+                verdicts.append(accept)
+        # at n >= 2 only the diagonal placement of each orbit solves them
+        want = [True] * 5 if n == 1 else [False] * 4 + [True]
+        assert verdicts == want * 3
 
     def test_orbit_validation(self):
         ctx, c, tree, params = self.orbit_setup()

@@ -8,7 +8,6 @@ from padicdyn import (
     MapParams,
     PoleError,
     PrimeContext,
-    conjugate_f_to_g,
     deriv_g_norm,
     diff_valuation,
     eq_to_precision,
@@ -122,7 +121,8 @@ class TestStructure:
             for _ in range(20):
                 u = random_padic(ctx, rng, vmin=-3, vmax=3)
                 try:
-                    lhs = eval_g(params, conjugate_f_to_g(params, u))
+                    # u -> a*u conjugates f to g: g(a*u) = a*f(u)
+                    lhs = eval_g(params, params.a * u)
                     rhs = params.a * eval_f(params, u)
                 except PoleError:
                     continue

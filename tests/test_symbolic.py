@@ -110,9 +110,10 @@ class TestGeometry:
         assert geom.expansion_exponent == m
 
     def test_alphas_pair_with_roots(self, geom):
-        m = geom.params.radius_exponent
-        assert geom.ball_alpha(1).contains(geom.x1)
-        assert geom.ball_alpha(2).contains(geom.x2)
+        # alpha_j lies in the closed ball of radius r = p^-m around x_j
+        r = Fraction(1, geom.params.ctx.p ** geom.params.radius_exponent)
+        assert norm_diff(geom.alpha1, geom.x1) <= r
+        assert norm_diff(geom.alpha2, geom.x2) <= r
 
 
 class TestBasin:
