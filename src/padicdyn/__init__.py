@@ -52,15 +52,12 @@ from .padic import (
     diff_valuation,
     eq_to_precision,
     exp_p,
-    format_padic,
     in_Ep,
-    in_Zp,
     is_unit,
     log_p,
     norm_diff,
     norm_str,
     parse_padic,
-    sqrt,
     sqrt_both,
     sqrt_exists,
     to_json,

@@ -10,12 +10,11 @@ import functools
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import fixedpoints, gibbs
 from .errors import DomainError, NoValidPlacement, PadicError
 from .maps import MapParams, deriv_g_norm, eval_f, eval_g, eval_k
-from .padic import PrimeContext, exp_p, norm_diff, norm_str, parse_padic, to_json
+from .padic import PrimeContext, norm_diff, norm_str, parse_padic, to_json
 from .symbolic import RepellerGeometry, basin_status, check_word
 
 _ERROR_KIND = {1: "domain", 2: "precision", 3: "verification"}

@@ -62,9 +62,9 @@ class BranchError(PadicError):
 class EscapeError(PadicError):
     """An orbit left the repeller domain; carries the escape step."""
 
-    def __init__(self, step: int, message: str = ""):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"orbit escaped at step {step}")
+        super().__init__(f"orbit escaped at step {step}")
 
 
 class VerificationError(PadicError):
@@ -89,6 +89,6 @@ class NoValidPlacement(PadicError):
 
     exit_code = 3
 
-    def __init__(self, diagnostics, message: str = ""):
+    def __init__(self, diagnostics):
         self.diagnostics = diagnostics
-        super().__init__(message or "no component placement satisfies the field equations")
+        super().__init__("no component placement satisfies the field equations")

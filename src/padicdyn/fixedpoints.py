@@ -17,7 +17,6 @@ from .padic import (
     converge,
     diff_valuation,
     eq_to_precision,
-    in_Ep,
     norm_diff,
     norm_str,
     sqrt_both,

@@ -132,6 +132,8 @@ class GibbsField:
     def from_levels(cls, tree: CayleyTree, n: int,
                     per_level: list[dict]) -> "GibbsField":
         """Level ell (1-based) children all carry per_level[(ell - 1) % len]."""
+        if not per_level:
+            raise DomainError("empty orbit")
         assign = {}
         for ell in range(1, n + 1):
             comp = per_level[(ell - 1) % len(per_level)]
@@ -363,7 +365,6 @@ def solve_7_11(tree: CayleyTree, couplings: Couplings, n: int = 2) -> GibbsField
 
 # -- periodic boundary fields from g-orbits ----------------------------------
 
-PLACEMENTS = ("++", "+-", "-+", "--")
 _SLOT = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}
 
 
@@ -387,27 +388,21 @@ def _orbit_levels(ctx: PrimeContext, values: list[PadicNumber],
 
 
 def periodic_field_from_orbit(tree: CayleyTree, couplings: Couplings,
-                              orbit: list[PadicNumber], n: int = 2,
-                              placement: str | None = None) -> list[PlacementCandidate]:
+                              orbit: list[PadicNumber],
+                              n: int = 2) -> list[PlacementCandidate]:
     """Level-periodic fields from an m-periodic g-orbit (h_i = g(h_{i+1})).
 
     Every edge at level ell carries h_{(ell-1) mod m} in one chosen component,
-    the rest set to 1.  All four single-component placements are scanned
-    (or just the requested one) and those solving the recursive equations
-    (field_equation_residual) are returned; if none does, NoValidPlacement
-    carries the residual of each.
+    the rest set to 1.  All four single-component placements are scanned and
+    those solving the recursive equations (field_equation_residual) are
+    returned; if none does, NoValidPlacement carries the residual of each.
     """
-    if not orbit:
-        raise DomainError("empty orbit")
     ctx = couplings.ctx
     if any(not is_unit(h) for h in orbit):
         raise DomainError("orbit values must be units")
-    names = PLACEMENTS if placement is None else (placement,)
-    if any(name not in _SLOT for name in names):
-        raise DomainError(f"placement must be one of {PLACEMENTS}")
     accepted, diagnostics = [], {}
-    for name in names:
-        levels = _orbit_levels(ctx, list(orbit), (_SLOT[name],))
+    for name, slot in _SLOT.items():
+        levels = _orbit_levels(ctx, list(orbit), (slot,))
         field = GibbsField.from_levels(tree, n, levels)
         residual = field_equation_residual(tree, couplings, field, n)
         diagnostics[name] = residual

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, PoleError, PrecisionExhausted
-from .padic import PadicNumber, PrimeContext, diff_valuation, in_Ep, norm_diff
+from .padic import Ball, PadicNumber, PrimeContext, diff_valuation, in_Ep
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class MapParams:
         if m is None:
             raise DomainError("b = 1 at working precision")
         object.__setattr__(self, "radius_exponent", m)
-        da = norm_diff(self.a, self.ctx.one())
-        object.__setattr__(self, "strict_regime", da < Fraction(1, self.ctx.p ** m))
+        # a in the open ball of radius p^-m around 1
+        object.__setattr__(self, "strict_regime", Ball(self.ctx.one(), -m).contains(self.a))
 
     @property
     def ctx(self) -> PrimeContext:

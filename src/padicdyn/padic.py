@@ -20,27 +20,6 @@ from .errors import (
     ZeroInput,
 )
 
-__all__ = [
-    "PrimeContext",
-    "PadicNumber",
-    "Ball",
-    "exp_p",
-    "log_p",
-    "sqrt",
-    "sqrt_both",
-    "sqrt_exists",
-    "in_Ep",
-    "in_Zp",
-    "is_unit",
-    "diff_valuation",
-    "norm_diff",
-    "eq_to_precision",
-    "parse_padic",
-    "format_padic",
-    "to_json",
-    "norm_str",
-]
-
 
 def _is_prime(n: int) -> bool:
     # deterministic Miller-Rabin, valid far beyond any sensible context size
@@ -402,10 +381,6 @@ def eq_to_precision(x: PadicNumber, y: PadicNumber, digits: int) -> bool:
 
 # -- membership predicates --------------------------------------------------
 
-def in_Zp(x: PadicNumber) -> bool:
-    return x.is_zero or x.valuation >= 0
-
-
 def is_unit(x: PadicNumber) -> bool:
     return not x.is_zero and x.valuation == 0
 
@@ -588,11 +563,6 @@ def sqrt_both(x: PadicNumber) -> tuple[PadicNumber, PadicNumber]:
     return root, -root
 
 
-def sqrt(x: PadicNumber) -> PadicNumber:
-    """Canonical square-root branch (leading digit in the lower half-range)."""
-    return sqrt_both(x)[0]
-
-
 # -- text / JSON forms ------------------------------------------------------
 
 def parse_padic(text: str, ctx: PrimeContext) -> PadicNumber:
@@ -608,17 +578,10 @@ def parse_padic(text: str, ctx: PrimeContext) -> PadicNumber:
     return ctx.from_int(int(text))
 
 
-def format_padic(x: PadicNumber, digit_count: int | None = None) -> str:
-    if x.is_zero:
-        return "0"
-    shown = x.digits(digit_count)
-    return f"{x.valuation};" + ",".join(str(d) for d in shown)
-
-
-def to_json(x: PadicNumber, digit_count: int | None = None) -> dict:
+def to_json(x: PadicNumber) -> dict:
     return {
         "valuation": x.valuation,
-        "digits": [] if x.is_zero else x.digits(digit_count),
+        "digits": [] if x.is_zero else x.digits(),
         "p": x.ctx.p,
     }
 

@@ -5,7 +5,7 @@ On the squared picture X = B_r(x1^2) u B_r(x2^2) the map k has two inverse
 branches, one into each ball, both contracting by p^(-ord(b-1)): squaring is
 an isometry within each ball, so k expands exactly as fast as g does.  Every
 word over {1, 2} therefore synthesises a unique periodic point, and the
-coding is an isometry for the word metric built from the expansion exponent.
+coding is an isometry for the word metric built from ord(b - 1).
 """
 from __future__ import annotations
 
@@ -29,16 +29,15 @@ from .padic import (
     converge,
     diff_valuation,
     eq_to_precision,
-    norm_diff,
     sqrt_both,
 )
 
 Word = tuple[int, ...]
 
 
-def check_word(word: Word, nonempty: bool = True) -> Word:
+def check_word(word: Word) -> Word:
     word = tuple(word)
-    if nonempty and not word:
+    if not word:
         raise DomainError("empty word")
     if any(s not in (1, 2) for s in word):
         raise DomainError("word symbols must be 1 or 2")
@@ -49,15 +48,16 @@ def all_words(length: int) -> list[Word]:
     return [w for w in product((1, 2), repeat=length)]
 
 
-def k_membership(params: MapParams, x: PadicNumber,
-                 x0: PadicNumber | None = None) -> bool:
-    """x in K = {x on the unit sphere around x0 : |x^2 + 1|_p <= |b^2 - 1|_p}."""
-    if x0 is None:
-        x0 = find_x0(params)
-    if norm_diff(x, x0) != 1:
+def k_membership(params: MapParams, x: PadicNumber, x0: PadicNumber) -> bool:
+    """x in K = {x on the unit sphere around x0 : |x^2 + 1|_p <= |b^2 - 1|_p}.
+
+    b + 1 is a unit, so |b^2 - 1|_p = |b - 1|_p = p^-m: the second condition
+    puts x^2 in the closed ball of radius p^-m around -1.
+    """
+    if diff_valuation(x, x0) != 0:
         return False
-    b = params.b
-    return norm_diff(x * x, params.ctx.from_int(-1)) <= (b * b - 1).norm()
+    minus_one = params.ctx.from_int(-1)
+    return Ball(minus_one, -params.radius_exponent, closed=True).contains(x * x)
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,7 @@ class BasinStatus:
         return self.outcome == "in_basin"
 
 
-def basin_status(params: MapParams, x: PadicNumber, max_iter: int,
-                 x0: PadicNumber | None = None) -> BasinStatus:
+def basin_status(params: MapParams, x: PadicNumber, max_iter: int) -> BasinStatus:
     """Semi-decide membership in the basin of x0.
 
     An iterate leaving K certifies convergence to x0 (next iterate enters
@@ -85,8 +84,7 @@ def basin_status(params: MapParams, x: PadicNumber, max_iter: int,
     if max_iter < 1:
         raise DomainError("max_iter must be >= 1")
     ctx = params.ctx
-    if x0 is None:
-        x0 = find_x0(params)
+    x0 = find_x0(params)
     cycle_digits = max(2, ctx.residual_digits // 2)
     trail: list[int] = []
     visited: list[PadicNumber] = []
@@ -106,10 +104,11 @@ def basin_status(params: MapParams, x: PadicNumber, max_iter: int,
 class RepellerGeometry:
     """The two-ball repeller of k and everything the coding needs.
 
-    kappa is ord_p(x1^2 - x2^2) (the center separation exponent) and
-    expansion_exponent = ord_p(b - 1) is the per-step digit gain of k,
-    measured on the balls (|b^2 + x|_p = r there, so |k'|_p = |b^4 - 1|_p/r^2
-    = 1/r; squaring conjugates k to g isometrically within each ball).
+    kappa is ord_p(x1^2 - x2^2) (the center separation exponent), and
+    params.radius_exponent = ord_p(b - 1) is also the per-step digit gain of
+    k, measured on the balls (|b^2 + x|_p = r there, so |k'|_p =
+    |b^4 - 1|_p/r^2 = 1/r; squaring conjugates k to g isometrically within
+    each ball).
     """
 
     params: MapParams
@@ -121,7 +120,6 @@ class RepellerGeometry:
     x1sq: PadicNumber = field(repr=False)
     x2sq: PadicNumber = field(repr=False)
     kappa: int = 0
-    expansion_exponent: int = 0
 
     @classmethod
     def build(cls, params: MapParams) -> "RepellerGeometry":
@@ -148,8 +146,7 @@ class RepellerGeometry:
         kappa = diff_valuation(x1sq, x2sq)
         if kappa is None:
             raise DomainError("x1^2 and x2^2 coincide at working precision")
-        return cls(params, x0, x1, x2, alpha1, alpha2, x1sq, x2sq,
-                   kappa, m)
+        return cls(params, x0, x1, x2, alpha1, alpha2, x1sq, x2sq, kappa)
 
     # -- balls -------------------------------------------------------------
 
@@ -175,7 +172,7 @@ class RepellerGeometry:
     def _roundtrip_digits(self) -> int:
         ctx = self.params.ctx
         return min(ctx.residual_digits,
-                   ctx.precision - self.expansion_exponent - 2)
+                   ctx.precision - self.params.radius_exponent - 2)
 
     def inverse_branch(self, j: int, x: PadicNumber) -> PadicNumber:
         """The k-preimage of x lying in B_r(x_j^2).
@@ -238,7 +235,7 @@ class RepellerGeometry:
             return y
 
         center = self.center_sq(word[0])
-        if len(word) * self.expansion_exponent >= ctx.residual_digits:
+        if len(word) * params.radius_exponent >= ctx.residual_digits:
             return converge(one_pass, center, "inverse-branch composition")
 
         def newton(x: PadicNumber) -> PadicNumber:
@@ -293,7 +290,7 @@ class RepellerGeometry:
     def itinerary(self, x: PadicNumber, length: int) -> Word:
         """The first `length` k-symbols of x.
 
-        Each k-step spends expansion_exponent trusted digits, so an escape
+        Each k-step spends radius_exponent trusted digits, so an escape
         once more than N - g of them are spent is precision loss, not proof
         that x lies off the repeller.
         """
@@ -303,7 +300,7 @@ class RepellerGeometry:
         for step in range(length):
             j = self.in_X(current)
             if j is None:
-                if step * self.expansion_exponent > ctx.residual_digits:
+                if step * self.params.radius_exponent > ctx.residual_digits:
                     raise PrecisionExhausted(
                         f"orbit left X at step {step}, after the "
                         f"{ctx.residual_digits} trusted digits were spent")
@@ -318,10 +315,10 @@ class RepellerGeometry:
         word_a, word_b = check_word(word_a), check_word(word_b)
         if len(word_a) != len(word_b):
             raise LengthMismatch("words must have equal length")
-        p = self.params.ctx.p
+        p, tau = self.params.ctx.p, self.params.radius_exponent
         for n, (sa, sb) in enumerate(zip(word_a, word_b)):
             if sa != sb:
-                return Fraction(1, p ** (n * self.expansion_exponent + self.kappa))
+                return Fraction(1, p ** (n * tau + self.kappa))
         return Fraction(0)
 
     def julia_cylinders(self, depth: int) -> list[tuple[Word, Ball]]:
@@ -338,5 +335,5 @@ class RepellerGeometry:
         for _ in range(depth - 1):
             centers = {(sym, *suffix): self.inverse_branch(sym, center)
                        for suffix, center in centers.items() for sym in (1, 2)}
-        radius_exp = -(m + (depth - 1) * self.expansion_exponent)
+        radius_exp = -depth * m
         return [(word, Ball(centers[word], radius_exp)) for word in all_words(depth)]

@@ -221,7 +221,7 @@ def test_criterion_8_basin_dichotomy():
         for _ in range(ctx.precision + ctx.guard):
             x = eval_g(params, x)
         assert eq_to_precision(x, geom.x0, ctx.residual_digits)
-        st = basin_status(params, geom.alpha1, 100, geom.x0)
+        st = basin_status(params, geom.alpha1, 100)
         assert st.in_basin and st.steps <= 2
         y = eval_g(params, geom.alpha1)
         for _ in range(ctx.precision + ctx.guard):
@@ -230,7 +230,7 @@ def test_criterion_8_basin_dichotomy():
         for m in range(1, 5):
             for word in all_words(m):
                 s = geom.periodic_point_g(word)
-                st = basin_status(params, s, 100, geom.x0)
+                st = basin_status(params, s, 100)
                 assert st.outcome == "stays_in_k" and st.steps == 100, word
 
 

@@ -631,9 +631,11 @@ class TestPeriodicFields:
         assert verdicts == want * 3
 
     def test_orbit_validation(self):
-        ctx, c, tree, params = self.orbit_setup()
-        with pytest.raises(DomainError):
-            periodic_field_from_orbit(tree, c, [], n=2)
-        with pytest.raises(DomainError):
-            periodic_field_from_orbit(tree, c, [find_x0(params)], n=2,
-                                      placement="xx")
+        # every entry point reports an empty orbit as a domain error, not
+        # as a ZeroDivisionError from the level index
+        _, c, tree, _ = self.orbit_setup()
+        for build in (lambda: periodic_field_from_orbit(tree, c, [], n=2),
+                      lambda: diagonal_field_from_orbit(tree, c, [], n=2),
+                      lambda: GibbsField.from_levels(tree, 2, [])):
+            with pytest.raises(DomainError, match="empty orbit"):
+                build()

@@ -15,7 +15,7 @@ from padicdyn import (
     eval_g,
     eval_k,
     norm_diff,
-    sqrt,
+    sqrt_both,
 )
 from padicdyn.maps import deriv_g, deriv_k
 from conftest import random_padic, strict_params
@@ -46,6 +46,23 @@ class TestMapParams:
         assert params.strict_regime
         flipped = MapParams(ctx.from_int(1 + p), ctx.from_int(1 + p))
         assert not flipped.strict_regime
+
+    def test_strict_regime_matches_norm_formula(self, ctx, rng):
+        # the former definition, kept as the oracle: |a - 1|_p < |b - 1|_p
+        # with both norms as exact rationals
+        p, one = ctx.p, ctx.one()
+        outcomes = set()
+        for m in (1, 2, 3):
+            b = ctx.from_int(1 + p ** m * rng.randrange(1, p))
+            levels = [m - 1, m, m, m + 1, m + 1, m + 2, rng.randrange(1, 6)]
+            a_values = [one] + [ctx.from_int(1 + p ** j * (p * rng.randrange(p ** 3)
+                                                           + rng.randrange(1, p)))
+                                for j in levels if j >= 1]
+            for a in a_values:
+                want = norm_diff(a, one) < Fraction(1, p ** m)
+                assert MapParams(a, b).strict_regime is want, (m, a)
+                outcomes.add(want)
+        assert outcomes == {True, False}
 
     def test_mixed_context_rejected(self):
         c3, c5 = PrimeContext(3), PrimeContext(5)
@@ -170,7 +187,7 @@ class TestDerivative:
     def test_pole_error_at_exact_pole(self):
         ctx = PrimeContext(13)
         params = MapParams(ctx.from_int(1 + 13 ** 2), ctx.from_int(14))
-        i_root = sqrt(ctx.from_int(-1))
+        i_root = sqrt_both(ctx.from_int(-1))[0]
         pole = i_root * params.b  # b^2 + x^2 = 0 exactly
         with pytest.raises(PoleError):
             eval_g(params, pole)

@@ -20,14 +20,11 @@ from padicdyn import (
     diff_valuation,
     eq_to_precision,
     exp_p,
-    format_padic,
     in_Ep,
-    in_Zp,
     is_unit,
     log_p,
     norm_diff,
     parse_padic,
-    sqrt,
     sqrt_both,
     sqrt_exists,
 )
@@ -133,13 +130,12 @@ class TestDigitsAndParsing:
     def test_parse_format_roundtrip(self, ctx, rng):
         for _ in range(50):
             x = random_padic(ctx, rng)
-            assert diff_valuation(parse_padic(format_padic(x), ctx), x) is None
+            literal = f"{x.valuation};" + ",".join(map(str, x.digits()))
+            assert diff_valuation(parse_padic(literal, ctx), x) is None
         assert diff_valuation(parse_padic("3/7", ctx),
                               ctx.from_rational(3, 7)) is None
 
     def test_membership_predicates(self, ctx):
-        assert in_Zp(ctx.from_int(ctx.p))
-        assert not in_Zp(ctx.from_rational(1, ctx.p))
         assert is_unit(ctx.from_int(ctx.p + 1))
         assert in_Ep(ctx.from_int(ctx.p + 1))
         assert not in_Ep(ctx.from_int(2)) or ctx.p == 3  # 2 = 1+1 only for p=3
@@ -487,15 +483,15 @@ class TestSqrt:
         non_residue = next(a for a in range(2, p)
                            if pow(a, (p - 1) // 2, p) == p - 1)
         with pytest.raises(NotASquare):
-            sqrt(ctx.from_int(non_residue))
+            sqrt_both(ctx.from_int(non_residue))
         with pytest.raises(ZeroInput):
-            sqrt(ctx.zero())
+            sqrt_both(ctx.zero())
 
     def test_frozen_sqrt2_in_Q7(self):
         ctx = PrimeContext(7)
-        assert sqrt(ctx.from_int(2)).digits(12) == [3, 1, 2, 6, 1, 2, 1, 2, 4, 6, 6, 2]
+        assert sqrt_both(ctx.from_int(2))[0].digits(12) == [3, 1, 2, 6, 1, 2, 1, 2, 4, 6, 6, 2]
 
     def test_sqrt_of_Ep_stays_in_Ep(self, ctx, rng):
         for _ in range(30):
             x = ctx.from_int(1 + ctx.p * rng.randrange(1, ctx.p ** 6))
-            assert in_Ep(sqrt(x))
+            assert in_Ep(sqrt_both(x)[0])

@@ -1,0 +1,63 @@
+"""The package's public surface, read from the source with `ast` alone.
+
+A module imports only names it uses, and every name `padicdyn/__init__.py`
+exports is used by some other module of the package, unless KEEP names the
+paper claim it serves.
+"""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "padicdyn"
+
+# exported names no other module uses, each with the claim that needs it
+KEEP = {
+    "log_p": "acceptance criterion 1: exp_p and log_p are mutually inverse",
+}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.name: _tree(path) for path in sorted(SRC.glob("*.py"))}
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+    return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Names read anywhere in the module, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_no_unused_imports():
+    unused = {
+        name: sorted(_imported(tree) - _used(tree))
+        for name, tree in _modules().items() if name != "__init__.py"
+    }
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_every_export_has_a_caller_or_a_claim():
+    modules = _modules()
+    exported = _imported(modules.pop("__init__.py"))
+    used = set().union(*(_used(tree) for tree in modules.values()))
+    assert sorted(exported - used - set(KEEP)) == []
+    # a kept name that gains a caller leaves KEEP
+    assert sorted(set(KEEP) & used) == []
+    assert set(KEEP) <= exported

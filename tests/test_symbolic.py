@@ -26,7 +26,7 @@ from padicdyn import (
 )
 from padicdyn import symbolic
 from padicdyn.padic import converge
-from conftest import random_Ep, strict_params
+from conftest import random_Ep, random_unit, strict_params
 
 
 @pytest.fixture(params=[(13, 170, 14), (5, 26, 6), (13, 2198, 170)])
@@ -49,6 +49,14 @@ class TestWords:
         assert all_words(1) == [(1,), (2,)]
 
 
+def norm_k_membership(params, x, x0):
+    """The former K test, kept as the oracle: exact rational norms."""
+    if norm_diff(x, x0) != 1:
+        return False
+    b = params.b
+    return norm_diff(x * x, params.ctx.from_int(-1)) <= (b * b - 1).norm()
+
+
 class TestKMembership:
     def test_alpha_in_K(self, geom):
         assert k_membership(geom.params, geom.alpha1, geom.x0)
@@ -69,6 +77,25 @@ class TestKMembership:
             x0 = find_x0(params)
             for u in range(1, 50):
                 assert not k_membership(params, ctx.from_int(u), x0)
+
+    def test_matches_norm_formula(self, geom, rng):
+        # points at distance 1, p^-(m-1), p^-m and p^-(m+1) from x0 and from
+        # the square roots alpha of -1 (then x^2 is as far from -1), plus
+        # random units
+        params, ctx, x0 = geom.params, geom.params.ctx, geom.x0
+        p, m = ctx.p, params.radius_exponent
+        points = [x0, geom.x1, geom.x2, geom.alpha1, geom.alpha2]
+        for center in (x0, geom.alpha1, geom.alpha2):
+            for j in (0, m - 1, m, m + 1):
+                t = p * rng.randrange(p ** 3) + rng.randrange(1, p)
+                points.append(center + ctx.from_int(t * p ** j))
+        points += [random_unit(ctx, rng) for _ in range(20)]
+        outcomes = set()
+        for x in points:
+            got = k_membership(params, x, x0)
+            assert got is norm_k_membership(params, x, x0), x
+            outcomes.add(got)
+        assert outcomes == {True, False}
 
 
 class TestGeometry:
@@ -107,7 +134,6 @@ class TestGeometry:
     def test_kappa_and_expansion(self, geom):
         m = geom.params.radius_exponent
         assert geom.kappa == m
-        assert geom.expansion_exponent == m
 
     def test_alphas_pair_with_roots(self, geom):
         # alpha_j lies in the closed ball of radius r = p^-m around x_j
@@ -118,12 +144,12 @@ class TestGeometry:
 
 class TestBasin:
     def test_one_in_basin_immediately(self, geom):
-        st = basin_status(geom.params, geom.params.ctx.one(), 50, geom.x0)
+        st = basin_status(geom.params, geom.params.ctx.one(), 50)
         assert st.in_basin and st.steps == 0 and st.trail == ()
 
     def test_alpha_exits_then_converges(self, geom):
         params, ctx = geom.params, geom.params.ctx
-        st = basin_status(params, geom.alpha1, 50, geom.x0)
+        st = basin_status(params, geom.alpha1, 50)
         assert st.in_basin and st.steps <= 2
         # g(alpha) = a(1 - b^2)/(b^2 - 1) = -a
         g_alpha = eval_g(params, geom.alpha1)
@@ -136,7 +162,7 @@ class TestBasin:
     def test_periodic_points_stay_in_K(self, geom):
         for word in [(1,), (2,), (1, 2), (1, 2, 2)]:
             y = geom.periodic_point_g(word)
-            st = basin_status(geom.params, y, 100, geom.x0)
+            st = basin_status(geom.params, y, 100)
             assert st.outcome == "stays_in_k"
             assert st.steps == 100
 
@@ -229,7 +255,7 @@ class TestNewtonAgainstInverseBranches:
         ctx = PrimeContext(13, 16)
         geom = RepellerGeometry.build(
             MapParams(ctx.from_int(1 + 13 ** 4), ctx.from_int(1 + 13 ** 3)))
-        assert geom.expansion_exponent == 3
+        assert geom.params.radius_exponent == 3
         assert geom.periodic_point_k(word) == iterated_passes(geom, word)
 
     def test_one_pass_then_few_newton_steps(self, monkeypatch):
@@ -306,7 +332,7 @@ class TestCoding:
 
     def test_metric_values(self, geom):
         p = geom.params.ctx.p
-        tau, kappa = geom.expansion_exponent, geom.kappa
+        tau, kappa = geom.params.radius_exponent, geom.kappa
         assert geom.subshift_metric((1, 2), (1, 2)) == 0
         assert geom.subshift_metric((1, 2), (2, 2)) == Fraction(1, p ** kappa)
         assert geom.subshift_metric((1, 2, 1), (1, 2, 2)) == Fraction(
@@ -334,7 +360,7 @@ class TestCylinders:
         cyl = geom.julia_cylinders(2)
         assert len(cyl) == 4
         for word, ball in cyl:
-            assert ball.radius_exponent == -(m + geom.expansion_exponent)
+            assert ball.radius_exponent == -2 * m
         for i, (wi, bi) in enumerate(cyl):
             for wj, bj in cyl[i + 1:]:
                 assert not bi.contains(bj.center)
