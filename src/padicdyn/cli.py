@@ -9,6 +9,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 
 from . import fixedpoints, gibbs
@@ -28,6 +29,26 @@ def _add_context_flags(sub):
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--precision", type=int, default=64)
     sub.add_argument("--guard", type=int, default=8)
+
+
+# flags that take a p-adic literal (parse_padic)
+_LITERAL_FLAGS = frozenset({"--a", "--b", "--x", "--J", "--J1", "--J0"})
+_NEGATIVE_LITERAL = re.compile(r"-\d")
+
+
+def _glue_negative_literals(argv: list[str]) -> list[str]:
+    """Write "--x -3/7" as "--x=-3/7".
+
+    argparse takes a value that starts with "-" and is not a plain negative
+    number for an option, so "-3/7" and "-1;3" would not reach parse_padic.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _LITERAL_FLAGS and _NEGATIVE_LITERAL.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _add_map_flags(sub):
@@ -312,6 +333,7 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     parser = build_parser()
+    argv = _glue_negative_literals(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -7,6 +7,7 @@ case both are repelling and lie outside E_p.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,11 @@ REPELLING = "repelling"
 
 LEMMA_3_4_CLAUSES = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 
+# parameter pairs whose solves are kept per process (x0 here, the repeller
+# geometry in symbolic); past that, the pair used longest ago is dropped.
+# Each entry keeps its caller's PrimeContext, with p^0..p^N, alive.
+MEMO_SIZE = 16
+
 
 def find_x0(params: MapParams) -> PadicNumber:
     """Newton's method on g(u) - u from 1 to the unique fixed point in E_p.
@@ -37,7 +43,15 @@ def find_x0(params: MapParams) -> PadicNumber:
     |g'|_p = p^-m on E_p, so the Newton denominator 1 - g'(u) is a unit and
     each step roughly doubles the digits settled.  It runs to the rounding
     floor, so the result carries all N digits rather than only N - g.
+    x0 depends on (p, N, g, a, b) alone and MapParams hashes by value, so
+    each pair is solved once per process and equal pairs built apart share
+    the result.
     """
+    return _x0(params)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _x0(params: MapParams) -> PadicNumber:
     def newton(u: PadicNumber) -> PadicNumber:
         slope = deriv_g(params, u)
         return (eval_g(params, u) - u * slope) / (1 - slope)

@@ -92,12 +92,17 @@ def deriv_g(params: MapParams, u: PadicNumber) -> PadicNumber:
     return a * u * (b ** 4 - 1) * 2 / (den * den)
 
 
-def deriv_k(params: MapParams, x: PadicNumber) -> PadicNumber:
-    """k'(x) = 2a^2(b^2 x + 1)(b^4 - 1)/(b^2 + x)^3."""
+def eval_k_slope(params: MapParams, x: PadicNumber) -> tuple[PadicNumber, PadicNumber]:
+    """(k(x), k'(x)) from one inverse of b^2 + x.
+
+    With root = a(b^2 x + 1)/(b^2 + x), k = root^2 and
+    k' = 2 root a(b^4 - 1)/(b^2 + x)^2.
+    """
     a, b = params.a, params.b
     b2 = b * b
-    den = _checked_den(params, lambda: b2 + x)
-    return a * a * (b2 * x + 1) * (b ** 4 - 1) * 2 / (den * den * den)
+    inv = 1 / _checked_den(params, lambda: b2 + x)
+    root = a * (b2 * x + 1) * inv
+    return root * root, root * a * (b2 * b2 - 1) * 2 * inv * inv
 
 
 def deriv_g_norm(params: MapParams, x: PadicNumber) -> Fraction:

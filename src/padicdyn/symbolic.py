@@ -9,6 +9,7 @@ coding is an isometry for the word metric built from ord(b - 1).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -21,8 +22,8 @@ from .errors import (
     PrecisionExhausted,
     VerificationError,
 )
-from .fixedpoints import discriminant, find_x0, repelling_roots
-from .maps import MapParams, deriv_k, eval_g, eval_k
+from .fixedpoints import MEMO_SIZE, discriminant, find_x0, repelling_roots
+from .maps import MapParams, eval_g, eval_k, eval_k_slope
 from .padic import (
     Ball,
     PadicNumber,
@@ -123,30 +124,12 @@ class RepellerGeometry:
 
     @classmethod
     def build(cls, params: MapParams) -> "RepellerGeometry":
-        ctx = params.ctx
-        if ctx.p % 4 != 1:
-            raise DomainError("repeller geometry needs p = 1 (mod 4)")
-        if not params.strict_regime:
-            raise DomainError("repeller geometry assumes |a - 1|_p < |b - 1|_p")
-        x0 = find_x0(params)
-        roots = repelling_roots(params, x0, discriminant(params, x0))
-        assert roots is not None
-        x1, x2 = roots
-        i_root, i_other = sqrt_both(ctx.from_int(-1))
-        m = params.radius_exponent
-        # alpha_i is the square root of -1 sharing x_i's closed r-ball
-        if Ball(x1, -m, closed=True).contains(i_root):
-            alpha1, alpha2 = i_root, i_other
-        else:
-            alpha1, alpha2 = i_other, i_root
-        for alpha, xi in ((alpha1, x1), (alpha2, x2)):
-            if not Ball(xi, -m, closed=True).contains(alpha):
-                raise DomainError("square roots of -1 do not pair with x1, x2")
-        x1sq, x2sq = x1 * x1, x2 * x2
-        kappa = diff_valuation(x1sq, x2sq)
-        if kappa is None:
-            raise DomainError("x1^2 and x2^2 coincide at working precision")
-        return cls(params, x0, x1, x2, alpha1, alpha2, x1sq, x2sq, kappa)
+        """The geometry of params, solved once per (p, N, g, a, b) per process.
+
+        A geometry is immutable, so equal pairs share one; a DomainError is
+        raised again on every call, never stored.
+        """
+        return _geometry(params)
 
     # -- balls -------------------------------------------------------------
 
@@ -241,8 +224,8 @@ class RepellerGeometry:
         def newton(x: PadicNumber) -> PadicNumber:
             image, slope = x, ctx.one()
             for _ in word:
-                slope = slope * deriv_k(params, image)
-                image = eval_k(params, image)
+                image, step_slope = eval_k_slope(params, image)
+                slope = slope * step_slope
             return (x * slope - image) / (slope - 1)
 
         return converge(newton, one_pass(center), "Newton iteration for k^n(x) = x")
@@ -337,3 +320,31 @@ class RepellerGeometry:
                        for suffix, center in centers.items() for sym in (1, 2)}
         radius_exp = -depth * m
         return [(word, Ball(centers[word], radius_exp)) for word in all_words(depth)]
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _geometry(params: MapParams) -> RepellerGeometry:
+    ctx = params.ctx
+    if ctx.p % 4 != 1:
+        raise DomainError("repeller geometry needs p = 1 (mod 4)")
+    if not params.strict_regime:
+        raise DomainError("repeller geometry assumes |a - 1|_p < |b - 1|_p")
+    x0 = find_x0(params)
+    roots = repelling_roots(params, x0, discriminant(params, x0))
+    assert roots is not None
+    x1, x2 = roots
+    i_root, i_other = sqrt_both(ctx.from_int(-1))
+    m = params.radius_exponent
+    # alpha_i is the square root of -1 sharing x_i's closed r-ball
+    if Ball(x1, -m, closed=True).contains(i_root):
+        alpha1, alpha2 = i_root, i_other
+    else:
+        alpha1, alpha2 = i_other, i_root
+    for alpha, xi in ((alpha1, x1), (alpha2, x2)):
+        if not Ball(xi, -m, closed=True).contains(alpha):
+            raise DomainError("square roots of -1 do not pair with x1, x2")
+    x1sq, x2sq = x1 * x1, x2 * x2
+    kappa = diff_valuation(x1sq, x2sq)
+    if kappa is None:
+        raise DomainError("x1^2 and x2^2 coincide at working precision")
+    return RepellerGeometry(params, x0, x1, x2, alpha1, alpha2, x1sq, x2sq, kappa)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from padicdyn import MapParams, PrimeContext
+from padicdyn import MapParams, PrimeContext, fixedpoints, symbolic
 
 
 def random_unit(ctx, rng):
@@ -36,12 +36,29 @@ def strict_params(ctx, rng, t=1):
     return MapParams(a, b)
 
 
+def acceptance_params(precision=64, guard=8):
+    """The pair p = 13, a = 170, b = 14, in a context of its own."""
+    ctx = PrimeContext(13, precision, guard)
+    return MapParams(ctx.from_int(170), ctx.from_int(14))
+
+
 def _digits(u, ctx):
     out = []
     for _ in range(ctx.precision):
         u, d = divmod(u, ctx.p)
         out.append(d)
     return out
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Start every test with no parameter pair solved.
+
+    x0 and the repeller geometry are kept per process; a test that counts
+    or monkeypatches solver calls must see the cold path.
+    """
+    fixedpoints._x0.cache_clear()
+    symbolic._geometry.cache_clear()
 
 
 @pytest.fixture

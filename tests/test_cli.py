@@ -4,7 +4,14 @@ import json
 import pytest
 
 import padicdyn
-from padicdyn import MapParams, PrimeContext, RepellerGeometry, to_json
+from padicdyn import (
+    MapParams,
+    PrimeContext,
+    RepellerGeometry,
+    eval_g,
+    fixedpoints,
+    to_json,
+)
 from padicdyn.cli import build_parser, run
 
 STRICT = ["--p", "13", "--a", "170/1", "--b", "14/1"]
@@ -93,8 +100,40 @@ class TestValidation:
     def test_composite_p_exits_1(self, capsys):
         assert run(["fixed-points", "--p", "12", "--a", "2/1", "--b", "3/1"]) == 1
 
+    @pytest.mark.parametrize("argv, flag, literal", [
+        (["orbit", *STRICT, "--steps", "2"], "--x", "-3/7"),
+        (["orbit", *STRICT, "--steps", "2"], "--x", "-1;3"),
+        (["gibbs", "--p", "5", "solve", "--J1", "5/1"], "--J", "-5/1"),
+    ])
+    def test_negative_literal_parses_as_the_equals_form(self, capsys, argv, flag,
+                                                         literal):
+        glued = invoke(capsys, [*argv, f"{flag}={literal}"])
+        assert glued[0] == 0
+        assert invoke(capsys, [*argv, flag, literal]) == glued
+        assert invoke(capsys, [*argv[:1], flag, literal, *argv[1:]]) == glued
+
+    def test_negative_literal_still_needs_its_flag(self, capsys):
+        assert run(["orbit", *STRICT, "-3/7"]) == 1
+        assert run(["orbit", *STRICT, "--x"]) == 1
+        assert run(["orbit", *STRICT, "--steps", "-3/7", "--x", "1/1"]) == 1
+
 
 class TestDynamics:
+    def test_second_basin_call_reuses_x0(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return eval_g(*args)
+
+        # find_x0 reads fixedpoints.eval_g; basin_status iterates symbolic.eval_g
+        monkeypatch.setattr(fixedpoints, "eval_g", counted)
+        argv = ["basin", *STRICT, "--x", "1/1"]
+        first = invoke(capsys, argv)
+        cold = len(calls)
+        assert invoke(capsys, argv) == first
+        assert cold > 0 and len(calls) == cold
+
     def test_orbit(self, capsys):
         code, body = invoke(capsys, ["orbit", *STRICT, "--x", "1/1", "--steps", "3"])
         assert code == 0

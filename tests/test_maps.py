@@ -17,7 +17,7 @@ from padicdyn import (
     norm_diff,
     sqrt_both,
 )
-from padicdyn.maps import deriv_g, deriv_k
+from padicdyn.maps import deriv_g, eval_k_slope
 from conftest import random_padic, strict_params
 
 
@@ -115,8 +115,8 @@ class TestRationalOracle:
             assert eq_to_precision(got, ctx.from_fraction(want),
                                    ctx.residual_digits)
 
-    def test_deriv_k(self, ctx, rng):
-        # quotient rule on k = a^2 (b^2 x + 1)^2 / (b^2 + x)^2
+    def test_eval_k_slope(self, ctx, rng):
+        # k and the quotient rule on k = a^2 (b^2 x + 1)^2 / (b^2 + x)^2
         qa, qb, params = rational_params(ctx)
         for _ in range(40):
             qx = Fraction(rng.randrange(-50, 51), rng.randrange(1, 40))
@@ -124,11 +124,16 @@ class TestRationalOracle:
                 continue
             lin, den = qb ** 2 * qx + 1, qb ** 2 + qx
             num = qa ** 2 * lin ** 2
-            want = (2 * qa ** 2 * qb ** 2 * lin * den ** 2
-                    - num * 2 * den) / den ** 4
-            got = deriv_k(params, ctx.from_fraction(qx))
-            assert eq_to_precision(got, ctx.from_fraction(want),
+            want_k = num / den ** 2
+            want_slope = (2 * qa ** 2 * qb ** 2 * lin * den ** 2
+                          - num * 2 * den) / den ** 4
+            x = ctx.from_fraction(qx)
+            got_k, got_slope = eval_k_slope(params, x)
+            assert eq_to_precision(got_k, ctx.from_fraction(want_k),
                                    ctx.residual_digits)
+            assert eq_to_precision(got_slope, ctx.from_fraction(want_slope),
+                                   ctx.residual_digits)
+            assert got_k == eval_k(params, x)
 
 
 class TestStructure:

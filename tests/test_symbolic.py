@@ -25,8 +25,9 @@ from padicdyn import (
     norm_diff,
 )
 from padicdyn import symbolic
+from padicdyn.maps import eval_k_slope
 from padicdyn.padic import converge
-from conftest import random_Ep, random_unit, strict_params
+from conftest import acceptance_params, random_Ep, random_unit, strict_params
 
 
 @pytest.fixture(params=[(13, 170, 14), (5, 26, 6), (13, 2198, 170)])
@@ -140,6 +141,49 @@ class TestGeometry:
         r = Fraction(1, geom.params.ctx.p ** geom.params.radius_exponent)
         assert norm_diff(geom.alpha1, geom.x1) <= r
         assert norm_diff(geom.alpha2, geom.x2) <= r
+
+
+class TestGeometryMemo:
+    def test_warm_call_returns_the_cold_geometry(self):
+        cold = RepellerGeometry.build(acceptance_params())
+        warm = RepellerGeometry.build(acceptance_params())
+        assert symbolic._geometry.cache_info()[:2] == (1, 1)  # hits, misses
+        assert warm is cold
+        assert warm == symbolic._geometry.__wrapped__(acceptance_params())
+
+    def test_equal_contexts_share_an_entry(self):
+        first, second = acceptance_params(), acceptance_params()
+        assert first.ctx is not second.ctx
+        assert RepellerGeometry.build(second) is RepellerGeometry.build(first)
+        assert symbolic._geometry.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("precision, guard", [(128, 8), (64, 10)])
+    def test_other_precision_or_guard_misses(self, precision, guard):
+        RepellerGeometry.build(acceptance_params())
+        params = acceptance_params(precision, guard)
+        got = RepellerGeometry.build(params)
+        assert symbolic._geometry.cache_info()[:2] == (0, 2)
+        assert got.params == params
+        assert got == symbolic._geometry.__wrapped__(params)  # a fresh solve
+
+    def test_domain_error_is_raised_on_every_call(self, rng):
+        ctx = PrimeContext(13)
+        for params in (strict_params(PrimeContext(7), rng),
+                       MapParams(ctx.from_int(14), ctx.from_int(14))):
+            for _ in range(2):
+                with pytest.raises(DomainError):
+                    RepellerGeometry.build(params)
+        info = symbolic._geometry.cache_info()
+        assert (info.misses, info.currsize) == (4, 0)
+
+    def test_bounded(self):
+        for t in range(symbolic.MEMO_SIZE + 1):
+            ctx = PrimeContext(13)
+            RepellerGeometry.build(MapParams(ctx.from_int(170),
+                                             ctx.from_int(14 + 13 ** 2 * t)))
+        info = symbolic._geometry.cache_info()
+        assert (info.misses, info.currsize) == (symbolic.MEMO_SIZE + 1,
+                                                symbolic.MEMO_SIZE)
 
 
 class TestBasin:
@@ -272,10 +316,10 @@ class TestNewtonAgainstInverseBranches:
 
         def counted_k(*args):
             k_steps.append(args)
-            return eval_k(*args)
+            return eval_k_slope(*args)
 
         monkeypatch.setattr(RepellerGeometry, "inverse_branch", counted_branch)
-        monkeypatch.setattr(symbolic, "eval_k", counted_k)
+        monkeypatch.setattr(symbolic, "eval_k_slope", counted_k)
         geom.periodic_point_k((1, 2, 2, 1, 2))
         assert branches == [2, 1, 2, 2, 1]
         assert 0 < len(k_steps) <= 50
