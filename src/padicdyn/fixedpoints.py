@@ -31,9 +31,10 @@ REPELLING = "repelling"
 
 LEMMA_3_4_CLAUSES = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 
-# parameter pairs whose solves are kept per process (x0 here, the repeller
-# geometry in symbolic); past that, the pair used longest ago is dropped.
-# Each entry keeps its caller's PrimeContext, with p^0..p^N, alive.
+# parameter pairs whose solves are kept per process (x0 and the repelling
+# roots here, the repeller geometry in symbolic); past that, the pair used
+# longest ago is dropped.  Each entry keeps its caller's PrimeContext, with
+# p^0..p^N, alive.
 MEMO_SIZE = 16
 
 
@@ -93,6 +94,18 @@ def repelling_roots(params: MapParams, x0: PadicNumber,
     half = params.ctx.from_rational(1, 2)
     base = a * b * b - x0
     return (base + rt) * half, (base - rt) * half
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _roots(params: MapParams) -> tuple[PadicNumber, tuple[PadicNumber, PadicNumber] | None]:
+    """(Delta, repelling_roots) of params, solved once per pair per process.
+
+    analyze and the repeller geometry both read it, so a pair's discriminant
+    is square-rooted once.
+    """
+    x0 = _x0(params)
+    delta = discriminant(params, x0)
+    return delta, repelling_roots(params, x0, delta)
 
 
 def classify(params: MapParams, x: PadicNumber) -> str:
@@ -172,8 +185,7 @@ def analyze(params: MapParams) -> FixedPointReport:
     """Locate, classify and lemma-check every fixed point of g."""
     x0 = find_x0(params)
     quadratic_coeffs(params, x0)  # runs the consistency check
-    delta = discriminant(params, x0)
-    roots = repelling_roots(params, x0, delta)
+    delta, roots = _roots(params)
     labels = {"x0": classify(params, x0)}
     if roots is not None:
         labels["x1"] = classify(params, roots[0])

@@ -341,8 +341,12 @@ def solve_7_11(tree: CayleyTree, couplings: Couplings, n: int = 2) -> GibbsField
     the field to itself, gives S(-, -) = S(+, +) and S(-, +) = S(+, -).  So
     u is the fixed point of u -> S(+, +) / S(+, -), iterated from 1; one
     more step must keep N - g of its digits, or NoConvergence is raised.  At
-    J0 = 0 the map is u -> F(u)^k with F(u) = ((ab)^2 u + 1)/(a^2 u + b^2),
-    a contraction on units (|F'| = |b^4 - 1|_p < 1).
+    J0 = 0 the map is u -> F(u)^k with F(u) = ((ab)^2 u + 1)/(a^2 u + b^2)
+    and |F'(u)|_p = |b^4 - 1|_p / |a^2 u + b^2|_p^2.  F is not a contraction
+    on all units: for u = -1 (mod p) the denominator is divisible by p and
+    |F'(u)|_p can exceed 1.  Iteration from 1 is unaffected, since F maps
+    E_p = 1 + pZ_p into itself, where a^2 u + b^2 = 2 (mod p) is a unit and
+    |F'|_p = |b^4 - 1|_p < 1.
     """
     ctx, k = couplings.ctx, tree.k
     a, b, one = couplings.a, couplings.b, ctx.one()

@@ -54,6 +54,22 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+def _inv_unit(u: int, ctx: PrimeContext) -> int:
+    """u^-1 mod p^N for an integer u prime to p, Newton-lifted from mod p.
+
+    If z = u^-1 mod p^k, then z(2 - uz) = u^-1 mod p^(2k): the digits double
+    each step, and the last modulus is p^N itself.  The inverse mod p^N is
+    unique, so this is pow(u, -1, p^N) at a few multiplications' cost.
+    """
+    p, N, powers = ctx.p, ctx.precision, ctx._powers
+    z = pow(u % p, -1, p)
+    k = 1
+    while k < N:
+        k = min(2 * k, N)
+        z = z * (2 - u * z) % powers[k]
+    return z
+
+
 @dataclass(frozen=True)
 class PrimeContext:
     """Working field Q_p truncated to `precision` significant digits.
@@ -115,7 +131,8 @@ class PrimeContext:
         vm, vn = _vp(m, self.p), _vp(n, self.p)
         mu = m // self.p ** vm
         nu = n // self.p ** vn
-        unit = mu * pow(nu, -1, self.modulus) % self.modulus
+        pN = self._modulus
+        unit = mu * _inv_unit(nu % pN, self) % pN
         return PadicNumber(self, vm - vn, unit)
 
     def from_fraction(self, q: Fraction) -> "PadicNumber":
@@ -267,9 +284,9 @@ class PadicNumber:
             raise DivisionByZero("p-adic division by zero")
         if self.valuation is None:
             return self
-        pN = self.ctx._modulus
-        return PadicNumber(self.ctx, self.valuation - y.valuation,
-                           self.unit * pow(y.unit, -1, pN) % pN)
+        ctx = self.ctx
+        return PadicNumber(ctx, self.valuation - y.valuation,
+                           self.unit * _inv_unit(y.unit, ctx) % ctx._modulus)
 
     def __rtruediv__(self, other):
         y = self._coerce(other)
@@ -446,7 +463,7 @@ def exp_p(x: PadicNumber) -> PadicNumber:
         num = num * x.unit % pN
         term_v = n * v - v_fact
         if term_v > budget:
-            return PadicNumber(ctx, 0, acc * pow(den, -1, pN) % pN)
+            return PadicNumber(ctx, 0, acc * _inv_unit(den % pN, ctx) % pN)
         acc *= m
         if term_v < N:  # a deeper term is 0 mod p^N
             acc = (acc + num * powers[term_v]) % pN
@@ -491,7 +508,7 @@ def log_p(x: PadicNumber) -> PadicNumber:
             m //= p
             v_n += 1
         if n * v - v_n > budget:
-            return PadicNumber(ctx, v, acc * pow(den, -1, pN) % pN)
+            return PadicNumber(ctx, v, acc * _inv_unit(den % pN, ctx) % pN)
         term = R // powers[v_n]
         acc = (acc * m + (term if n % 2 else -term)) % pN
         den *= m
@@ -541,22 +558,25 @@ def _sqrt_mod_p(a: int, p: int) -> int:
 def sqrt_both(x: PadicNumber) -> tuple[PadicNumber, PadicNumber]:
     """Both square roots; the first is the canonical branch.
 
-    The root mod p is lifted with the Newton step y <- (y + x/y)/2,
-    doubling the number of correct digits each pass.  The canonical branch
-    is the one whose leading digit lies in {1, ..., (p-1)/2}.
+    With u the unit of x, Newton lifts the inverse square root z of u from
+    mod p, z <- z(3 - uz^2)/2 mod p^(2k), with /2 the product by
+    (p^(2k) + 1)/2; each step doubles the digits that are right, and no
+    division is needed past mod p.  The root is uz mod p^N.  The canonical
+    branch is the one whose leading digit lies in {1, ..., (p-1)/2}.
     """
     if x.is_zero:
         raise ZeroInput("sqrt(0) excluded: zero carries no branch information")
     if not sqrt_exists(x):
         raise NotASquare("operand has no square root in Q_p")
     ctx = x.ctx
-    p, N = ctx.p, ctx.precision
-    y = _sqrt_mod_p(x.unit % p, p)
+    p, N, powers, u = ctx.p, ctx.precision, ctx._powers, x.unit
+    z = pow(_sqrt_mod_p(u, p), p - 2, p)  # Fermat: the inverse mod p
     k = 1
     while k < N:
         k = min(2 * k, N)
-        mod = p ** k
-        y = (y + x.unit % mod * pow(y, -1, mod)) * pow(2, -1, mod) % mod
+        mod = powers[k]
+        z = z * (3 - u * z * z) * ((mod + 1) >> 1) % mod
+    y = u * z % ctx._modulus
     if y % p > (p - 1) // 2:
         y = ctx.modulus - y
     root = PadicNumber(ctx, x.valuation // 2, y)

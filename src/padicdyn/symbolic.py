@@ -22,7 +22,7 @@ from .errors import (
     PrecisionExhausted,
     VerificationError,
 )
-from .fixedpoints import MEMO_SIZE, discriminant, find_x0, repelling_roots
+from .fixedpoints import MEMO_SIZE, _roots, find_x0
 from .maps import MapParams, eval_g, eval_k, eval_k_slope
 from .padic import (
     Ball,
@@ -330,7 +330,7 @@ def _geometry(params: MapParams) -> RepellerGeometry:
     if not params.strict_regime:
         raise DomainError("repeller geometry assumes |a - 1|_p < |b - 1|_p")
     x0 = find_x0(params)
-    roots = repelling_roots(params, x0, discriminant(params, x0))
+    _, roots = _roots(params)
     assert roots is not None
     x1, x2 = roots
     i_root, i_other = sqrt_both(ctx.from_int(-1))

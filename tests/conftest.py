@@ -54,10 +54,11 @@ def _digits(u, ctx):
 def cold_memos():
     """Start every test with no parameter pair solved.
 
-    x0 and the repeller geometry are kept per process; a test that counts
-    or monkeypatches solver calls must see the cold path.
+    x0, the repelling roots and the repeller geometry are kept per process;
+    a test that counts or monkeypatches solver calls must see the cold path.
     """
     fixedpoints._x0.cache_clear()
+    fixedpoints._roots.cache_clear()
     symbolic._geometry.cache_clear()
 
 

@@ -10,6 +10,7 @@ from padicdyn import (
     RepellerGeometry,
     eval_g,
     fixedpoints,
+    sqrt_both,
     to_json,
 )
 from padicdyn.cli import build_parser, run
@@ -133,6 +134,18 @@ class TestDynamics:
         cold = len(calls)
         assert invoke(capsys, argv) == first
         assert cold > 0 and len(calls) == cold
+
+    def test_lemmas_takes_one_root_of_the_discriminant(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return sqrt_both(x)
+
+        # analyze and the repeller geometry share the repelling roots
+        monkeypatch.setattr(fixedpoints, "sqrt_both", counted)
+        assert invoke(capsys, ["lemmas", *STRICT, "--samples", "5"])[0] == 0
+        assert len(calls) == 1
 
     def test_orbit(self, capsys):
         code, body = invoke(capsys, ["orbit", *STRICT, "--x", "1/1", "--steps", "3"])

@@ -28,7 +28,7 @@ from padicdyn import (
     sqrt_both,
     sqrt_exists,
 )
-from padicdyn.padic import converge
+from padicdyn.padic import PadicNumber, _inv_unit, converge
 from conftest import random_padic, random_unit
 
 
@@ -312,6 +312,35 @@ class TestFractionOracle:
         assert _agrees(ctx.from_int(n), Fraction(n), ctx.precision)
 
 
+class TestUnitInverse:
+    """The Newton-lifted inverse against CPython's pow(u, -1, p^N)."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 2 ** 31 + 11])
+    @pytest.mark.parametrize("N", [2, 3, 9, 63, 64, 65, 128])
+    def test_matches_pow(self, p, N):
+        ctx = PrimeContext(p, N, guard=1)
+        pN = ctx.modulus
+        rng = random.Random(p * 1000 + N)
+        units = [1, pN - 1, p - 1, p + 1, pN - p + 1]
+        while len(units) < 40:
+            u = rng.randrange(1, pN)
+            if u % p:
+                units.append(u)
+        for u in units:
+            assert _inv_unit(u, ctx) == pow(u, -1, pN)
+
+    @FRACTION_SETTINGS
+    @given(CONTEXTS, st.integers(1, 13 ** 64), st.integers(1, 13 ** 64),
+           st.integers(-6, 6), st.integers(-6, 6))
+    def test_quotient_times_divisor_is_the_dividend(self, pn, m, n, vm, vn):
+        ctx = PrimeContext(*pn)
+        assume(m % ctx.p and n % ctx.p)
+        x = PadicNumber(ctx, vm, m % ctx.modulus)
+        y = PadicNumber(ctx, vn, n % ctx.modulus)
+        assert (x / y) * y == x
+        assert (ctx.zero() / y) * y == ctx.zero()
+
+
 class TestBall:
     def test_open_vs_closed(self, ctx):
         c = ctx.one()
@@ -456,7 +485,42 @@ class TestExpLog:
         assert lg.digits(12) == [1, 2, 4, 2, 0, 1, 4, 2, 3, 1, 2, 2]
 
 
+def hensel_sqrt(x):
+    """The canonical root of a square x by the lift y <- (y + u/y)/2.
+
+    The root of the unit u mod p is found by search, then each step
+    doubles the digits with pow's own inverses mod p^k.
+    """
+    ctx = x.ctx
+    p, N, u = ctx.p, ctx.precision, x.unit
+    y = next(r for r in range(1, p) if (r * r - u) % p == 0)
+    k = 1
+    while k < N:
+        k = min(2 * k, N)
+        mod = p ** k
+        y = (y + u % mod * pow(y, -1, mod)) * pow(2, -1, mod) % mod
+    if y % p > (p - 1) // 2:
+        y = ctx.modulus - y
+    return PadicNumber(ctx, x.valuation // 2, y)
+
+
 class TestSqrt:
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 17])
+    @pytest.mark.parametrize("N", [2, 9, 64, 65, 128])
+    def test_matches_the_hensel_lift(self, p, N):
+        ctx = PrimeContext(p, N, guard=1)
+        rng = random.Random(p * 1000 + N)
+        for _ in range(25):
+            v = rng.randrange(-3, 4)
+            u = rng.randrange(1, ctx.modulus)
+            if u % p == 0:
+                continue
+            x = PadicNumber(ctx, 2 * v, u * u % ctx.modulus)
+            root, other = sqrt_both(x)
+            assert root == hensel_sqrt(x)
+            assert other == -root
+            assert root * root == x and other * other == x
+
     def test_exists_matches_exhaustive_squares(self, ctx):
         p = ctx.p
         squares_mod_p = {x * x % p for x in range(1, p)}

@@ -2,7 +2,7 @@
 
 A module imports only names it uses, and every name `padicdyn/__init__.py`
 exports is used by some other module of the package, unless KEEP names the
-paper claim it serves.
+paper claim it serves.  One function inverts a unit mod p^N.
 """
 import ast
 from pathlib import Path
@@ -61,3 +61,39 @@ def test_every_export_has_a_caller_or_a_claim():
     # a kept name that gains a caller leaves KEEP
     assert sorted(set(KEEP) & used) == []
     assert set(KEEP) <= exported
+
+
+def _is_inverse(node: ast.AST) -> bool:
+    """A call pow(base, -1, modulus), positional or by keyword."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "pow"):
+        return False
+    exponents = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "exp"]
+    for exponent in exponents:
+        try:
+            if ast.literal_eval(exponent) == -1:
+                return True
+        except ValueError:
+            pass
+    return False
+
+
+def _inverse_calls(tree: ast.Module) -> list[str]:
+    """The innermost function around each modular inverse call."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if _is_inverse(child):
+                found.append(where)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_way_to_invert():
+    calls = {name: _inverse_calls(tree) for name, tree in _modules().items()}
+    assert {name: found for name, found in calls.items() if found} == {
+        "padic.py": ["_inv_unit"]}
