@@ -158,6 +158,8 @@ def _cmd_classify(args):
 
 
 def _cmd_orbit(args):
+    if args.steps < 0:
+        raise DomainError("steps must be >= 0")
     params = _params(args)
     step = {"f": eval_f, "g": eval_g, "k": eval_k}[args.map]
     x = parse_padic(args.x, params.ctx)
@@ -216,6 +218,8 @@ def _cmd_cylinders(args):
 
 
 def _cmd_lemmas(args):
+    if args.samples < 1:
+        raise DomainError("samples must be >= 1")
     params = _params(args)
     report = fixedpoints.analyze(params)
     scaling = None

@@ -31,10 +31,10 @@ REPELLING = "repelling"
 
 LEMMA_3_4_CLAUSES = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 
-# parameter pairs whose solves are kept per process (x0 and the repelling
-# roots here, the repeller geometry in symbolic); past that, the pair used
-# longest ago is dropped.  Each entry keeps its caller's PrimeContext, with
-# p^0..p^N, alive.
+# solves kept per process, per memo: x0 and the repelling roots here, the
+# repeller geometry per pair and the k-periodic point per (pair, word) in
+# symbolic; past that, the entry used longest ago is dropped.  Each entry
+# keeps its caller's PrimeContext, with p^0..p^N, alive.
 MEMO_SIZE = 16
 
 

@@ -206,29 +206,11 @@ class RepellerGeometry:
         forward orbit.  |(k^n)'|_p = p^(nm), so the denominator (k^n)' - 1
         never cancels.  When n * m >= N - g the forward orbit keeps no
         trusted digit, so the pass itself is iterated instead: it contracts
-        by p^(-nm) and settles the N - g digits in one step.
+        by p^(-nm) and settles the N - g digits in one step.  The point is
+        solved once per (p, N, g, a, b, word) per process and kept for the
+        MEMO_SIZE words used last; an error is raised again on every call.
         """
-        word = check_word(word)
-        params = self.params
-        ctx = params.ctx
-
-        def one_pass(y: PadicNumber) -> PadicNumber:
-            for sym in reversed(word):
-                y = self.inverse_branch(sym, y)
-            return y
-
-        center = self.center_sq(word[0])
-        if len(word) * params.radius_exponent >= ctx.residual_digits:
-            return converge(one_pass, center, "inverse-branch composition")
-
-        def newton(x: PadicNumber) -> PadicNumber:
-            image, slope = x, ctx.one()
-            for _ in word:
-                image, step_slope = eval_k_slope(params, image)
-                slope = slope * step_slope
-            return (x * slope - image) / (slope - 1)
-
-        return converge(newton, one_pass(center), "Newton iteration for k^n(x) = x")
+        return _periodic_k(self.params, check_word(word))
 
     def periodic_point_g(self, word: Word) -> PadicNumber:
         """The g-periodic point whose square has k-itinerary word.
@@ -277,6 +259,8 @@ class RepellerGeometry:
         once more than N - g of them are spent is precision loss, not proof
         that x lies off the repeller.
         """
+        if length < 0:
+            raise DomainError("length must be >= 0")
         ctx = self.params.ctx
         out = []
         current = x
@@ -348,3 +332,27 @@ def _geometry(params: MapParams) -> RepellerGeometry:
     if kappa is None:
         raise DomainError("x1^2 and x2^2 coincide at working precision")
     return RepellerGeometry(params, x0, x1, x2, alpha1, alpha2, x1sq, x2sq, kappa)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _periodic_k(params: MapParams, word: Word) -> PadicNumber:
+    geom = _geometry(params)
+    ctx = params.ctx
+
+    def one_pass(y: PadicNumber) -> PadicNumber:
+        for sym in reversed(word):
+            y = geom.inverse_branch(sym, y)
+        return y
+
+    center = geom.center_sq(word[0])
+    if len(word) * params.radius_exponent >= ctx.residual_digits:
+        return converge(one_pass, center, "inverse-branch composition")
+
+    def newton(x: PadicNumber) -> PadicNumber:
+        image, slope = x, ctx.one()
+        for _ in word:
+            image, step_slope = eval_k_slope(params, image)
+            slope = slope * step_slope
+        return (x * slope - image) / (slope - 1)
+
+    return converge(newton, one_pass(center), "Newton iteration for k^n(x) = x")

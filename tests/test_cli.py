@@ -113,6 +113,25 @@ class TestValidation:
         assert invoke(capsys, [*argv, flag, literal]) == glued
         assert invoke(capsys, [*argv[:1], flag, literal, *argv[1:]]) == glued
 
+    @pytest.mark.parametrize("argv, message", [
+        (["lemmas", *STRICT, "--samples", "-3"], "samples must be >= 1"),
+        (["lemmas", *STRICT, "--samples", "0"], "samples must be >= 1"),
+        (["orbit", *STRICT, "--x", "1/1", "--steps", "-1"], "steps must be >= 0"),
+        (["itinerary", *STRICT, "--x", "1/1", "--length", "-2"],
+         "length must be >= 0"),
+    ])
+    def test_bad_counts_exit_1(self, capsys, argv, message):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"domain error: {message}\n"
+
+    def test_zero_steps_and_length_are_counts(self, capsys):
+        code, body = invoke(capsys, ["orbit", *STRICT, "--x", "1/1", "--steps", "0"])
+        assert (code, len(body["orbit"])) == (0, 1)
+        assert invoke(capsys, ["itinerary", *STRICT, "--x", "1/1",
+                               "--length", "0"]) == (0, {"itinerary": []})
+
     def test_negative_literal_still_needs_its_flag(self, capsys):
         assert run(["orbit", *STRICT, "-3/7"]) == 1
         assert run(["orbit", *STRICT, "--x"]) == 1

@@ -2,12 +2,14 @@
 
 A module imports only names it uses, and every name `padicdyn/__init__.py`
 exports is used by some other module of the package, unless KEEP names the
-paper claim it serves.  One function inverts a unit mod p^N.
+paper claim it serves.  One function inverts a unit mod p^N.  Every memo of
+the package is cleared before each test.
 """
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "padicdyn"
+CONFTEST = Path(__file__).resolve().parent / "conftest.py"
 
 # exported names no other module uses, each with the claim that needs it
 KEEP = {
@@ -97,3 +99,43 @@ def test_one_way_to_invert():
     calls = {name: _inverse_calls(tree) for name, tree in _modules().items()}
     assert {name: found for name, found in calls.items() if found} == {
         "padic.py": ["_inv_unit"]}
+
+
+def _is_lru_cache(decorator: ast.AST) -> bool:
+    """@functools.lru_cache, with or without arguments."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return (isinstance(decorator, ast.Attribute) and decorator.attr == "lru_cache"
+            and isinstance(decorator.value, ast.Name)
+            and decorator.value.id == "functools") or (
+        isinstance(decorator, ast.Name) and decorator.id == "lru_cache")
+
+
+def _memos() -> set[str]:
+    """module.function for every lru_cache-decorated function of the package."""
+    return {
+        f"{name[:-3]}.{node.name}"
+        for name, tree in _modules().items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_is_lru_cache(d) for d in node.decorator_list)
+    }
+
+
+def _cleared_by_fixture() -> set[str]:
+    """module.function for every module.function.cache_clear() in cold_memos."""
+    fixture = next(node for node in ast.walk(_tree(CONFTEST))
+                   if isinstance(node, ast.FunctionDef) and node.name == "cold_memos")
+    return {
+        f"{call.func.value.value.id}.{call.func.value.attr}"
+        for call in ast.walk(fixture)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "cache_clear"
+        and isinstance(call.func.value, ast.Attribute)
+        and isinstance(call.func.value.value, ast.Name)
+    }
+
+
+def test_every_memo_is_cleared_before_each_test():
+    memos = _memos()
+    assert "symbolic._periodic_k" in memos
+    assert sorted(memos - _cleared_by_fixture()) == []

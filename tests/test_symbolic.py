@@ -321,8 +321,72 @@ class TestNewtonAgainstInverseBranches:
         monkeypatch.setattr(RepellerGeometry, "inverse_branch", counted_branch)
         monkeypatch.setattr(symbolic, "eval_k_slope", counted_k)
         geom.periodic_point_k((1, 2, 2, 1, 2))
+        assert symbolic._periodic_k.cache_info()[:2] == (0, 1)  # the cold solve
         assert branches == [2, 1, 2, 2, 1]
         assert 0 < len(k_steps) <= 50
+
+
+class TestPeriodicMemo:
+    def test_cold_warm_and_uncached_agree(self, geom):
+        word = (1, 2, 2)
+        cold = geom.periodic_point_k(word)
+        warm = geom.periodic_point_k(word)
+        assert symbolic._periodic_k.cache_info()[:2] == (1, 1)  # hits, misses
+        assert warm is cold
+        uncached = symbolic._periodic_k.__wrapped__(geom.params, word)
+        precision = geom.params.ctx.precision
+        assert cold.valuation == uncached.valuation
+        assert cold.digits(precision) == uncached.digits(precision)
+
+    def test_g_point_reuses_the_k_point(self, geom, monkeypatch):
+        k_steps = []
+
+        def counted_k(*args):
+            k_steps.append(args)
+            return eval_k_slope(*args)
+
+        monkeypatch.setattr(symbolic, "eval_k_slope", counted_k)
+        geom.periodic_point_k((1, 2))
+        assert k_steps
+        del k_steps[:]
+        geom.periodic_point_g((1, 2))
+        geom.g_orbit((1, 2))
+        assert k_steps == []
+
+    def test_list_and_tuple_share_an_entry(self, geom):
+        assert geom.periodic_point_k([1, 2]) is geom.periodic_point_k((1, 2))
+        info = symbolic._periodic_k.cache_info()
+        assert (info.hits, info.currsize) == (1, 1)
+
+    def test_errors_are_raised_on_every_call(self, geom):
+        for word in ((), (1, 3), [0]):
+            for _ in range(2):
+                with pytest.raises(DomainError):
+                    geom.periodic_point_k(word)
+        ctx = PrimeContext(13)
+        non_strict = MapParams(ctx.from_int(14), ctx.from_int(14))
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                symbolic._periodic_k(non_strict, (1,))
+        info = symbolic._periodic_k.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+
+    def test_other_precision_misses(self):
+        low = RepellerGeometry.build(acceptance_params(64))
+        high = RepellerGeometry.build(acceptance_params(128))
+        x_low, x_high = low.periodic_point_k((1, 2)), high.periodic_point_k((1, 2))
+        assert symbolic._periodic_k.cache_info()[:2] == (0, 2)
+        assert x_high.ctx.precision == 128
+        digits = low.params.ctx.residual_digits
+        assert x_low.digits(digits) == x_high.digits(digits)
+
+    def test_bounded(self):
+        geom = RepellerGeometry.build(acceptance_params())
+        for word in all_words(5)[:symbolic.MEMO_SIZE + 1]:
+            geom.periodic_point_k(word)
+        info = symbolic._periodic_k.cache_info()
+        assert (info.misses, info.currsize) == (symbolic.MEMO_SIZE + 1,
+                                                symbolic.MEMO_SIZE)
 
 
 class TestPeriodicPointGSign:
