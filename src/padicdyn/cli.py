@@ -191,12 +191,13 @@ def _cmd_periodic(args):
     params = _params(args)
     geom = RepellerGeometry.build(params)
     word = _word(args.word)
-    find, step = {"k": (geom.periodic_point_k, eval_k),
-                  "g": (geom.periodic_point_g, eval_g)}[args.map]
-    point = find(word)
-    final = point
-    for _ in word:
-        final = step(params, final)
+    if args.map == "g":
+        orbit = geom.forward_g_orbit(word)
+        point, final = orbit[0], orbit[-1]
+    else:
+        point = final = geom.periodic_point_k(word)
+        for _ in word:
+            final = eval_k(params, final)
     return {
         "word": list(word),
         "map": args.map,

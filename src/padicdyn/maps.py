@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DomainError, PoleError, PrecisionExhausted
 from .padic import Ball, PadicNumber, PrimeContext, diff_valuation, in_Ep
@@ -52,6 +53,19 @@ class MapParams:
         """r = |b - 1|_p."""
         return Fraction(1, self.ctx.p ** self.radius_exponent)
 
+    # per-pair constants of the maps, computed on first use: products mod p^N
+    # are exact, so reusing them leaves every digit as it was
+
+    @cached_property
+    def b2(self) -> PadicNumber:
+        """b^2."""
+        return self.b * self.b
+
+    @cached_property
+    def slope_factor(self) -> PadicNumber:
+        """2a(b^4 - 1), the constant factor of g' and k'."""
+        return self.a * (self.b2 * self.b2 - 1) * 2
+
 
 def _checked_den(params: MapParams, build) -> PadicNumber:
     """Evaluate a denominator, mapping precision loss / near-zero to PoleError."""
@@ -73,23 +87,23 @@ def eval_f(params: MapParams, u: PadicNumber) -> PadicNumber:
 
 
 def eval_g(params: MapParams, u: PadicNumber) -> PadicNumber:
-    a, b = params.a, params.b
-    den = _checked_den(params, lambda: b * b + u * u)
-    return a * (b * b * u * u + 1) / den
+    b2 = params.b2
+    den = _checked_den(params, lambda: b2 + u * u)
+    return params.a * (b2 * u * u + 1) / den
 
 
 def eval_k(params: MapParams, x: PadicNumber) -> PadicNumber:
-    a, b = params.a, params.b
-    den = _checked_den(params, lambda: b * b + x)
-    root = a * (b * b * x + 1) / den
+    b2 = params.b2
+    den = _checked_den(params, lambda: b2 + x)
+    root = params.a * (b2 * x + 1) / den
     return root * root
 
 
 def deriv_g(params: MapParams, u: PadicNumber) -> PadicNumber:
     """g'(u) = 2au(b^4 - 1)/(b^2 + u^2)^2."""
-    a, b = params.a, params.b
-    den = _checked_den(params, lambda: b * b + u * u)
-    return a * u * (b ** 4 - 1) * 2 / (den * den)
+    b2 = params.b2
+    den = _checked_den(params, lambda: b2 + u * u)
+    return params.slope_factor * u / (den * den)
 
 
 def eval_k_slope(params: MapParams, x: PadicNumber) -> tuple[PadicNumber, PadicNumber]:
@@ -98,11 +112,10 @@ def eval_k_slope(params: MapParams, x: PadicNumber) -> tuple[PadicNumber, PadicN
     With root = a(b^2 x + 1)/(b^2 + x), k = root^2 and
     k' = 2 root a(b^4 - 1)/(b^2 + x)^2.
     """
-    a, b = params.a, params.b
-    b2 = b * b
+    b2 = params.b2
     inv = 1 / _checked_den(params, lambda: b2 + x)
-    root = a * (b2 * x + 1) * inv
-    return root * root, root * a * (b2 * b2 - 1) * 2 * inv * inv
+    root = params.a * (b2 * x + 1) * inv
+    return root * root, root * params.slope_factor * inv * inv
 
 
 def deriv_g_norm(params: MapParams, x: PadicNumber) -> Fraction:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from .errors import (
     BranchError,
@@ -34,6 +34,10 @@ from .padic import (
 )
 
 Word = tuple[int, ...]
+
+# deepest cylinder listing julia_cylinders makes (2^12 balls, the listing size
+# the gibbs report allows) and deepest centre the geometry keeps
+MAX_CYLINDER_DEPTH = 12
 
 
 def check_word(word: Word) -> Word:
@@ -121,6 +125,10 @@ class RepellerGeometry:
     x1sq: PadicNumber = field(repr=False)
     x2sq: PadicNumber = field(repr=False)
     kappa: int = 0
+    # [None, node of word (1,), node of word (2,)]; a node of word w is
+    # [center of w, node of 1.w, node of 2.w], grown by cylinder_center
+    _cylinder_tree: list = field(default_factory=lambda: [None, None, None],
+                                 init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, params: MapParams) -> "RepellerGeometry":
@@ -167,8 +175,7 @@ class RepellerGeometry:
             raise DomainError("branch index must be 1 or 2")
         if self.in_X(x) is None:
             raise DomainError("inverse branches are only defined on X")
-        a, b = self.params.a, self.params.b
-        b2 = b * b
+        a, b2 = self.params.a, self.params.b2
         target = self.ball_sq(j)
         hits = []
         for s in sqrt_both(x):
@@ -182,6 +189,30 @@ class RepellerGeometry:
         if not eq_to_precision(eval_k(self.params, y), x, self._roundtrip_digits()):
             raise BranchError("inverse branch failed the forward round trip")
         return y
+
+    def cylinder_center(self, word: Word) -> PadicNumber:
+        """Centre of the cylinder of w_1 ... w_d: psi_{w_1}(... psi_{w_{d-1}}(c_{w_d})).
+
+        psi_j is the inverse branch into ball j and c_j the centre of ball j.
+        The centres of words up to MAX_CYLINDER_DEPTH symbols are kept in a
+        tree on the geometry, read from the last symbol, so each is composed
+        once per geometry: julia_cylinders and the Newton start of
+        periodic_point_k share it.  Deeper centres are composed on top of the
+        deepest kept suffix and not kept.
+        """
+        node = self._cylinder_tree
+        symbols = reversed(check_word(word))
+        for sym in islice(symbols, MAX_CYLINDER_DEPTH):
+            child = node[sym]
+            if child is None:
+                center = (self.center_sq(sym) if node[0] is None
+                          else self.inverse_branch(sym, node[0]))
+                child = node[sym] = [center, None, None]
+            node = child
+        center = node[0]
+        for sym in symbols:
+            center = self.inverse_branch(sym, center)
+        return center
 
     def incidence_matrix(self) -> list[list[int]]:
         """Entry (i, j): does the branch into ball j accept the center of ball i."""
@@ -200,10 +231,12 @@ class RepellerGeometry:
     def periodic_point_k(self, word: Word) -> PadicNumber:
         """The unique point of X with k-itinerary word, word, word, ...
 
-        One pass of inverse branches from the centre of ball w_1 lands in the
-        word's depth-|w| cylinder; Newton's method on k^n(x) - x (n = |w|)
-        then runs from there, with (k^n)'(x) by the chain rule along the
-        forward orbit.  |(k^n)'|_p = p^(nm), so the denominator (k^n)' - 1
+        Newton's method on k^n(x) - x (n = |w|) starts from the centre of
+        the cylinder of w w_1, one pass of inverse branches from the centre
+        of ball w_1, which lies in the word's depth-|w| cylinder.  It is read
+        from the geometry's tree of cylinder centres (cylinder_center), which
+        julia_cylinders shares.  (k^n)'(x) comes by the chain rule along the
+        forward orbit; |(k^n)'|_p = p^(nm), so the denominator (k^n)' - 1
         never cancels.  When n * m >= N - g the forward orbit keeps no
         trusted digit, so the pass itself is iterated instead: it contracts
         by p^(-nm) and settles the N - g digits in one step.  The point is
@@ -213,13 +246,18 @@ class RepellerGeometry:
         return _periodic_k(self.params, check_word(word))
 
     def periodic_point_g(self, word: Word) -> PadicNumber:
-        """The g-periodic point whose square has k-itinerary word.
+        """The g-periodic point whose square has k-itinerary word."""
+        return self.forward_g_orbit(word)[0]
+
+    def forward_g_orbit(self, word: Word) -> list[PadicNumber]:
+        """[y, g(y), ..., g^n(y)] for the g-periodic point y of word, n = |w|.
 
         The square root s of the k-periodic point is taken in B_r(x_{w1}).
         Because g is even, the forward orbit returns to +s or to -s, the
         latter exactly when the word's last symbol differs from its first;
-        that sign is the periodic point.  Forward iteration verifies it
-        wherever the orbit keeps a trusted digit, min(N - g, N - |w|m - 2).
+        that sign is the periodic point y, and g(y) = g(s) exactly, so the n
+        steps from s are y's forward orbit.  g^n(y) = y is checked wherever
+        the orbit keeps a trusted digit, min(N - g, N - |w|m - 2).
         """
         word = check_word(word)
         ctx = self.params.ctx
@@ -229,26 +267,21 @@ class RepellerGeometry:
         if len(hits) != 1:
             raise BranchError("square root of the periodic point missed both balls")
         s = hits[0]
-        point = -s if word[-1] != word[0] else s
+        orbit = [-s if word[-1] != word[0] else s]
+        z = s
+        for _ in word:
+            z = eval_g(self.params, z)
+            orbit.append(z)
         digits = min(ctx.residual_digits,
                      ctx.precision - len(word) * self.params.radius_exponent - 2)
-        if digits > 0:
-            z = s
-            for _ in word:
-                z = eval_g(self.params, z)
-            # g(-s) = g(s), so g^m(point) = z = point
-            if not eq_to_precision(z, point, digits):
-                raise VerificationError("g-orbit verification of the periodic point failed")
-        return point
+        if digits > 0 and not eq_to_precision(z, orbit[0], digits):
+            raise VerificationError("g-orbit verification of the periodic point failed")
+        return orbit
 
     def g_orbit(self, word: Word) -> list[PadicNumber]:
         """[h_0, ..., h_{m-1}] with h_i = g(h_{i+1 mod m}), h_0 the word's point."""
-        word = check_word(word)
-        y = self.periodic_point_g(word)
-        forward = [y]
-        for _ in range(len(word) - 1):
-            forward.append(eval_g(self.params, forward[-1]))
-        return [forward[0]] + forward[:0:-1]
+        forward = self.forward_g_orbit(word)
+        return [forward[0]] + forward[-2:0:-1]
 
     # -- coding -------------------------------------------------------------
 
@@ -291,19 +324,17 @@ class RepellerGeometry:
     def julia_cylinders(self, depth: int) -> list[tuple[Word, Ball]]:
         """One ball per word of length depth, covering the depth-th Julia stage.
 
-        The centre of w1 w2 ... wd is the w1-branch of the centre of its
-        suffix w2 ... wd, so each suffix is composed once: 2^(d+1) - 4
-        inverse-branch calls at depth d.
+        The centres come from cylinder_center: on a geometry that has kept
+        none, depth d makes 2^(d+1) - 4 inverse-branch calls, one per suffix.
         """
         if depth < 1:
             raise DomainError("depth must be >= 1")
-        m = self.params.radius_exponent
-        centers = {(j,): self.center_sq(j) for j in (1, 2)}
-        for _ in range(depth - 1):
-            centers = {(sym, *suffix): self.inverse_branch(sym, center)
-                       for suffix, center in centers.items() for sym in (1, 2)}
-        radius_exp = -depth * m
-        return [(word, Ball(centers[word], radius_exp)) for word in all_words(depth)]
+        if depth > MAX_CYLINDER_DEPTH:
+            raise DomainError(f"depth must be <= {MAX_CYLINDER_DEPTH}: "
+                              f"the listing would hold 2^{depth} balls")
+        radius_exp = -depth * self.params.radius_exponent
+        return [(word, Ball(self.cylinder_center(word), radius_exp))
+                for word in all_words(depth)]
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -344,9 +375,9 @@ def _periodic_k(params: MapParams, word: Word) -> PadicNumber:
             y = geom.inverse_branch(sym, y)
         return y
 
-    center = geom.center_sq(word[0])
     if len(word) * params.radius_exponent >= ctx.residual_digits:
-        return converge(one_pass, center, "inverse-branch composition")
+        return converge(one_pass, geom.center_sq(word[0]),
+                        "inverse-branch composition")
 
     def newton(x: PadicNumber) -> PadicNumber:
         image, slope = x, ctx.one()
@@ -355,4 +386,5 @@ def _periodic_k(params: MapParams, word: Word) -> PadicNumber:
             slope = slope * step_slope
         return (x * slope - image) / (slope - 1)
 
-    return converge(newton, one_pass(center), "Newton iteration for k^n(x) = x")
+    return converge(newton, geom.cylinder_center(word + word[:1]),
+                    "Newton iteration for k^n(x) = x")

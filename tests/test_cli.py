@@ -11,8 +11,10 @@ from padicdyn import (
     eval_g,
     fixedpoints,
     sqrt_both,
+    symbolic,
     to_json,
 )
+from padicdyn import cli
 from padicdyn.cli import build_parser, run
 
 STRICT = ["--p", "13", "--a", "170/1", "--b", "14/1"]
@@ -204,6 +206,30 @@ class TestDynamics:
         assert code == 0
         assert len(body["cylinders"]) == 4
         assert all(c["ball"]["radius_exponent"] == -2 for c in body["cylinders"])
+
+    def test_cylinders_deeper_than_the_limit_exit_1(self, capsys):
+        depth = symbolic.MAX_CYLINDER_DEPTH + 1
+        assert depth == 13
+        assert run(["cylinders", *STRICT, "--depth", str(depth)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error: depth must be <= 12")
+
+    def test_periodic_g_runs_one_forward_orbit(self, capsys, monkeypatch):
+        argv = ["periodic", *STRICT, "--word", "1,2,2,1,2"]
+        assert invoke(capsys, [*argv, "--map", "k"])[0] == 0
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return eval_g(*args)
+
+        # the sign check, and the residual the CLI prints, read one orbit
+        monkeypatch.setattr(symbolic, "eval_g", counted)
+        monkeypatch.setattr(cli, "eval_g", counted)
+        code, body = invoke(capsys, [*argv, "--map", "g"])
+        assert code == 0 and body["map"] == "g"
+        assert len(calls) == 5
 
     def test_lemmas(self, capsys):
         code, body = invoke(capsys, ["lemmas", *STRICT, "--samples", "20"])

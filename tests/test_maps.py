@@ -69,6 +69,31 @@ class TestMapParams:
         with pytest.raises(DomainError):
             MapParams(c3.one(), c5.from_int(6))
 
+    def test_constants_computed_on_first_use(self, ctx, rng):
+        params = strict_params(ctx, rng)
+        assert "b2" not in vars(params) and "slope_factor" not in vars(params)
+        eval_g(params, ctx.one())
+        assert "b2" in vars(params) and "slope_factor" not in vars(params)
+        a, b = params.a, params.b
+        assert params.b2 == b * b
+        assert params.slope_factor == a * (b ** 4 - 1) * 2
+
+    def test_constants_leave_every_digit(self, ctx, rng):
+        # the former per-call formulas, kept as the oracle: products mod p^N
+        # are exact, so the shared constants change no digit
+        params = strict_params(ctx, rng)
+        a, b = params.a, params.b
+        for _ in range(20):
+            u = random_padic(ctx, rng, 0, 2)
+            assert eval_g(params, u) == a * (b * b * u * u + 1) / (b * b + u * u)
+            assert eval_k(params, u) == (a * (b * b * u + 1) / (b * b + u)) ** 2
+            assert deriv_g(params, u) == (a * u * (b ** 4 - 1) * 2
+                                          / ((b * b + u * u) * (b * b + u * u)))
+            inv = 1 / (b * b + u)
+            root = a * (b * b * u + 1) * inv
+            assert eval_k_slope(params, u) == (
+                root * root, root * a * (b * b * b * b - 1) * 2 * inv * inv)
+
 
 class TestRationalOracle:
     """Evaluate at rational points and compare with Fraction arithmetic."""

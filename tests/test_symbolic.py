@@ -1,4 +1,6 @@
 """Repeller geometry, basin dichotomy, and the shift coding."""
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -406,6 +408,30 @@ class TestPeriodicPointGSign:
             s = [r for r in (point, -point) if low.ball_g(word[0]).contains(r)][0]
             assert (point == -s) == (word[-1] != word[0])
 
+    @pytest.mark.parametrize("precision", [16, 64])
+    def test_one_forward_orbit_per_call(self, precision, monkeypatch):
+        # at N = 16 the length-7 word keeps no trusted digit and the check is
+        # skipped; the orbit is still computed once, |w| g-steps
+        geom = self.geom_at(precision)
+        word = (1, 2, 2, 1, 1, 2, 1)
+        geom.periodic_point_k(word)
+        g_steps = []
+
+        def counted_g(*args):
+            g_steps.append(args)
+            return eval_g(*args)
+
+        monkeypatch.setattr(symbolic, "eval_g", counted_g)
+        forward = geom.forward_g_orbit(word)
+        assert len(g_steps) == len(word) and len(forward) == len(word) + 1
+        for x, image in zip(forward, forward[1:]):
+            assert eval_g(geom.params, x) == image
+        assert forward[0] == geom.periodic_point_g(word)
+        del g_steps[:]
+        orbit = geom.g_orbit(word)
+        assert len(g_steps) == len(word)
+        assert orbit == [forward[0]] + forward[-2:0:-1]
+
     def test_forward_check_kept_where_digits_remain(self, geom, monkeypatch):
         # an orbit that returns to the other sign fails the check
         monkeypatch.setattr(symbolic, "eval_g", lambda params, x: -eval_g(params, x))
@@ -481,21 +507,109 @@ class TestCylinders:
     def test_suffixes_are_composed_once(self, monkeypatch):
         ctx = PrimeContext(13)
         geom = RepellerGeometry.build(MapParams(ctx.from_int(170), ctx.from_int(14)))
-        want = {}
-        for word in all_words(5):  # each word's own chain of inverse branches
-            center = geom.center_sq(word[-1])
-            for sym in reversed(word[:-1]):
-                center = geom.inverse_branch(sym, center)
-            want[word] = center
-        calls = []
-        inverse_branch = RepellerGeometry.inverse_branch
-
-        def counted_branch(self, j, x):
-            calls.append(j)
-            return inverse_branch(self, j, x)
-
-        monkeypatch.setattr(RepellerGeometry, "inverse_branch", counted_branch)
+        want = {word: chain_center(geom, word) for word in all_words(5)}
+        calls = count_branches(monkeypatch)
         cylinders = geom.julia_cylinders(5)
         assert len(calls) == 2 ** 6 - 4
         assert [word for word, _ in cylinders] == all_words(5)
         assert all(ball.center == want[word] for word, ball in cylinders)
+
+    def test_depth_above_the_limit_is_refused_before_any_work(self, monkeypatch):
+        geom = RepellerGeometry.build(acceptance_params())
+        calls = count_branches(monkeypatch)
+        for depth in (0, symbolic.MAX_CYLINDER_DEPTH + 1, 30):
+            with pytest.raises(DomainError):
+                geom.julia_cylinders(depth)
+        assert calls == [] and tree_depths(geom) == []
+
+
+def chain_center(geom, word):
+    """Each word's own chain of inverse branches from the centre of its last
+    ball, kept as the oracle of the shared tree."""
+    center = geom.center_sq(word[-1])
+    for sym in reversed(word[:-1]):
+        center = geom.inverse_branch(sym, center)
+    return center
+
+
+def count_branches(monkeypatch):
+    """The branch index of every inverse_branch call from now on."""
+    calls = []
+    inverse_branch = RepellerGeometry.inverse_branch
+
+    def counted_branch(self, j, x):
+        calls.append(j)
+        return inverse_branch(self, j, x)
+
+    monkeypatch.setattr(RepellerGeometry, "inverse_branch", counted_branch)
+    return calls
+
+
+def tree_depths(geom):
+    """The word length of every centre kept in the geometry's tree."""
+    depths, stack = [], [(geom._cylinder_tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth:
+            depths.append(depth)
+        stack += [(child, depth + 1) for child in node[1:] if child is not None]
+    return depths
+
+
+class TestCylinderTree:
+    def test_cylinders_hold_every_newton_start(self, geom, monkeypatch):
+        geom.julia_cylinders(6)
+        calls = count_branches(monkeypatch)
+        for length in range(1, 6):
+            for word in all_words(length):
+                geom.periodic_point_k(word)
+        assert symbolic._periodic_k.cache_info().hits == 0  # every word solved
+        assert calls == []
+
+    def test_cylinders_compose_only_the_missing_centres(self, geom, monkeypatch):
+        words = [(1,), (2, 1), (1, 2, 2), (2, 2, 1, 2)]
+        for word in words:
+            geom.periodic_point_k(word)
+        kept = {start[i:] for word in words for start in [word + word[:1]]
+                for i in range(len(start) - 1)}
+        assert len(tree_depths(geom)) == len(kept) + 2  # and the two balls
+        calls = count_branches(monkeypatch)
+        geom.julia_cylinders(5)
+        assert len(calls) == 2 ** 6 - 4 - len(kept)
+        assert len(tree_depths(geom)) == 2 ** 6 - 2
+
+    def test_centres_match_the_chain_cold_and_warm(self, geom):
+        params = geom.params
+        for length in range(1, 5):
+            for word in all_words(length):
+                want = chain_center(geom, word)
+                fresh = symbolic._geometry.__wrapped__(params)  # an empty tree
+                assert fresh.cylinder_center(word) == want, word
+                assert fresh.cylinder_center(word) == want, word
+                assert geom.cylinder_center(word) == want, word
+        for word, ball in geom.julia_cylinders(6):
+            assert ball.center == chain_center(geom, word), word
+
+    def test_kept_depth_is_capped(self, monkeypatch):
+        geom = RepellerGeometry.build(acceptance_params())
+        rng = random.Random(20261018)
+        cap = symbolic.MAX_CYLINDER_DEPTH
+        words = [tuple(rng.choice((1, 2)) for _ in range(rng.randrange(cap + 1, 2 * cap)))
+                 for _ in range(30)]
+        for word in words:
+            assert geom.cylinder_center(word) == chain_center(geom, word)
+        assert max(tree_depths(geom)) == cap
+        # a small cap fills up and stays there, whatever is asked later
+        monkeypatch.setattr(symbolic, "MAX_CYLINDER_DEPTH", 3)
+        geom = symbolic._geometry.__wrapped__(geom.params)
+        for word in words + all_words(5):
+            assert geom.cylinder_center(word) == chain_center(geom, word)
+        assert sorted(tree_depths(geom)) == [1] * 2 + [2] * 4 + [3] * 8
+
+    def test_word_longer_than_the_recursion_limit(self):
+        geom = RepellerGeometry.build(acceptance_params())
+        rng = random.Random(7)
+        word = tuple(rng.choice((1, 2)) for _ in range(sys.getrecursionlimit() + 10))
+        start = word + word[:1]
+        assert geom.cylinder_center(start) == chain_center(geom, start)
+        assert max(tree_depths(geom)) == symbolic.MAX_CYLINDER_DEPTH
