@@ -251,6 +251,9 @@ def _cmd_lemmas(args):
 
 
 def _check_listing_size(k: int, n: int):
+    if k > MAX_LISTED_VERTICES:
+        raise DomainError(f"tree order k must be <= {MAX_LISTED_VERTICES}: W_1 of "
+                          f"the order-{k} tree has {k} vertices")
     listed = 0
     for m in range(n):
         listed += k ** m

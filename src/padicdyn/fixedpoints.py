@@ -31,10 +31,10 @@ REPELLING = "repelling"
 
 LEMMA_3_4_CLAUSES = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 
-# solves kept per process, per memo: x0 and the repelling roots here, the
-# repeller geometry per pair and the k-periodic point per (pair, word) in
-# symbolic; past that, the entry used longest ago is dropped.  Each entry
-# keeps its caller's PrimeContext, with p^0..p^N, alive.
+# pairs kept per process, per memo: the fixed points here and the repeller
+# geometry, with its cylinder centres and periodic points, in symbolic; past
+# that, the pair used longest ago is dropped.  Each entry keeps its caller's
+# PrimeContext, with p^0..p^N, alive.
 MEMO_SIZE = 16
 
 
@@ -44,20 +44,9 @@ def find_x0(params: MapParams) -> PadicNumber:
     |g'|_p = p^-m on E_p, so the Newton denominator 1 - g'(u) is a unit and
     each step roughly doubles the digits settled.  It runs to the rounding
     floor, so the result carries all N digits rather than only N - g.
-    x0 depends on (p, N, g, a, b) alone and MapParams hashes by value, so
-    each pair is solved once per process and equal pairs built apart share
-    the result.
+    It is read from _fixed_points, the pair's one solve per process.
     """
-    return _x0(params)
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _x0(params: MapParams) -> PadicNumber:
-    def newton(u: PadicNumber) -> PadicNumber:
-        slope = deriv_g(params, u)
-        return (eval_g(params, u) - u * slope) / (1 - slope)
-
-    return converge(newton, params.ctx.one(), "Newton iteration for x0")
+    return _fixed_points(params)[0]
 
 
 def quadratic_coeffs(params: MapParams, x0: PadicNumber) -> tuple[PadicNumber, PadicNumber]:
@@ -97,15 +86,21 @@ def repelling_roots(params: MapParams, x0: PadicNumber,
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _roots(params: MapParams) -> tuple[PadicNumber, tuple[PadicNumber, PadicNumber] | None]:
-    """(Delta, repelling_roots) of params, solved once per pair per process.
+def _fixed_points(params: MapParams) -> tuple[
+        PadicNumber, PadicNumber, tuple[PadicNumber, PadicNumber] | None]:
+    """(x0, Delta, repelling_roots) of params, solved once per pair per process.
 
-    analyze and the repeller geometry both read it, so a pair's discriminant
-    is square-rooted once.
+    MapParams hashes by value (p, N, g, a, b), so equal pairs built apart
+    share the entry.  a, b and x0 lie in E_p, so Delta = -4 (mod p) is a unit,
+    a square exactly when p = 1 (mod 4): the roots add no error to find_x0.
     """
-    x0 = _x0(params)
+    def newton(u: PadicNumber) -> PadicNumber:
+        slope = deriv_g(params, u)
+        return (eval_g(params, u) - u * slope) / (1 - slope)
+
+    x0 = converge(newton, params.ctx.one(), "Newton iteration for x0")
     delta = discriminant(params, x0)
-    return delta, repelling_roots(params, x0, delta)
+    return x0, delta, repelling_roots(params, x0, delta)
 
 
 def classify(params: MapParams, x: PadicNumber) -> str:
@@ -183,9 +178,8 @@ class FixedPointReport:
 
 def analyze(params: MapParams) -> FixedPointReport:
     """Locate, classify and lemma-check every fixed point of g."""
-    x0 = find_x0(params)
+    x0, delta, roots = _fixed_points(params)
     quadratic_coeffs(params, x0)  # runs the consistency check
-    delta, roots = _roots(params)
     labels = {"x0": classify(params, x0)}
     if roots is not None:
         labels["x1"] = classify(params, roots[0])

@@ -70,6 +70,11 @@ def _inv_unit(u: int, ctx: PrimeContext) -> int:
     return z
 
 
+# largest p.bit_length() * N a context accepts: its powers p^0..p^N take
+# about N^2 log2(p) / 2 bits, under 7 MB at this bound
+MAX_FIELD_BITS = 2 ** 14
+
+
 @dataclass(frozen=True)
 class PrimeContext:
     """Working field Q_p truncated to `precision` significant digits.
@@ -88,6 +93,10 @@ class PrimeContext:
     def __post_init__(self):
         if self.p == 2:
             raise DomainError("p = 2 is not supported")
+        bits = self.p.bit_length() * self.precision
+        if bits > MAX_FIELD_BITS:
+            raise DomainError(f"p.bit_length() * precision must be <= {MAX_FIELD_BITS}, "
+                              f"got {bits}")
         if self.p < 3 or not _is_prime(self.p):
             raise DomainError(f"p must be an odd prime >= 3, got {self.p}")
         if not (self.precision > self.guard >= 1):

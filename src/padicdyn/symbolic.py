@@ -22,7 +22,7 @@ from .errors import (
     PrecisionExhausted,
     VerificationError,
 )
-from .fixedpoints import MEMO_SIZE, _roots, find_x0
+from .fixedpoints import MEMO_SIZE, _fixed_points, find_x0
 from .maps import MapParams, eval_g, eval_k, eval_k_slope
 from .padic import (
     Ball,
@@ -36,7 +36,8 @@ from .padic import (
 Word = tuple[int, ...]
 
 # deepest cylinder listing julia_cylinders makes (2^12 balls, the listing size
-# the gibbs report allows) and deepest centre the geometry keeps
+# the gibbs report allows), deepest centre the geometry keeps, and one symbol
+# more than the longest word whose periodic point it keeps
 MAX_CYLINDER_DEPTH = 12
 
 
@@ -129,13 +130,16 @@ class RepellerGeometry:
     # [center of w, node of 1.w, node of 2.w], grown by cylinder_center
     _cylinder_tree: list = field(default_factory=lambda: [None, None, None],
                                  init=False, repr=False, compare=False)
+    # word -> k-periodic point, grown by periodic_point_k
+    _periodic_points: dict = field(default_factory=dict, init=False, repr=False,
+                                   compare=False)
 
     @classmethod
     def build(cls, params: MapParams) -> "RepellerGeometry":
         """The geometry of params, solved once per (p, N, g, a, b) per process.
 
-        A geometry is immutable, so equal pairs share one; a DomainError is
-        raised again on every call, never stored.
+        Equal pairs share one, with the centres and periodic points it keeps;
+        a DomainError is raised again on every call, never stored.
         """
         return _geometry(params)
 
@@ -239,11 +243,37 @@ class RepellerGeometry:
         forward orbit; |(k^n)'|_p = p^(nm), so the denominator (k^n)' - 1
         never cancels.  When n * m >= N - g the forward orbit keeps no
         trusted digit, so the pass itself is iterated instead: it contracts
-        by p^(-nm) and settles the N - g digits in one step.  The point is
-        solved once per (p, N, g, a, b, word) per process and kept for the
-        MEMO_SIZE words used last; an error is raised again on every call.
+        by p^(-nm) and settles the N - g digits in one step.  The geometry
+        keeps the point of every word shorter than MAX_CYLINDER_DEPTH, whose
+        Newton start its tree keeps too; a longer word is solved on every
+        call, and so is a word whose solve raised.
         """
-        return _periodic_k(self.params, check_word(word))
+        word = check_word(word)
+        if word in self._periodic_points:
+            return self._periodic_points[word]
+        params, ctx = self.params, self.params.ctx
+
+        def one_pass(y: PadicNumber) -> PadicNumber:
+            for sym in reversed(word):
+                y = self.inverse_branch(sym, y)
+            return y
+
+        def newton(x: PadicNumber) -> PadicNumber:
+            image, slope = x, ctx.one()
+            for _ in word:
+                image, step_slope = eval_k_slope(params, image)
+                slope = slope * step_slope
+            return (x * slope - image) / (slope - 1)
+
+        if len(word) * params.radius_exponent >= ctx.residual_digits:
+            point = converge(one_pass, self.center_sq(word[0]),
+                             "inverse-branch composition")
+        else:
+            point = converge(newton, self.cylinder_center(word + word[:1]),
+                             "Newton iteration for k^n(x) = x")
+        if len(word) < MAX_CYLINDER_DEPTH:
+            self._periodic_points[word] = point
+        return point
 
     def periodic_point_g(self, word: Word) -> PadicNumber:
         """The g-periodic point whose square has k-itinerary word."""
@@ -344,8 +374,7 @@ def _geometry(params: MapParams) -> RepellerGeometry:
         raise DomainError("repeller geometry needs p = 1 (mod 4)")
     if not params.strict_regime:
         raise DomainError("repeller geometry assumes |a - 1|_p < |b - 1|_p")
-    x0 = find_x0(params)
-    _, roots = _roots(params)
+    x0, _, roots = _fixed_points(params)
     assert roots is not None
     x1, x2 = roots
     i_root, i_other = sqrt_both(ctx.from_int(-1))
@@ -364,27 +393,3 @@ def _geometry(params: MapParams) -> RepellerGeometry:
         raise DomainError("x1^2 and x2^2 coincide at working precision")
     return RepellerGeometry(params, x0, x1, x2, alpha1, alpha2, x1sq, x2sq, kappa)
 
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _periodic_k(params: MapParams, word: Word) -> PadicNumber:
-    geom = _geometry(params)
-    ctx = params.ctx
-
-    def one_pass(y: PadicNumber) -> PadicNumber:
-        for sym in reversed(word):
-            y = geom.inverse_branch(sym, y)
-        return y
-
-    if len(word) * params.radius_exponent >= ctx.residual_digits:
-        return converge(one_pass, geom.center_sq(word[0]),
-                        "inverse-branch composition")
-
-    def newton(x: PadicNumber) -> PadicNumber:
-        image, slope = x, ctx.one()
-        for _ in word:
-            image, step_slope = eval_k_slope(params, image)
-            slope = slope * step_slope
-        return (x * slope - image) / (slope - 1)
-
-    return converge(newton, geom.cylinder_center(word + word[:1]),
-                    "Newton iteration for k^n(x) = x")

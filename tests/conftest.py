@@ -54,15 +54,14 @@ def _digits(u, ctx):
 def cold_memos():
     """Start every test with no parameter pair solved.
 
-    x0, the repelling roots, the repeller geometry and the k-periodic points
-    are kept per process; a test that counts or monkeypatches solver calls
-    must see the cold path.  tests/test_surface.py checks that every memo of
-    the package is cleared here.
+    The fixed points (x0, Delta and the repelling roots) and the repeller
+    geometry, with the cylinder centres and k-periodic points it keeps, are
+    kept per process; a test that counts or monkeypatches solver calls must
+    see the cold path.  tests/test_surface.py checks that these are the
+    package's two memos and that both are cleared here.
     """
-    fixedpoints._x0.cache_clear()
-    fixedpoints._roots.cache_clear()
+    fixedpoints._fixed_points.cache_clear()
     symbolic._geometry.cache_clear()
-    symbolic._periodic_k.cache_clear()
 
 
 @pytest.fixture

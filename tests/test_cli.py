@@ -16,6 +16,7 @@ from padicdyn import (
 )
 from padicdyn import cli
 from padicdyn.cli import build_parser, run
+from padicdyn.maps import eval_k_slope
 
 STRICT = ["--p", "13", "--a", "170/1", "--b", "14/1"]
 
@@ -121,6 +122,9 @@ class TestValidation:
         (["orbit", *STRICT, "--x", "1/1", "--steps", "-1"], "steps must be >= 0"),
         (["itinerary", *STRICT, "--x", "1/1", "--length", "-2"],
          "length must be >= 0"),
+        # p^0..p^N would take about 200 GB; refused before any power is built
+        (["fixed-points", *STRICT, "--precision", "1000000"],
+         "p.bit_length() * precision must be <= 16384, got 4000000"),
     ])
     def test_bad_counts_exit_1(self, capsys, argv, message):
         assert run(argv) == 1
@@ -167,6 +171,24 @@ class TestDynamics:
         monkeypatch.setattr(fixedpoints, "sqrt_both", counted)
         assert invoke(capsys, ["lemmas", *STRICT, "--samples", "5"])[0] == 0
         assert len(calls) == 1
+
+    def test_second_round_of_periodic_k_solves_nothing(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return eval_k_slope(*args)
+
+        # 62 words on one pair: more than a 16-entry (pair, word) memo holds
+        monkeypatch.setattr(symbolic, "eval_k_slope", counted)
+        argvs = [["periodic", *STRICT, "--word", ",".join(map(str, word)),
+                  "--map", "k"]
+                 for length in range(1, 6) for word in symbolic.all_words(length)]
+        first = [invoke(capsys, argv) for argv in argvs]
+        assert calls and all(code == 0 for code, _ in first)
+        del calls[:]
+        assert [invoke(capsys, argv) for argv in argvs] == first
+        assert calls == []
 
     def test_orbit(self, capsys):
         code, body = invoke(capsys, ["orbit", *STRICT, "--x", "1/1", "--steps", "3"])
@@ -339,3 +361,12 @@ class TestGibbs:
                     "--n", "12"]) == 0
         assert run([*self.BASE, "verify", "--source", "unit", "--k", "1",
                     "--n", "13"]) == 1
+        # at n = 1 V_0 is the root alone, but the order itself is bounded
+        capsys.readouterr()
+        assert run([*self.BASE, "solve", "--J", "5/1", "--J1", "5/1", "--k", "13",
+                    "--n", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error: tree order k must be <= 12")
+        assert run([*self.BASE, "verify", "--source", "unit", "--k", "12",
+                    "--n", "1"]) == 0

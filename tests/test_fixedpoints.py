@@ -68,33 +68,44 @@ class TestX0:
 
 
 class TestX0Memo:
+    """x0, Delta and the repelling roots share one entry per pair."""
+
     def test_warm_call_returns_the_cold_digits(self):
         cold = find_x0(acceptance_params())
         warm = find_x0(acceptance_params())
-        assert fixedpoints._x0.cache_info()[:2] == (1, 1)  # hits, misses
+        assert fixedpoints._fixed_points.cache_info()[:2] == (1, 1)  # hits, misses
         assert warm.digits() == cold.digits()
-        assert warm == fixedpoints._x0.__wrapped__(acceptance_params())
+        assert warm == fixedpoints._fixed_points.__wrapped__(acceptance_params())[0]
+
+    def test_analyze_reads_the_same_entry(self):
+        params = acceptance_params()
+        x0 = find_x0(params)
+        report = analyze(acceptance_params())
+        assert fixedpoints._fixed_points.cache_info()[:2] == (1, 1)
+        assert report.x0 is x0
+        fresh = fixedpoints._fixed_points.__wrapped__(params)
+        assert (report.x0, report.delta, report.roots) == fresh
 
     def test_equal_contexts_share_an_entry(self):
         first, second = acceptance_params(), acceptance_params()
         assert first.ctx is not second.ctx
         assert find_x0(second) is find_x0(first)
-        assert fixedpoints._x0.cache_info().currsize == 1
+        assert fixedpoints._fixed_points.cache_info().currsize == 1
 
     @pytest.mark.parametrize("precision, guard", [(128, 8), (64, 10)])
     def test_other_precision_or_guard_misses(self, precision, guard):
         find_x0(acceptance_params())
         params = acceptance_params(precision, guard)
         got = find_x0(params)
-        assert fixedpoints._x0.cache_info()[:2] == (0, 2)
+        assert fixedpoints._fixed_points.cache_info()[:2] == (0, 2)
         assert got.ctx == params.ctx
-        assert got == fixedpoints._x0.__wrapped__(params)  # a fresh solve
+        assert got == fixedpoints._fixed_points.__wrapped__(params)[0]  # a fresh solve
 
     def test_bounded(self):
         for t in range(fixedpoints.MEMO_SIZE + 1):
             ctx = PrimeContext(13)
             find_x0(MapParams(ctx.from_int(170), ctx.from_int(14 + 13 ** 2 * t)))
-        info = fixedpoints._x0.cache_info()
+        info = fixedpoints._fixed_points.cache_info()
         assert (info.misses, info.currsize) == (fixedpoints.MEMO_SIZE + 1,
                                                 fixedpoints.MEMO_SIZE)
 

@@ -56,6 +56,15 @@ class TestContext:
             PrimeContext(5, precision=8, guard=8)
         with pytest.raises(DomainError):
             PrimeContext(5, precision=8, guard=0)
+        # p.bit_length() * N is bounded, checked before the primality test
+        # and before any power of p is built
+        for p in (13, 15):
+            with pytest.raises(DomainError, match="must be <= 16384, got"):
+                PrimeContext(p, 10 ** 9)
+        p = 2 ** 31 + 11  # 32 bits
+        assert PrimeContext(p, 512).modulus == p ** 512
+        with pytest.raises(DomainError, match="must be <= 16384, got 16416"):
+            PrimeContext(p, 513)
 
     def test_residual_digits(self):
         assert PrimeContext(5).residual_digits == 56

@@ -11,6 +11,7 @@ from padicdyn import (
     EscapeError,
     LengthMismatch,
     MapParams,
+    NoConvergence,
     PrecisionExhausted,
     PrimeContext,
     RepellerGeometry,
@@ -322,20 +323,28 @@ class TestNewtonAgainstInverseBranches:
 
         monkeypatch.setattr(RepellerGeometry, "inverse_branch", counted_branch)
         monkeypatch.setattr(symbolic, "eval_k_slope", counted_k)
-        geom.periodic_point_k((1, 2, 2, 1, 2))
-        assert symbolic._periodic_k.cache_info()[:2] == (0, 1)  # the cold solve
+        assert geom._periodic_points == {}  # the cold solve
+        point = geom.periodic_point_k((1, 2, 2, 1, 2))
+        assert geom._periodic_points == {(1, 2, 2, 1, 2): point}
         assert branches == [2, 1, 2, 2, 1]
         assert 0 < len(k_steps) <= 50
 
 
+def fresh_geometry(params):
+    """An uncached geometry of params: no centre and no periodic point kept."""
+    return symbolic._geometry.__wrapped__(params)
+
+
 class TestPeriodicMemo:
+    """The geometry keeps the k-periodic point of each word it solved."""
+
     def test_cold_warm_and_uncached_agree(self, geom):
         word = (1, 2, 2)
         cold = geom.periodic_point_k(word)
         warm = geom.periodic_point_k(word)
-        assert symbolic._periodic_k.cache_info()[:2] == (1, 1)  # hits, misses
         assert warm is cold
-        uncached = symbolic._periodic_k.__wrapped__(geom.params, word)
+        assert list(geom._periodic_points) == [word]
+        uncached = fresh_geometry(geom.params).periodic_point_k(word)
         precision = geom.params.ctx.precision
         assert cold.valuation == uncached.valuation
         assert cold.digits(precision) == uncached.digits(precision)
@@ -357,38 +366,76 @@ class TestPeriodicMemo:
 
     def test_list_and_tuple_share_an_entry(self, geom):
         assert geom.periodic_point_k([1, 2]) is geom.periodic_point_k((1, 2))
-        info = symbolic._periodic_k.cache_info()
-        assert (info.hits, info.currsize) == (1, 1)
+        assert list(geom._periodic_points) == [(1, 2)]
 
-    def test_errors_are_raised_on_every_call(self, geom):
+    def test_errors_are_raised_on_every_call(self, geom, monkeypatch):
         for word in ((), (1, 3), [0]):
             for _ in range(2):
                 with pytest.raises(DomainError):
                     geom.periodic_point_k(word)
+
+        def stalled(step, start, what):
+            raise NoConvergence(what)
+
+        # a failed solve keeps nothing, so the next call solves again
+        monkeypatch.setattr(symbolic, "converge", stalled)
+        for _ in range(2):
+            with pytest.raises(NoConvergence):
+                geom.periodic_point_k((1, 2))
+        assert geom._periodic_points == {}
+        monkeypatch.undo()
+        assert geom.periodic_point_k((1, 2)) == \
+            fresh_geometry(geom.params).periodic_point_k((1, 2))
         ctx = PrimeContext(13)
         non_strict = MapParams(ctx.from_int(14), ctx.from_int(14))
         for _ in range(2):
             with pytest.raises(DomainError):
-                symbolic._periodic_k(non_strict, (1,))
-        info = symbolic._periodic_k.cache_info()
-        assert (info.misses, info.currsize) == (2, 0)
+                RepellerGeometry.build(non_strict).periodic_point_k((1,))
 
     def test_other_precision_misses(self):
         low = RepellerGeometry.build(acceptance_params(64))
         high = RepellerGeometry.build(acceptance_params(128))
         x_low, x_high = low.periodic_point_k((1, 2)), high.periodic_point_k((1, 2))
-        assert symbolic._periodic_k.cache_info()[:2] == (0, 2)
+        assert low is not high
+        assert low._periodic_points == {(1, 2): x_low}
+        assert high._periodic_points == {(1, 2): x_high}
         assert x_high.ctx.precision == 128
         digits = low.params.ctx.residual_digits
         assert x_low.digits(digits) == x_high.digits(digits)
 
-    def test_bounded(self):
+    def test_bounded(self, monkeypatch):
+        # words shorter than MAX_CYLINDER_DEPTH are kept; a longer one is
+        # solved on every call
         geom = RepellerGeometry.build(acceptance_params())
-        for word in all_words(5)[:symbolic.MEMO_SIZE + 1]:
-            geom.periodic_point_k(word)
-        info = symbolic._periodic_k.cache_info()
-        assert (info.misses, info.currsize) == (symbolic.MEMO_SIZE + 1,
-                                                symbolic.MEMO_SIZE)
+        cap = symbolic.MAX_CYLINDER_DEPTH
+        kept, long_word = ((1, 2) * cap)[:cap - 1], ((2, 1) * cap)[:cap]
+        point = geom.periodic_point_k(kept)
+        k_steps = []
+
+        def counted_k(*args):
+            k_steps.append(args)
+            return eval_k_slope(*args)
+
+        monkeypatch.setattr(symbolic, "eval_k_slope", counted_k)
+        assert geom.periodic_point_k(kept) is point
+        assert k_steps == []
+        solved = geom.periodic_point_k(long_word)
+        assert k_steps
+        del k_steps[:]
+        assert geom.periodic_point_k(long_word) == solved
+        assert k_steps
+        assert list(geom._periodic_points) == [kept]
+        monkeypatch.undo()
+        assert solved == fresh_geometry(geom.params).periodic_point_k(long_word)
+        # the points live and die with their geometry: MEMO_SIZE + 1 pairs
+        # leave MEMO_SIZE geometries, and the first pair starts over
+        for t in range(1, symbolic.MEMO_SIZE + 1):
+            ctx = PrimeContext(13)
+            RepellerGeometry.build(MapParams(ctx.from_int(170),
+                                             ctx.from_int(14 + 13 ** 2 * t)))
+        assert symbolic._geometry.cache_info().currsize == symbolic.MEMO_SIZE
+        rebuilt = RepellerGeometry.build(acceptance_params())
+        assert rebuilt is not geom and rebuilt._periodic_points == {}
 
 
 class TestPeriodicPointGSign:
@@ -560,10 +607,11 @@ class TestCylinderTree:
     def test_cylinders_hold_every_newton_start(self, geom, monkeypatch):
         geom.julia_cylinders(6)
         calls = count_branches(monkeypatch)
+        assert geom._periodic_points == {}  # every word is solved below
         for length in range(1, 6):
             for word in all_words(length):
                 geom.periodic_point_k(word)
-        assert symbolic._periodic_k.cache_info().hits == 0  # every word solved
+        assert len(geom._periodic_points) == 2 ** 6 - 2
         assert calls == []
 
     def test_cylinders_compose_only_the_missing_centres(self, geom, monkeypatch):
@@ -583,7 +631,7 @@ class TestCylinderTree:
         for length in range(1, 5):
             for word in all_words(length):
                 want = chain_center(geom, word)
-                fresh = symbolic._geometry.__wrapped__(params)  # an empty tree
+                fresh = fresh_geometry(params)  # an empty tree
                 assert fresh.cylinder_center(word) == want, word
                 assert fresh.cylinder_center(word) == want, word
                 assert geom.cylinder_center(word) == want, word
@@ -601,7 +649,7 @@ class TestCylinderTree:
         assert max(tree_depths(geom)) == cap
         # a small cap fills up and stays there, whatever is asked later
         monkeypatch.setattr(symbolic, "MAX_CYLINDER_DEPTH", 3)
-        geom = symbolic._geometry.__wrapped__(geom.params)
+        geom = fresh_geometry(geom.params)
         for word in words + all_words(5):
             assert geom.cylinder_center(word) == chain_center(geom, word)
         assert sorted(tree_depths(geom)) == [1] * 2 + [2] * 4 + [3] * 8
