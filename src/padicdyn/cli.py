@@ -24,6 +24,13 @@ _ERROR_KIND = {1: "domain", 2: "precision", 3: "verification"}
 # configuration on V_{n-1}; a larger V_{n-1} is refused before any work
 MAX_LISTED_VERTICES = 12
 
+# orbit keeps and prints every point, about 7 KB of RSS per step (4000 steps
+# reached 44 MB); a longer orbit is refused before any work
+MAX_ORBIT_STEPS = 4096
+# lemmas spends about 70 us per sample (10^4 take under a second); more
+# samples are refused before any work
+MAX_LEMMA_SAMPLES = 10000
+
 
 def _add_context_flags(sub):
     sub.add_argument("--p", type=int, required=True)
@@ -160,6 +167,8 @@ def _cmd_classify(args):
 def _cmd_orbit(args):
     if args.steps < 0:
         raise DomainError("steps must be >= 0")
+    if args.steps > MAX_ORBIT_STEPS:
+        raise DomainError(f"steps must be <= {MAX_ORBIT_STEPS}")
     params = _params(args)
     step = {"f": eval_f, "g": eval_g, "k": eval_k}[args.map]
     x = parse_padic(args.x, params.ctx)
@@ -221,6 +230,8 @@ def _cmd_cylinders(args):
 def _cmd_lemmas(args):
     if args.samples < 1:
         raise DomainError("samples must be >= 1")
+    if args.samples > MAX_LEMMA_SAMPLES:
+        raise DomainError(f"samples must be <= {MAX_LEMMA_SAMPLES}")
     params = _params(args)
     report = fixedpoints.analyze(params)
     scaling = None

@@ -125,6 +125,11 @@ class TestValidation:
         # p^0..p^N would take about 200 GB; refused before any power is built
         (["fixed-points", *STRICT, "--precision", "1000000"],
          "p.bit_length() * precision must be <= 16384, got 4000000"),
+        # one past each limit: refused before any work, so nothing large runs
+        (["lemmas", *STRICT, "--samples", str(cli.MAX_LEMMA_SAMPLES + 1)],
+         f"samples must be <= {cli.MAX_LEMMA_SAMPLES}"),
+        (["orbit", *STRICT, "--x", "1/1", "--steps", str(cli.MAX_ORBIT_STEPS + 1)],
+         f"steps must be <= {cli.MAX_ORBIT_STEPS}"),
     ])
     def test_bad_counts_exit_1(self, capsys, argv, message):
         assert run(argv) == 1

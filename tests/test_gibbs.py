@@ -1,7 +1,8 @@
 """Cayley-tree combinatorics, measures, compatibility, and boundary fields."""
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+from math import ceil, log2
 
 import pytest
 
@@ -22,13 +23,15 @@ from padicdyn import (
     eq_to_precision,
     exp_p,
     find_x0,
+    gibbs,
     in_Ep,
     norm_diff,
     partition_fn,
     periodic_field_from_orbit,
     solve_7_11,
 )
-from padicdyn.gibbs import PAIRS, field_equation_residual
+from padicdyn.cli import run
+from padicdyn.gibbs import PAIRS, _c_powers, _sibling_sum, field_equation_residual
 from padicdyn.padic import converge
 
 from conftest import random_unit
@@ -184,6 +187,22 @@ def oracle_solve_7_11(tree, c, n=2):
             1, ctx.p ** ctx.residual_digits):
         raise NoConvergence("converged products do not satisfy the field equations")
     return field
+
+
+def oracle_linear_u(tree, c):
+    """The former u of solve_7_11: u -> S(+, +) / S(+, -) by sibling sums,
+    iterated from 1; it settles ord(J1) digits per step."""
+    ctx, k = c.ctx, tree.k
+    a, b, one = c.a, c.b, ctx.one()
+    ab, b_a, a_b = a * b, b / a, a / b
+    inv_ab, c_pow = one / ab, _c_powers(c, k)
+
+    def step(u):
+        plus = _sibling_sum(c_pow, [(ab * u, inv_ab)] * k)
+        minus = _sibling_sum(c_pow, [(b_a, a_b * u)] * k)
+        return plus / minus
+
+    return converge(step, one, "iteration for u")
 
 
 def product_system_residual(tree, c, field, n):
@@ -547,6 +566,97 @@ class TestSolveAgainstOracle:
             field = solve_7_11(tree, c, 2)
             ok, _ = oracle_compatibility(tree, c, field, field, 2)
             assert ok
+
+
+def newton_sweep(p):
+    """(N, ord(J1), J0 != 0, k) at prime p: every combination at k <= 5.  At
+    k = 12, whose linear oracle costs most, the eight (p, N) cycle through
+    the four (ord(J1), J0 != 0), so each of those meets each N once."""
+    i = (3, 5, 7, 13).index(p)
+    pairs = list(product((1, 2), (False, True)))
+    return (list(product((64, 128), (1, 2), (False, True), (1, 2, 3, 5)))
+            + [(N, *pairs[(i + j) % 4], 12) for j, N in enumerate((64, 128))])
+
+
+def draw_couplings(ctx, rng, ord_J1, J0):
+    """J = p t, J1 = p^ord_J1 t', J0 = p t'' or 0, p not dividing t, t', t'' < p^3."""
+    p = ctx.p
+
+    def unit():
+        return rng.choice([t for t in range(1, p ** 3) if t % p])
+    return couplings(ctx, p * unit(), p ** ord_J1 * unit(), p * unit() if J0 else 0)
+
+
+class TestNewtonForU:
+    """The Newton solve of u against the linear iteration it replaced."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_every_digit_matches_linear_iteration(self, rng, p):
+        contexts = {N: PrimeContext(p, N) for N in (64, 128)}
+        for N, ord_J1, J0, k in newton_sweep(p):
+            c = draw_couplings(contexts[N], rng, ord_J1, J0)
+            tree = CayleyTree(k)
+            u = solve_7_11(tree, c, 1).component((1,), 1, 1)
+            assert u == oracle_linear_u(tree, c), (N, ord_J1, J0, k)
+
+    @pytest.mark.parametrize("ord_J1", [55, 57, 60, 64])
+    def test_J1_near_and_below_the_precision_floor(self, ctx5, ord_J1):
+        # past ord(J1) = N - g the slope W = M^2 F' cancels every trusted digit
+        for k in (1, 2, 3):
+            for J0 in (0, 5):
+                c, tree = couplings(ctx5, 5, 5 ** ord_J1, J0), CayleyTree(k)
+                u = solve_7_11(tree, c, 1).component((1,), 1, 1)
+                assert u == oracle_linear_u(tree, c)
+
+    @pytest.mark.parametrize("N", [64, 128])
+    def test_settles_in_log2_N_steps(self, monkeypatch, rng, N):
+        # the linear iteration took N - 1 steps at ord(J1) = 1
+        runs = []
+
+        def counted(step, start, what):
+            def counting(u):
+                runs[-1][1] += 1
+                return step(u)
+            runs.append([what, 0])
+            return converge(counting, start, what)
+
+        monkeypatch.setattr(gibbs, "converge", counted)
+        for p in (5, 13):
+            ctx = PrimeContext(p, N)
+            for k in (1, 2, 3):
+                for J0 in (False, True):
+                    solve_7_11(CayleyTree(k), draw_couplings(ctx, rng, 1, J0), 1)
+        assert len(runs) == 12
+        assert {what for what, _ in runs} == {"Newton iteration for u"}
+        assert max(steps for _, steps in runs) <= ceil(log2(N)) + 2
+
+    def test_newton_that_never_settles_raises(self, ctx5, tree, monkeypatch, capsys):
+        horner, calls = gibbs._horner, []
+
+        def drifting(coeffs, u):
+            value, slope = horner(coeffs, u)
+            calls.append(None)
+            return value + ctx5.from_int(5 * len(calls)), slope
+
+        monkeypatch.setattr(gibbs, "_horner", drifting)
+        with pytest.raises(NoConvergence, match="^Newton iteration for u did not"):
+            solve_7_11(tree, couplings(ctx5, 5, 5), 2)
+        assert run(["gibbs", "--p", "5", "solve", "--J", "5/1", "--J1", "5/1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "precision error: Newton iteration for u did not converge")
+
+    @pytest.mark.parametrize("J0", [False, True])
+    def test_gibbs_workload_k3_couplings_are_solved(self, ctx5, rng, J0):
+        # the couplings of the benchmark's gibbs workload, J, J1 = 5t with 5
+        # not dividing t < 125, at the order k = 3 where it leaves gibbs
+        # solve out
+        tree = CayleyTree(3)
+        for c in seeded_couplings(ctx5, rng, 50, J0=J0):
+            for n in (1, 2):
+                field = solve_7_11(tree, c, n)
+                assert check_compatibility(tree, c, field, field, n).ok
 
 
 class TestPeriodicFields:
