@@ -32,12 +32,6 @@ MAX_ORBIT_STEPS = 4096
 MAX_LEMMA_SAMPLES = 10000
 
 
-def _add_context_flags(sub):
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--precision", type=int, default=64)
-    sub.add_argument("--guard", type=int, default=8)
-
-
 # flags that take a p-adic literal (parse_padic)
 _LITERAL_FLAGS = frozenset({"--a", "--b", "--x", "--J", "--J1", "--J0"})
 _NEGATIVE_LITERAL = re.compile(r"-\d")
@@ -58,11 +52,6 @@ def _glue_negative_literals(argv: list[str]) -> list[str]:
     return out
 
 
-def _add_map_flags(sub):
-    sub.add_argument("--a", required=True, help="p-adic literal: m/n or v;d0,d1,...")
-    sub.add_argument("--b", required=True)
-
-
 def _ctx(args) -> PrimeContext:
     return PrimeContext(args.p, args.precision, args.guard)
 
@@ -79,67 +68,58 @@ def _word(text: str):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use: each parse_args
-    call fills a fresh Namespace, so nothing carries over between calls."""
+    call fills a fresh Namespace, so nothing carries over between calls.
+    Each subcommand names its body in its `run` default."""
+    context = argparse.ArgumentParser(add_help=False)
+    context.add_argument("--p", type=int, required=True)
+    context.add_argument("--precision", type=int, default=64)
+    context.add_argument("--guard", type=int, default=8)
+    pair = argparse.ArgumentParser(add_help=False, parents=[context])
+    pair.add_argument("--a", required=True, help="p-adic literal: m/n or v;d0,d1,...")
+    pair.add_argument("--b", required=True)
+
     parser = argparse.ArgumentParser(
         prog="padicdyn",
         description="p-adic dynamics of the generalized Ising mapping")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("fixed-points", help="locate and classify all fixed points")
-    _add_context_flags(s)
-    _add_map_flags(s)
+    def command(name, run, summary, flags=pair):
+        sub = subs.add_parser(name, parents=[flags], help=summary)
+        sub.set_defaults(run=run)
+        return sub
 
-    s = subs.add_parser("classify", help="classify one fixed point")
-    _add_context_flags(s)
-    _add_map_flags(s)
+    command("fixed-points", _cmd_fixed_points, "locate and classify all fixed points")
+    s = command("classify", _cmd_classify, "classify one fixed point")
     s.add_argument("--x", required=True)
-
-    s = subs.add_parser("orbit", help="iterate a map from a start point")
-    _add_context_flags(s)
-    _add_map_flags(s)
+    s = command("orbit", _cmd_orbit, "iterate a map from a start point")
     s.add_argument("--x", required=True)
     s.add_argument("--steps", type=int, default=10)
     s.add_argument("--map", choices=("f", "g", "k"), default="g")
-
-    s = subs.add_parser("basin", help="basin-of-attraction status of a point")
-    _add_context_flags(s)
-    _add_map_flags(s)
+    s = command("basin", _cmd_basin, "basin-of-attraction status of a point")
     s.add_argument("--x", required=True)
     s.add_argument("--max-iter", type=int, default=100)
-
-    s = subs.add_parser("itinerary", help="symbolic itinerary of a point under k")
-    _add_context_flags(s)
-    _add_map_flags(s)
+    s = command("itinerary", _cmd_itinerary, "symbolic itinerary of a point under k")
     s.add_argument("--x", required=True)
     s.add_argument("--length", type=int, default=8)
-
-    s = subs.add_parser("periodic", help="synthesize a periodic point from a word")
-    _add_context_flags(s)
-    _add_map_flags(s)
+    s = command("periodic", _cmd_periodic, "synthesize a periodic point from a word")
     s.add_argument("--word", required=True, help="comma-separated symbols in {1,2}")
     s.add_argument("--map", choices=("g", "k"), default="k")
-
-    s = subs.add_parser("cylinders", help="Julia-set cylinder balls at a depth")
-    _add_context_flags(s)
-    _add_map_flags(s)
+    s = command("cylinders", _cmd_cylinders, "Julia-set cylinder balls at a depth")
     s.add_argument("--depth", type=int, default=2)
-
-    s = subs.add_parser("lemmas", help="norm-identity report for the parameter pair")
-    _add_context_flags(s)
-    _add_map_flags(s)
+    s = command("lemmas", _cmd_lemmas, "norm-identity report for the parameter pair")
     s.add_argument("--samples", type=int, default=50)
     s.add_argument("--seed", type=int, default=0)
 
-    s = subs.add_parser("gibbs", help="Cayley-tree Gibbs measures")
-    _add_context_flags(s)
+    s = command("gibbs", _cmd_gibbs, "Cayley-tree Gibbs measures", flags=context)
     s.add_argument("action", choices=("solve", "verify", "periodic"))
     s.add_argument("--J", default="0")
     s.add_argument("--J1", default="0")
     s.add_argument("--J0", default="0")
     s.add_argument("--k", type=int, default=2)
     s.add_argument("--n", type=int, default=2)
-    s.add_argument("--source", default="solve",
-                   help="verify: field source, 'solve' | 'unit' | 'orbit:<word>'")
+    s.add_argument("--source", choices=("solve", "unit"), default="solve",
+                   metavar="SOURCE", help="verify: field source, 'solve' | "
+                   "'unit'; fields from a g-orbit: periodic --word")
     s.add_argument("--word", default="x0",
                    help="periodic: 'x0' or comma-separated symbols in {1,2}")
     s.add_argument("--diagonal", action="store_true",
@@ -283,37 +263,23 @@ def _cmd_gibbs(args):
                                 parse_padic(args.J1, ctx),
                                 parse_padic(args.J0, ctx))
 
-    def orbit_from_word(text: str):
-        a, b = couplings.a, couplings.b
-        params = MapParams(a, b)
-        if text == "x0":
-            return [fixedpoints.find_x0(params)]
-        geom = RepellerGeometry.build(params)
-        return geom.g_orbit(_word(text))
-
-    if args.action == "solve":
-        field = gibbs.solve_7_11(tree, couplings, args.n)
-        report = gibbs.check_compatibility(tree, couplings, field, field, args.n)
-        return ({"field": field.to_json(), "compatibility": report.to_json()},
-                0 if report.ok else 3)
-
-    if args.action == "verify":
-        if args.source == "solve":
-            field = gibbs.solve_7_11(tree, couplings, args.n)
-        elif args.source == "unit":
+    if args.action != "periodic":
+        # solve, and verify of the solved or the unit field
+        if args.action == "verify" and args.source == "unit":
             field = gibbs.GibbsField.unit(tree, args.n, ctx)
-        elif args.source.startswith("orbit:"):
-            orbit = orbit_from_word(args.source.split(":", 1)[1])
-            candidates = gibbs.periodic_field_from_orbit(tree, couplings, orbit,
-                                                         args.n)
-            field = candidates[0].field
         else:
-            raise DomainError(f"unknown field source {args.source!r}")
+            field = gibbs.solve_7_11(tree, couplings, args.n)
         report = gibbs.check_compatibility(tree, couplings, field, field, args.n)
-        return {"compatibility": report.to_json()}, 0 if report.ok else 3
+        body = {"field": field.to_json()} if args.action == "solve" else {}
+        body["compatibility"] = report.to_json()
+        return body, 0 if report.ok else 3
 
-    # periodic
-    orbit = orbit_from_word(args.word)
+    # periodic: fields placed along the g-orbit of --word
+    params = MapParams(couplings.a, couplings.b)
+    if args.word == "x0":
+        orbit = [fixedpoints.find_x0(params)]
+    else:
+        orbit = RepellerGeometry.build(params).g_orbit(_word(args.word))
     body = {"orbit": [to_json(h) for h in orbit]}
     try:
         candidates = gibbs.periodic_field_from_orbit(tree, couplings, orbit, args.n)
@@ -337,19 +303,6 @@ def _cmd_gibbs(args):
     return body, 0
 
 
-_COMMANDS = {
-    "fixed-points": _cmd_fixed_points,
-    "classify": _cmd_classify,
-    "orbit": _cmd_orbit,
-    "basin": _cmd_basin,
-    "itinerary": _cmd_itinerary,
-    "periodic": _cmd_periodic,
-    "cylinders": _cmd_cylinders,
-    "lemmas": _cmd_lemmas,
-    "gibbs": _cmd_gibbs,
-}
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     argv = _glue_negative_literals(sys.argv[1:] if argv is None else list(argv))
@@ -358,7 +311,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        body, code = _COMMANDS[args.command](args)
+        body, code = args.run(args)
     except NoValidPlacement as exc:
         print(json.dumps({"error": "no valid placement",
                           "diagnostics": exc.diagnostics}, indent=2))

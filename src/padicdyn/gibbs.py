@@ -422,16 +422,17 @@ class PlacementCandidate:
     residual: Fraction
 
 
-def _orbit_levels(ctx: PrimeContext, values: list[PadicNumber],
-                  slots: tuple[SpinPair, ...]) -> list[dict]:
-    one = ctx.one()
-    levels = []
-    for value in values:
-        comp = {pair: one for pair in PAIRS}
-        for slot in slots:
-            comp[slot] = value
-        levels.append(comp)
-    return levels
+def _orbit_candidate(tree: CayleyTree, couplings: Couplings, placement: str,
+                     values: list[PadicNumber], slots: tuple[SpinPair, ...],
+                     n: int) -> PlacementCandidate:
+    """The field whose level-ell edges carry values[(ell-1) mod m] in slots and
+    1 elsewhere, with its field_equation_residual."""
+    one = couplings.ctx.one()
+    field = GibbsField.from_levels(tree, n, [
+        {pair: value if pair in slots else one for pair in PAIRS}
+        for value in values])
+    return PlacementCandidate(placement, field,
+                              field_equation_residual(tree, couplings, field, n))
 
 
 def periodic_field_from_orbit(tree: CayleyTree, couplings: Couplings,
@@ -444,20 +445,13 @@ def periodic_field_from_orbit(tree: CayleyTree, couplings: Couplings,
     those solving the recursive equations (field_equation_residual) are
     returned; if none does, NoValidPlacement carries the residual of each.
     """
-    ctx = couplings.ctx
     if any(not is_unit(h) for h in orbit):
         raise DomainError("orbit values must be units")
-    accepted, diagnostics = [], {}
-    for name, slot in _SLOT.items():
-        levels = _orbit_levels(ctx, list(orbit), (slot,))
-        field = GibbsField.from_levels(tree, n, levels)
-        residual = field_equation_residual(tree, couplings, field, n)
-        diagnostics[name] = residual
-        if _solves_equations(couplings, residual):
-            accepted.append(PlacementCandidate(name, field, residual))
+    candidates = [_orbit_candidate(tree, couplings, name, orbit, (slot,), n)
+                  for name, slot in _SLOT.items()]
+    accepted = [c for c in candidates if _solves_equations(couplings, c.residual)]
     if not accepted:
-        raise NoValidPlacement(
-            {name: str(res) for name, res in diagnostics.items()})
+        raise NoValidPlacement({c.placement: str(c.residual) for c in candidates})
     return accepted
 
 
@@ -472,12 +466,10 @@ def diagonal_field_from_orbit(tree: CayleyTree, couplings: Couplings,
     """
     if tree.k != 2:
         raise DomainError("the diagonal construction needs tree order k = 2")
-    ctx = couplings.ctx
     a = couplings.a
-    values = [(h / a) ** 2 for h in orbit]
-    levels = _orbit_levels(ctx, values, ((1, 1), (-1, -1)))
-    field = GibbsField.from_levels(tree, n, levels)
-    residual = field_equation_residual(tree, couplings, field, n)
-    if not _solves_equations(couplings, residual):
-        raise NoValidPlacement({"diagonal": str(residual)})
-    return PlacementCandidate("diagonal", field, residual)
+    candidate = _orbit_candidate(tree, couplings, "diagonal",
+                                 [(h / a) ** 2 for h in orbit],
+                                 ((1, 1), (-1, -1)), n)
+    if not _solves_equations(couplings, candidate.residual):
+        raise NoValidPlacement({"diagonal": str(candidate.residual)})
+    return candidate

@@ -67,10 +67,10 @@ class MapParams:
         return self.a * (self.b2 * self.b2 - 1) * 2
 
 
-def _checked_den(params: MapParams, build) -> PadicNumber:
-    """Evaluate a denominator, mapping precision loss / near-zero to PoleError."""
+def _checked_den(params: MapParams, x: PadicNumber, y: PadicNumber) -> PadicNumber:
+    """The denominator x + y, mapping precision loss / near-zero to PoleError."""
     try:
-        den = build()
+        den = x + y
     except PrecisionExhausted as exc:
         raise PoleError("denominator vanished at working precision") from exc
     ctx = params.ctx
@@ -81,20 +81,20 @@ def _checked_den(params: MapParams, build) -> PadicNumber:
 
 def eval_f(params: MapParams, u: PadicNumber) -> PadicNumber:
     a, b = params.a, params.b
-    den = _checked_den(params, lambda: b * b + a * a * u * u)
+    den = _checked_den(params, b * b, a * a * u * u)
     abu = a * b * u
     return (abu * abu + 1) / den
 
 
 def eval_g(params: MapParams, u: PadicNumber) -> PadicNumber:
     b2 = params.b2
-    den = _checked_den(params, lambda: b2 + u * u)
+    den = _checked_den(params, b2, u * u)
     return params.a * (b2 * u * u + 1) / den
 
 
 def eval_k(params: MapParams, x: PadicNumber) -> PadicNumber:
     b2 = params.b2
-    den = _checked_den(params, lambda: b2 + x)
+    den = _checked_den(params, b2, x)
     root = params.a * (b2 * x + 1) / den
     return root * root
 
@@ -102,7 +102,7 @@ def eval_k(params: MapParams, x: PadicNumber) -> PadicNumber:
 def deriv_g(params: MapParams, u: PadicNumber) -> PadicNumber:
     """g'(u) = 2au(b^4 - 1)/(b^2 + u^2)^2."""
     b2 = params.b2
-    den = _checked_den(params, lambda: b2 + u * u)
+    den = _checked_den(params, b2, u * u)
     return params.slope_factor * u / (den * den)
 
 
@@ -113,7 +113,7 @@ def eval_k_slope(params: MapParams, x: PadicNumber) -> tuple[PadicNumber, PadicN
     k' = 2 root a(b^4 - 1)/(b^2 + x)^2.
     """
     b2 = params.b2
-    inv = 1 / _checked_den(params, lambda: b2 + x)
+    inv = 1 / _checked_den(params, b2, x)
     root = params.a * (b2 * x + 1) * inv
     return root * root, root * params.slope_factor * inv * inv
 

@@ -164,10 +164,12 @@ class RepellerGeometry:
 
     # -- inverse branches ---------------------------------------------------
 
-    def _roundtrip_digits(self) -> int:
+    def _orbit_digits(self, steps: int) -> int:
+        """Digits an orbit keeps after `steps` steps of k, m = ord(b - 1) spent
+        per step: min(N - g, N - steps m - 2)."""
         ctx = self.params.ctx
         return min(ctx.residual_digits,
-                   ctx.precision - self.params.radius_exponent - 2)
+                   ctx.precision - steps * self.params.radius_exponent - 2)
 
     def inverse_branch(self, j: int, x: PadicNumber) -> PadicNumber:
         """The k-preimage of x lying in B_r(x_j^2).
@@ -190,7 +192,7 @@ class RepellerGeometry:
             raise BranchError(
                 f"{len(hits)} square-root branches landed in ball {j}")
         y = hits[0]
-        if not eq_to_precision(eval_k(self.params, y), x, self._roundtrip_digits()):
+        if not eq_to_precision(eval_k(self.params, y), x, self._orbit_digits(1)):
             raise BranchError("inverse branch failed the forward round trip")
         return y
 
@@ -290,7 +292,6 @@ class RepellerGeometry:
         the orbit keeps a trusted digit, min(N - g, N - |w|m - 2).
         """
         word = check_word(word)
-        ctx = self.params.ctx
         y = self.periodic_point_k(word)
         ball = self.ball_g(word[0])
         hits = [s for s in sqrt_both(y) if ball.contains(s)]
@@ -302,8 +303,7 @@ class RepellerGeometry:
         for _ in word:
             z = eval_g(self.params, z)
             orbit.append(z)
-        digits = min(ctx.residual_digits,
-                     ctx.precision - len(word) * self.params.radius_exponent - 2)
+        digits = self._orbit_digits(len(word))
         if digits > 0 and not eq_to_precision(z, orbit[0], digits):
             raise VerificationError("g-orbit verification of the periodic point failed")
         return orbit

@@ -280,9 +280,20 @@ class TestGibbs:
             code, body = invoke(capsys, argv)
             assert code == 0
             assert body["compatibility"]["ok"]
+            solved = body
             argv[3:4] = ["verify", "--source", "solve"]
             code, body = invoke(capsys, argv)
-            assert code == 0 and body["compatibility"]["ok"]
+            assert code == 0
+            assert body == {"compatibility": solved["compatibility"]}
+
+    @pytest.mark.parametrize("source", ["orbit:1,2", "bogus"])
+    def test_verify_takes_only_solve_or_unit(self, capsys, source):
+        code = run([*self.BASE, "verify", "--J", "25/1", "--J1", "5/1",
+                    "--n", "2", "--source", source])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --source: invalid choice" in captured.err
 
     def test_verify_unit_with_J_alone_still_compatible(self, capsys):
         # with J1 = 0 the field equations hold for the unit field, so it

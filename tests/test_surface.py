@@ -1,12 +1,16 @@
-"""The package's public surface, read from the source with `ast` alone.
+"""The package's public surface, read from the source with `ast`.
 
 A module imports only names it uses, and every name `padicdyn/__init__.py`
 exports is used by some other module of the package, unless KEEP names the
 paper claim it serves.  One function inverts a unit mod p^N.  Every memo of
-the package is cleared before each test.
+the package is cleared before each test.  Every CLI subcommand names one
+`_cmd_*` body, read from the built parser.
 """
+import argparse
 import ast
 from pathlib import Path
+
+from padicdyn import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "padicdyn"
 CONFTEST = Path(__file__).resolve().parent / "conftest.py"
@@ -139,3 +143,13 @@ def test_every_memo_is_cleared_before_each_test():
     memos = _memos()
     assert memos == {"fixedpoints._fixed_points", "symbolic._geometry"}
     assert sorted(memos - _cleared_by_fixture()) == []
+
+
+def test_every_subcommand_names_one_body():
+    parser = cli.build_parser()
+    subs = next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+    runs = {name: sub.get_default("run") for name, sub in subs.choices.items()}
+    assert sorted(name for name, run in runs.items() if run is None) == []
+    bodies = sorted(name for name in vars(cli) if name.startswith("_cmd_"))
+    assert sorted(run.__name__ for run in runs.values()) == bodies

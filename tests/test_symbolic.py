@@ -236,7 +236,7 @@ class TestInverseBranches:
             y = geom.inverse_branch(j, x)
             assert geom.ball_sq(j).contains(y)
             assert eq_to_precision(eval_k(geom.params, y), x,
-                                   geom._roundtrip_digits())
+                                   geom._orbit_digits(1))
 
     def test_rejects_points_outside_X(self, geom):
         with pytest.raises(DomainError):
