@@ -117,12 +117,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--J0", default="0")
     s.add_argument("--k", type=int, default=2)
     s.add_argument("--n", type=int, default=2)
-    s.add_argument("--source", choices=("solve", "unit"), default="solve",
-                   metavar="SOURCE", help="verify: field source, 'solve' | "
+    # each read by one action alone (_ACTION_FLAGS); None marks a flag not
+    # given, so the other actions can refuse it.  Defaults: solve, x0, off
+    s.add_argument("--source", choices=("solve", "unit"), metavar="SOURCE",
+                   help="verify: field source, 'solve' | "
                    "'unit'; fields from a g-orbit: periodic --word")
-    s.add_argument("--word", default="x0",
+    s.add_argument("--word",
                    help="periodic: 'x0' or comma-separated symbols in {1,2}")
-    s.add_argument("--diagonal", action="store_true",
+    s.add_argument("--diagonal", action="store_true", default=None,
                    help="periodic: also try the two-component diagonal placement")
     return parser
 
@@ -255,7 +257,14 @@ def _check_listing_size(k: int, n: int):
                 f"would list more than 2^{MAX_LISTED_VERTICES} residuals")
 
 
+# gibbs flags, each with the one action that reads it
+_ACTION_FLAGS = {"source": "verify", "word": "periodic", "diagonal": "periodic"}
+
+
 def _cmd_gibbs(args):
+    for flag, action in _ACTION_FLAGS.items():
+        if getattr(args, flag) is not None and args.action != action:
+            raise DomainError(f"--{flag} is read by gibbs {action} only")
     ctx = _ctx(args)
     tree = gibbs.CayleyTree(args.k)
     _check_listing_size(tree.k, args.n)
@@ -276,7 +285,7 @@ def _cmd_gibbs(args):
 
     # periodic: fields placed along the g-orbit of --word
     params = MapParams(couplings.a, couplings.b)
-    if args.word == "x0":
+    if args.word in (None, "x0"):
         orbit = [fixedpoints.find_x0(params)]
     else:
         orbit = RepellerGeometry.build(params).g_orbit(_word(args.word))
@@ -303,6 +312,16 @@ def _cmd_gibbs(args):
     return body, 0
 
 
+def _emit(body) -> None:
+    """Print one line of compact JSON: the only writer to stdout.
+
+    json.dumps without indent runs CPython's C encoder; with indent it falls
+    back to pure Python and puts every p-adic digit on a line of its own.
+    Pipe through `python3 -m json.tool` for indented output.
+    """
+    print(json.dumps(body))
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     argv = _glue_negative_literals(sys.argv[1:] if argv is None else list(argv))
@@ -313,14 +332,13 @@ def run(argv=None) -> int:
     try:
         body, code = args.run(args)
     except NoValidPlacement as exc:
-        print(json.dumps({"error": "no valid placement",
-                          "diagnostics": exc.diagnostics}, indent=2))
+        _emit({"error": "no valid placement", "diagnostics": exc.diagnostics})
         return exc.exit_code
     except (PadicError, ValueError) as exc:
         code = getattr(exc, "exit_code", 1)
         print(f"{_ERROR_KIND[code]} error: {exc}", file=sys.stderr)
         return code
-    print(json.dumps(body, indent=2))
+    _emit(body)
     return code
 
 

@@ -21,6 +21,12 @@ from padicdyn.maps import eval_k_slope
 STRICT = ["--p", "13", "--a", "170/1", "--b", "14/1"]
 
 
+def digit_literal(x) -> str:
+    """x in the CLI's digit form v;d0,d1,..."""
+    form = to_json(x)
+    return f"{form['valuation']};{','.join(map(str, form['digits']))}"
+
+
 def invoke(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
@@ -69,6 +75,41 @@ class TestParserReuse:
         assert code == 0
         assert body["classifications"] == {
             "x0": "attracting", "x1": "repelling", "x2": "repelling"}
+
+
+class TestOutputFormat:
+    """stdout is one line of compact JSON, whatever the subcommand and exit."""
+
+    ctx = PrimeContext(13)
+    params = MapParams(ctx.from_int(170), ctx.from_int(14))
+    X0 = digit_literal(fixedpoints.find_x0(params))
+    K12 = digit_literal(RepellerGeometry.build(params).periodic_point_k((1, 2)))
+    GIBBS = ["gibbs", "--p", "5"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["fixed-points", *STRICT], 0),
+        (["classify", *STRICT, "--x", X0], 0),
+        (["orbit", *STRICT, "--x", "1/1", "--steps", "3"], 0),
+        (["basin", *STRICT, "--x", "1/1"], 0),
+        (["itinerary", *STRICT, "--x", K12, "--length", "4"], 0),
+        (["periodic", *STRICT, "--word", "1,2", "--map", "g"], 0),
+        (["cylinders", *STRICT, "--depth", "2"], 0),
+        (["lemmas", *STRICT, "--samples", "5"], 0),
+        ([*GIBBS, "solve", "--J", "5/1", "--J1", "5/1"], 0),
+        ([*GIBBS, "verify", "--source", "unit"], 0),
+        ([*GIBBS, "periodic", "--J", "25/1", "--J1", "5/1", "--diagonal"], 0),
+        # the unit field under both couplings: a failed verification
+        ([*GIBBS, "verify", "--J", "5/1", "--J1", "5/1", "--source", "unit"], 3),
+        # NoValidPlacement prints its diagnostics
+        ([*GIBBS, "periodic", "--J", "25/1", "--J1", "5/1", "--n", "2"], 3),
+    ], ids=lambda value: f"exit{value}" if isinstance(value, int)
+        else f"gibbs-{value[3]}" if value[0] == "gibbs" else value[0])
+    def test_one_line_of_compact_json(self, capsys, argv, code):
+        assert run(argv) == code
+        out = capsys.readouterr().out
+        line = out.removesuffix("\n")
+        assert "\n" not in line and out == line + "\n"
+        assert line == json.dumps(json.loads(line))
 
 
 class TestFixedPoints:
@@ -294,6 +335,22 @@ class TestGibbs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument --source: invalid choice" in captured.err
+
+    @pytest.mark.parametrize("action, flags, reader", [
+        ("solve", ["--source", "unit"], "verify"),
+        ("solve", ["--word", "1,2"], "periodic"),
+        ("solve", ["--diagonal"], "periodic"),
+        ("verify", ["--word", "1,2", "--diagonal"], "periodic"),
+        ("verify", ["--diagonal"], "periodic"),
+        ("periodic", ["--source", "solve", "--diagonal"], "verify"),
+    ])
+    def test_flag_another_action_reads_exits_1(self, capsys, action, flags,
+                                                reader):
+        code = run([*self.BASE, action, "--J", "5/1", "--J1", "5/1", *flags])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"domain error: {flags[0]} is read by gibbs {reader} only\n"
 
     def test_verify_unit_with_J_alone_still_compatible(self, capsys):
         # with J1 = 0 the field equations hold for the unit field, so it

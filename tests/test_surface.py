@@ -2,9 +2,9 @@
 
 A module imports only names it uses, and every name `padicdyn/__init__.py`
 exports is used by some other module of the package, unless KEEP names the
-paper claim it serves.  One function inverts a unit mod p^N.  Every memo of
-the package is cleared before each test.  Every CLI subcommand names one
-`_cmd_*` body, read from the built parser.
+paper claim it serves.  One function inverts a unit mod p^N, and one writes
+JSON to stdout.  Every memo of the package is cleared before each test.
+Every CLI subcommand names one `_cmd_*` body, read from the built parser.
 """
 import argparse
 import ast
@@ -84,13 +84,13 @@ def _is_inverse(node: ast.AST) -> bool:
     return False
 
 
-def _inverse_calls(tree: ast.Module) -> list[str]:
-    """The innermost function around each modular inverse call."""
+def _enclosing(tree: ast.Module, matches) -> list[str]:
+    """The innermost function around each node for which matches(node) holds."""
     found = []
 
     def visit(node: ast.AST, where: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if _is_inverse(child):
+            if matches(child):
                 found.append(where)
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else where)
@@ -99,10 +99,27 @@ def _inverse_calls(tree: ast.Module) -> list[str]:
     return found
 
 
+def _found_in_package(matches) -> dict[str, list[str]]:
+    found = {name: _enclosing(tree, matches) for name, tree in _modules().items()}
+    return {name: where for name, where in found.items() if where}
+
+
 def test_one_way_to_invert():
-    calls = {name: _inverse_calls(tree) for name, tree in _modules().items()}
-    assert {name: found for name, found in calls.items() if found} == {
-        "padic.py": ["_inv_unit"]}
+    assert _found_in_package(_is_inverse) == {"padic.py": ["_inv_unit"]}
+
+
+def _writes_stdout(node: ast.AST) -> bool:
+    """A json.dumps call, a print call without file=, or a use of sys.stdout."""
+    if isinstance(node, ast.Call):
+        func = ast.unparse(node.func)
+        return func == "json.dumps" or (
+            func == "print" and all(kw.arg != "file" for kw in node.keywords))
+    return isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout"
+
+
+def test_one_stdout_writer():
+    # cli._emit alone formats and prints: one json.dumps, one print
+    assert _found_in_package(_writes_stdout) == {"cli.py": ["_emit", "_emit"]}
 
 
 def _is_lru_cache(decorator: ast.AST) -> bool:
