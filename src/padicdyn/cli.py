@@ -244,6 +244,8 @@ def _cmd_lemmas(args):
 
 
 def _check_listing_size(k: int, n: int):
+    if n < 1:
+        raise DomainError("n must be >= 1")
     if k > MAX_LISTED_VERTICES:
         raise DomainError(f"tree order k must be <= {MAX_LISTED_VERTICES}: W_1 of "
                           f"the order-{k} tree has {k} vertices")
@@ -278,7 +280,7 @@ def _cmd_gibbs(args):
             field = gibbs.GibbsField.unit(tree, args.n, ctx)
         else:
             field = gibbs.solve_7_11(tree, couplings, args.n)
-        report = gibbs.check_compatibility(tree, couplings, field, field, args.n)
+        report = gibbs.check_compatibility(tree, couplings, field, args.n)
         body = {"field": field.to_json()} if args.action == "solve" else {}
         body["compatibility"] = report.to_json()
         return body, 0 if report.ok else 3
@@ -305,7 +307,7 @@ def _cmd_gibbs(args):
             "placement": c.placement,
             "equation_residual": str(c.residual),
             "compatibility": gibbs.check_compatibility(
-                tree, couplings, c.field, c.field, args.n).to_json(),
+                tree, couplings, c.field, args.n).to_json(),
         }
         for c in candidates
     ]

@@ -144,13 +144,9 @@ class GibbsField:
         return cls(assign)
 
     @classmethod
-    def uniform(cls, tree: CayleyTree, n: int, comp: dict) -> "GibbsField":
-        return cls.from_levels(tree, n, [comp])
-
-    @classmethod
     def unit(cls, tree: CayleyTree, n: int, ctx: PrimeContext) -> "GibbsField":
         one = ctx.one()
-        return cls.uniform(tree, n, {pair: one for pair in PAIRS})
+        return cls.from_levels(tree, n, [{pair: one for pair in PAIRS}])
 
     def to_json(self) -> dict:
         return {
@@ -195,27 +191,30 @@ _ROOT_STATES: tuple[SpinPair, ...] = ((0, 1), (0, -1))
 
 def _subtree_sums(tree: CayleyTree, couplings: Couplings, field: GibbsField,
                   n: int, level: int) -> dict:
-    """Per x on W_level, per state (sigma(parent x), sigma(x)): the summed weight
-    of all spins below x in V_n.
+    """Per ell from level to n, per x on W_ell, per state (sigma(parent x),
+    sigma(x)): the summed weight of all spins below x in V_n.
 
     Every edge (y, t) below x contributes a^(sigma(y) t), b^(sigma(parent y) t)
     and, on W_n, h_t^(sigma(y) t); every sibling group contributes its
     c-coupling.  The sums are built bottom-up from W_n, one level at a time,
-    so Z_n costs O(|V_n| k^2).  The root has no parent: its states carry
-    parent spin 0, which drops the b-factor of its children.
+    so Z_n costs O(|V_n| k^2), and every level built is returned.  The root
+    has no parent: its states carry parent spin 0, which drops the b-factor
+    of its children; a lone root (n = 0) weighs 1 in each state.
     """
     k, one = tree.k, couplings.ctx.one()
+    if n == 0:
+        return {0: {ROOT: {state: one for state in _ROOT_STATES}}}
     a_pow = {1: couplings.a, -1: one / couplings.a}
     b_pow = {1: couplings.b, -1: one / couplings.b, 0: one}
     # a^(sigma(y) t) b^(sigma(parent y) t), by the two exponents
     ab_pow = {(i, j): a_pow[i] * b_pow[j] for i in a_pow for j in b_pow}
     c_pow = _c_powers(couplings, k)
-    sums = {y: {(sx, sy): h if sx == sy else one / h
-                for (sx, sy), h in field.assign[y].items()}
-            for y in tree.level(n)}
+    levels = {n: {y: {(sx, sy): h if sx == sy else one / h
+                      for (sx, sy), h in field.assign[y].items()}
+                  for y in tree.level(n)}}
     for ell in range(n - 1, level - 1, -1):
-        states = PAIRS if ell else _ROOT_STATES
-        sums = {
+        states, sums = (PAIRS if ell else _ROOT_STATES), levels[ell + 1]
+        levels[ell] = {
             x: {(sp, sx): _sibling_sum(c_pow, [
                     tuple(ab_pow[sx * t, sp * t] * sums[y][(sx, t)]
                           for t in (1, -1))
@@ -223,21 +222,22 @@ def _subtree_sums(tree: CayleyTree, couplings: Couplings, field: GibbsField,
                 for sp, sx in states}
             for x in tree.level(ell)
         }
-    return sums
+    return levels
+
+
+def _partition_total(levels: dict) -> PadicNumber:
+    """Z_n from the root sums of a _subtree_sums pass over V_n."""
+    root = levels[0][ROOT]
+    total = root[_ROOT_STATES[0]] + root[_ROOT_STATES[1]]
+    if total.is_zero or total.valuation > total.ctx.residual_digits:
+        raise ZeroPartitionFunction("|Z_n|_p is below the precision floor")
+    return total
 
 
 def partition_fn(tree: CayleyTree, couplings: Couplings, field: GibbsField,
                  n: int) -> PadicNumber:
     """Z_n, the sum of weights over all configurations of V_n, by tree recursion."""
-    ctx = couplings.ctx
-    if n == 0:
-        total = ctx.from_int(len(SPINS))  # a lone root: no edges, weight 1
-    else:
-        root = _subtree_sums(tree, couplings, field, n, 0)[ROOT]
-        total = root[_ROOT_STATES[0]] + root[_ROOT_STATES[1]]
-    if total.is_zero or total.valuation > ctx.residual_digits:
-        raise ZeroPartitionFunction("|Z_n|_p is below the precision floor")
-    return total
+    return _partition_total(_subtree_sums(tree, couplings, field, n, 0))
 
 
 @dataclass(frozen=True)
@@ -257,8 +257,7 @@ class CompatibilityReport:
 
 
 def check_compatibility(tree: CayleyTree, couplings: Couplings,
-                        field_n: GibbsField, field_prev: GibbsField,
-                        n: int) -> CompatibilityReport:
+                        field: GibbsField, n: int) -> CompatibilityReport:
     """For every sigma on V_{n-1}: sum over omega of mu^n(sigma v omega) = mu^{n-1}(sigma).
 
     Given sigma, the sum over omega on W_n factorizes over the sibling groups
@@ -271,11 +270,12 @@ def check_compatibility(tree: CayleyTree, couplings: Couplings,
         raise DomainError("compatibility needs n >= 1")
     ctx = couplings.ctx
     one = ctx.one()
-    z_n = partition_fn(tree, couplings, field_n, n)
-    z_prev = partition_fn(tree, couplings, field_prev, n - 1)
-    below = _subtree_sums(tree, couplings, field_n, n, n - 1)
+    levels = _subtree_sums(tree, couplings, field, n, 0)
+    z_n = _partition_total(levels)
+    z_prev = partition_fn(tree, couplings, field, n - 1)
+    below = levels[n - 1]
     # h_x^(sigma(parent x) sigma(x)) per state; a lone root has no edge
-    edge = {x: {(sp, sx): field_prev.component(x, sp, sx) ** (sp * sx) if x else one
+    edge = {x: {(sp, sx): field.component(x, sp, sx) ** (sp * sx) if x else one
                 for sp, sx in sums}
             for x, sums in below.items()}
     residuals = []
@@ -313,7 +313,7 @@ def field_equation_residual(tree: CayleyTree, couplings: Couplings,
     one = couplings.ctx.one()
     worst = Fraction(0)
     for m in range(2, n + 1):
-        below = _subtree_sums(tree, couplings, field, m, m - 1)
+        below = _subtree_sums(tree, couplings, field, m, m - 1)[m - 1]
         for y in tree.level(m - 2):
             plus = minus = one
             for x in tree.successors(y):
@@ -406,8 +406,8 @@ def solve_7_11(tree: CayleyTree, couplings: Couplings, n: int = 2) -> GibbsField
     u = converge(newton, one, "Newton iteration for u")
     if not eq_to_precision(step(u), u, ctx.residual_digits):
         raise NoConvergence("the field u is not a fixed point to N - g digits")
-    return GibbsField.uniform(tree, n, {(1, 1): u, (-1, 1): one,
-                                        (1, -1): one, (-1, -1): u})
+    return GibbsField.from_levels(tree, n, [{(1, 1): u, (-1, 1): one,
+                                             (1, -1): one, (-1, -1): u}])
 
 
 # -- periodic boundary fields from g-orbits ----------------------------------

@@ -241,7 +241,7 @@ def test_criterion_9_gibbs_compatibility():
     assert cpl.J.norm() == cpl.J1.norm() == Fraction(1, 5)
     tree = CayleyTree(2)
     field = solve_7_11(tree, cpl, 2)
-    report = check_compatibility(tree, cpl, field, field, 2)
+    report = check_compatibility(tree, cpl, field, 2)
     assert len(report.residuals) == 8  # base configurations on V_1
     assert report.ok
     assert report.max_residual <= TOL56[5]
@@ -256,7 +256,7 @@ def test_criterion_9_gibbs_compatibility():
         unit = ctx.from_int(1 + 5 ** rng.choice((1, 2)) * rng.randrange(1, 5 ** 4))
         pert = field.with_component(child, pair,
                                     field.component(child, *pair) * unit)
-        if not check_compatibility(tree, cpl, pert, field, 2).ok:
+        if not check_compatibility(tree, cpl, pert, 2).ok:
             broken += 1
     assert broken >= 95
 
@@ -281,4 +281,4 @@ def test_criterion_10_periodic_gibbs_pipeline():
         assert set(diagnostics[0]) == {"++", "+-", "-+", "--"}
         cand = diagonal_field_from_orbit(tree, cpl, orbit, n=2)
         assert cand.residual <= TOL56[5]
-        assert check_compatibility(tree, cpl, cand.field, cand.field, 2).ok
+        assert check_compatibility(tree, cpl, cand.field, 2).ok

@@ -420,6 +420,25 @@ class TestGibbs:
         assert body["compatibility"]["ok"]
         assert len(body["compatibility"]["residuals"]) == 2 ** 7
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_n_below_1_refused_before_any_work(self, capsys, monkeypatch, n):
+        # neither the field solve nor the g-orbit of periodic runs
+        def never(*args):
+            raise AssertionError("work started before --n was checked")
+
+        monkeypatch.setattr(padicdyn.gibbs, "solve_7_11", never)
+        monkeypatch.setattr(fixedpoints, "find_x0", never)
+        monkeypatch.setattr(RepellerGeometry, "build", never)
+        for action in (["solve"], ["verify", "--source", "unit"],
+                       ["periodic", "--diagonal"],
+                       ["periodic", "--word", "1,2", "--diagonal"]):
+            code = run([*self.BASE, *action, "--J", "25/1", "--J1", "5/1",
+                        "--n", n])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "domain error: n must be >= 1\n"
+
     def test_size_guard_refuses_large_listing(self, capsys):
         # |V_3| = 15 at k = 2 would list 2^15 residuals
         for action in ("solve", "verify", "periodic"):

@@ -133,7 +133,7 @@ def oracle_partition_fn(tree, c, field, n):
     return total
 
 
-def oracle_compatibility(tree, c, field_n, field_prev, n):
+def oracle_compatibility(tree, c, field, n):
     """Brute force: per sigma on V_{n-1}, the marginal summed over every omega
     on W_n; returns (ok, residuals) with check_compatibility's sigma order."""
     ctx = c.ctx
@@ -142,14 +142,14 @@ def oracle_compatibility(tree, c, field_n, field_prev, n):
     for sigma in sigmas:
         acc = ctx.zero()
         for omega in configurations(tree.level(n)):
-            acc = acc + measure_weight(tree, c, field_n, {**sigma, **omega}, n)
+            acc = acc + measure_weight(tree, c, field, {**sigma, **omega}, n)
         marginals.append(acc)
     z_n = ctx.zero()
     for acc in marginals:
         z_n = z_n + acc
-    z_prev = oracle_partition_fn(tree, c, field_prev, n - 1)
+    z_prev = oracle_partition_fn(tree, c, field, n - 1)
     residuals = [norm_diff(acc / z_n,
-                           measure_weight(tree, c, field_prev, sigma, n - 1) / z_prev)
+                           measure_weight(tree, c, field, sigma, n - 1) / z_prev)
                  for sigma, acc in zip(sigmas, marginals)]
     floor = Fraction(1, ctx.p ** ctx.residual_digits)
     return all(r <= floor for r in residuals), residuals
@@ -182,7 +182,7 @@ def oracle_solve_7_11(tree, c, n=2):
 
     w = converge(newton_w, ctx.one(), "Newton iteration for w")
     comp = {(1, 1): u, (-1, 1): ctx.one(), (1, -1): w / u, (-1, -1): u * v / w}
-    field = GibbsField.uniform(tree, n, comp)
+    field = GibbsField.from_levels(tree, n, [comp])
     if product_system_residual(tree, c, field, n) > Fraction(
             1, ctx.p ** ctx.residual_digits):
         raise NoConvergence("converged products do not satisfy the field equations")
@@ -236,6 +236,35 @@ def random_field(tree, n, ctx, rng):
     """Independent random unit components on every edge of V_n."""
     return GibbsField({y: {pair: random_unit(ctx, rng) for pair in PAIRS}
                        for y in tree.vertices(n) if y})
+
+
+def scaled(field, *changes):
+    """field with h_y(pair) multiplied by factor, per (y, pair, factor)."""
+    for y, pair, factor in changes:
+        field = field.with_component(y, pair, field.component(y, *pair) * factor)
+    return field
+
+
+def per_vertex_residual(tree, c, field, n):
+    """Worst residual of the per-vertex identity between levels n - 1 and n:
+    the terms of field_equation_residual at m = n, and at n = 1, where the
+    root's two states enter, S_root(0, +) = S_root(0, -)."""
+    below = gibbs._subtree_sums(tree, c, field, n, n - 1)[n - 1]
+    if n == 1:
+        root = below[()]
+        return norm_diff(root[(0, 1)], root[(0, -1)])
+    one, worst = c.ctx.one(), Fraction(0)
+    for y in tree.level(n - 2):
+        plus = minus = one
+        for x in tree.successors(y):
+            sums, h = below[x], field.assign[x]
+            for s in (1, -1):
+                worst = max(worst, norm_diff(
+                    sums[(s, s)], sums[(s, -s)] * h[(s, 1)] * h[(s, -1)]))
+            plus = plus * sums[(1, 1)] * h[(-1, -1)]
+            minus = minus * sums[(-1, -1)] * h[(1, 1)]
+        worst = max(worst, norm_diff(plus, minus))
+    return worst
 
 
 class TestTree:
@@ -298,7 +327,7 @@ class TestMeasures:
     def test_normalization(self, ctx5, tree, rng):
         comp = {pair: ctx5.from_int(1 + 5 * rng.randrange(1, 100))
                 for pair in PAIRS}
-        field = GibbsField.uniform(tree, 2, comp)
+        field = GibbsField.from_levels(tree, 2, [comp])
         c = couplings(ctx5, 5, 25, 0)
         z = partition_fn(tree, c, field, 2)
         total = ctx5.zero()
@@ -309,7 +338,7 @@ class TestMeasures:
     def test_all_plus_weight_expansion(self, ctx5, tree):
         c = couplings(ctx5, 5, 0, 25)
         comp = {pair: ctx5.from_int(1 + 5 * (i + 1)) for i, pair in enumerate(PAIRS)}
-        field = GibbsField.uniform(tree, 1, comp)
+        field = GibbsField.from_levels(tree, 1, [comp])
         sigma = {v: 1 for v in tree.vertices(1)}
         want = exp_p(c.J * 2 + c.J0) * comp[(1, 1)] * comp[(1, 1)]
         got = measure_weight(tree, c, field, sigma, 1)
@@ -319,21 +348,35 @@ class TestMeasures:
         bad = {pair: ctx5.one() for pair in PAIRS}
         bad[(1, 1)] = ctx5.from_int(5)  # not a unit
         with pytest.raises(DomainError):
-            GibbsField.uniform(tree, 1, bad)
+            GibbsField.from_levels(tree, 1, [bad])
 
 
 class TestCompatibility:
+    def test_one_pass_over_V_n_and_one_over_V_n_minus_1(self, ctx5, tree,
+                                                          monkeypatch):
+        # Z_n and the sums on W_{n-1} come from the same pass
+        subtree_sums, passes = gibbs._subtree_sums, []
+
+        def counted(tree, couplings, field, n, level):
+            passes.append((n, level))
+            return subtree_sums(tree, couplings, field, n, level)
+
+        monkeypatch.setattr(gibbs, "_subtree_sums", counted)
+        c = couplings(ctx5, 5, 5)
+        assert check_compatibility(tree, c, solve_7_11(tree, c, 2), 2).ok
+        assert passes == [(2, 0), (1, 0)]
+
     def test_unit_field_zero_couplings(self, ctx5, tree):
         c = couplings(ctx5, 0, 0, 0)
         field = GibbsField.unit(tree, 2, ctx5)
-        report = check_compatibility(tree, c, field, field, 2)
+        report = check_compatibility(tree, c, field, 2)
         assert report.ok
         assert report.max_residual == 0
 
     def test_solved_field_is_compatible(self, ctx5, tree):
         c = couplings(ctx5, 5, 5, 0)
         field = solve_7_11(tree, c, 2)
-        report = check_compatibility(tree, c, field, field, 2)
+        report = check_compatibility(tree, c, field, 2)
         assert report.ok
         assert report.max_residual <= Fraction(1, 5 ** 56)
 
@@ -342,7 +385,7 @@ class TestCompatibility:
         field = solve_7_11(tree, c, 2)
         pert = field.with_component(
             (1, 1), (1, 1), field.component((1, 1), 1, 1) * ctx5.from_int(6))
-        report = check_compatibility(tree, c, pert, field, 2)
+        report = check_compatibility(tree, c, pert, 2)
         assert not report.ok
         # frozen regression: the (1+p) perturbation shows up at norm 1/5
         assert report.max_residual == Fraction(1, 5)
@@ -370,23 +413,22 @@ class TestRecursionAgainstOracle:
     @pytest.mark.parametrize("k, n, J", CASES)
     def test_compatibility(self, ctx5, rng, k, n, J):
         tree, c = CayleyTree(k), couplings(ctx5, *J)
-        field_n = random_field(tree, n, ctx5, rng)
-        for field_prev in (field_n, random_field(tree, n, ctx5, rng)):
-            report = check_compatibility(tree, c, field_n, field_prev, n)
-            ok, residuals = oracle_compatibility(tree, c, field_n, field_prev, n)
-            assert report.ok is ok
-            assert len(report.residuals) == len(residuals) == 2 ** len(
-                tree.vertices(n - 1))
-            for got, want in zip(report.residuals, residuals):
-                if want > self.floor(ctx5):
-                    assert got == want
-                else:
-                    assert got <= self.floor(ctx5)
-            assert report.max_residual == max(report.residuals)
-            if field_prev is field_n and n >= 2:
-                # the per-vertex identity reaches the enumeration's verdict
-                residual = field_equation_residual(tree, c, field_n, n)
-                assert (residual <= self.floor(ctx5)) is ok
+        field = random_field(tree, n, ctx5, rng)
+        report = check_compatibility(tree, c, field, n)
+        ok, residuals = oracle_compatibility(tree, c, field, n)
+        assert report.ok is ok
+        assert len(report.residuals) == len(residuals) == 2 ** len(
+            tree.vertices(n - 1))
+        for got, want in zip(report.residuals, residuals):
+            if want > self.floor(ctx5):
+                assert got == want
+            else:
+                assert got <= self.floor(ctx5)
+        assert report.max_residual == max(report.residuals)
+        if n >= 2:
+            # the per-vertex identity reaches the enumeration's verdict
+            residual = field_equation_residual(tree, c, field, n)
+            assert (residual <= self.floor(ctx5)) is ok
 
     EQUATION_CASES = [(k, n, J) for k, n in ((1, 3), (2, 2), (3, 2))
                       for J in ((5, 5, 0), (5, 25, 125), (10, 15, 5))
@@ -402,33 +444,65 @@ class TestRecursionAgainstOracle:
         sixth = ctx5.one() / six
         x1, x2 = (1,), (min(2, k),)
 
-        def scaled(*changes):
-            field = solved
-            for y, pair, factor in changes:
-                field = field.with_component(
-                    y, pair, field.component(y, *pair) * factor)
-            return field
-
         # scaling h_x(s', s') by l and h_x(s', -s') by 1/l scales
         # R_x(s', .) by 1/l: the per-vertex identity still holds, and the
         # product over the successors of x's parent holds when the l's of
         # s' = + and s' = - multiply to the same value
         fields = [
             solved,
-            scaled(((1,) * n, (1, 1), six)),                # a leaf
-            scaled((x1, (-1, 1), six)),                     # R_x(-, +) only
-            scaled((x1, (1, 1), six), (x1, (1, -1), sixth)),   # products only
-            scaled((x1, (1, 1), six), (x1, (1, -1), sixth),
+            scaled(solved, ((1,) * n, (1, 1), six)),        # a leaf
+            scaled(solved, (x1, (-1, 1), six)),             # R_x(-, +) only
+            scaled(solved, (x1, (1, 1), six), (x1, (1, -1), sixth)),  # products only
+            scaled(solved, (x1, (1, 1), six), (x1, (1, -1), sixth),
                    (x2, (-1, -1), six), (x2, (-1, 1), sixth)),
         ]
         verdicts = []
         for field in fields:
-            ok = all(oracle_compatibility(tree, c, field, field, m)[0]
+            ok = all(oracle_compatibility(tree, c, field, m)[0]
                      for m in range(2, n + 1))
             residual = field_equation_residual(tree, c, field, n)
             assert (residual <= self.floor(ctx5)) is ok
             verdicts.append(ok)
         assert verdicts == [True, False, False, False, True]
+
+    # every (k, n) with |W_n| <= 4 on all three couplings; past that the
+    # enumeration takes seconds per field (2^13 configurations at k = 3,
+    # n = 2, 2^15 at k = 2, n = 3), so one coupling, J0 != 0, and fewer fields
+    PER_VERTEX_CASES = (
+        [(k, n, J, ("solved", "leaf", "parent", "balanced", "random"))
+         for k, n in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1))
+         for J in ((5, 5, 0), (5, 25, 125), (10, 15, 5))]
+        + [(3, 2, (5, 25, 125), ("balanced", "random")),
+           (2, 3, (5, 25, 125), ("parent",))])
+
+    @pytest.mark.parametrize("k, n, J, kinds", PER_VERTEX_CASES)
+    def test_per_vertex_identity_at_level_n(self, ctx5, rng, k, n, J, kinds):
+        # the identity at level n alone reaches the enumeration's verdict on
+        # the compatibility of levels n - 1 and n; on solved fields and on
+        # fields perturbed at W_n or W_{n-1} it also reaches its worst value
+        tree, c = CayleyTree(k), couplings(ctx5, *J)
+        solved = solve_7_11(tree, c, n)
+        six = ctx5.from_int(6)
+        sixth = ctx5.one() / six
+        fields = {"solved": solved,
+                  "leaf": scaled(solved, ((1,) * n, (1, 1), six)),
+                  "random": random_field(tree, n, ctx5, rng)}
+        if n >= 2:  # at n = 1, W_{n-1} is the root, which carries no field
+            x1, x2 = (1,) * (n - 1), (1,) * (n - 2) + (min(2, k),)
+            fields["parent"] = scaled(solved, (x1, (-1, 1), six))
+            # both sides of the product identity scale by 6
+            fields["balanced"] = scaled(solved, (x1, (1, 1), six), (x1, (1, -1), sixth),
+                                        (x2, (-1, -1), six), (x2, (-1, 1), sixth))
+        for kind in kinds:
+            if kind not in fields:
+                continue
+            field = fields[kind]
+            ok, residuals = oracle_compatibility(tree, c, field, n)
+            assert ok is (kind in ("solved", "balanced")), kind
+            worst = per_vertex_residual(tree, c, field, n)
+            assert (worst <= self.floor(ctx5)) is ok, kind
+            if kind != "random":
+                assert worst == max(residuals), kind
 
     @pytest.mark.parametrize("J, J1", [(615, 305), (365, 305), (120, 185)])
     def test_former_k3_fields_rejected(self, ctx5, J, J1):
@@ -437,7 +511,7 @@ class TestRecursionAgainstOracle:
         tree, c = CayleyTree(3), couplings(ctx5, J, J1)
         field = oracle_solve_7_11(tree, c, 2)
         assert product_system_residual(tree, c, field, 2) == 0
-        ok, residuals = oracle_compatibility(tree, c, field, field, 2)
+        ok, residuals = oracle_compatibility(tree, c, field, 2)
         assert not ok
         assert field_equation_residual(tree, c, field, 2) == max(
             residuals) == Fraction(1, 25)
@@ -447,8 +521,8 @@ class TestRecursionAgainstOracle:
         c = couplings(ctx5, 5, 5, 0)
         for n in (1, 2):
             field = solve_7_11(tree, c, n)
-            report = check_compatibility(tree, c, field, field, n)
-            ok, residuals = oracle_compatibility(tree, c, field, field, n)
+            report = check_compatibility(tree, c, field, n)
+            ok, residuals = oracle_compatibility(tree, c, field, n)
             assert report.ok and ok
             assert max(residuals) <= self.floor(ctx5)
 
@@ -456,13 +530,13 @@ class TestRecursionAgainstOracle:
         # 2^15 configurations of V_3: out of reach of the enumeration
         c = couplings(ctx5, 5, 5, 0)
         field = solve_7_11(tree, c, 3)
-        report = check_compatibility(tree, c, field, field, 3)
+        report = check_compatibility(tree, c, field, 3)
         assert report.ok
         assert len(report.residuals) == 2 ** 7
         assert report.max_residual <= self.floor(ctx5)
         pert = field.with_component(
             (1, 1, 1), (1, 1), field.component((1, 1, 1), 1, 1) * ctx5.from_int(6))
-        assert not check_compatibility(tree, c, pert, field, 3).ok
+        assert not check_compatibility(tree, c, pert, 3).ok
 
 
 class TestSolve:
@@ -492,10 +566,10 @@ class TestSolve:
         c = couplings(ctx5, 5, 5, 0)
         t1 = CayleyTree(1)
         f1 = solve_7_11(t1, c, 2)
-        assert check_compatibility(t1, c, f1, f1, 2).ok
+        assert check_compatibility(t1, c, f1, 2).ok
         t3 = CayleyTree(3)
         f3 = solve_7_11(t3, c, 2)
-        assert check_compatibility(t3, c, f3, f3, 1).ok  # n = 1 keeps it fast
+        assert check_compatibility(t3, c, f3, 1).ok  # n = 1 keeps it fast
 
     @pytest.mark.parametrize("J, J1", [(615, 305), (365, 305), (120, 185),
                                        (330, 470), (505, 120)])
@@ -509,7 +583,7 @@ class TestSolve:
         c_lo = couplings(lo, J, J1)
         f_lo = solve_7_11(t3, c_lo, 2)
         f_hi = solve_7_11(t3, couplings(hi, J, J1), 1)
-        assert check_compatibility(t3, c_lo, f_lo, f_lo, 2).ok
+        assert check_compatibility(t3, c_lo, f_lo, 2).ok
         for pair in PAIRS:
             x, y = f_lo.component((1,), *pair), f_hi.component((1,), *pair)
             assert x.valuation == y.valuation
@@ -542,7 +616,7 @@ class TestSolveAgainstOracle:
                     want = oracle_solve_7_11(tree, c, n)
                 except NoConvergence:
                     continue
-                if not check_compatibility(tree, c, want, want, n).ok:
+                if not check_compatibility(tree, c, want, n).ok:
                     continue
                 assert same_field(solve_7_11(tree, c, n), want,
                                   ctx5.residual_digits)
@@ -564,7 +638,7 @@ class TestSolveAgainstOracle:
             ctx5, rng, count - 1, J0=True)
         for c in cases:
             field = solve_7_11(tree, c, 2)
-            ok, _ = oracle_compatibility(tree, c, field, field, 2)
+            ok, _ = oracle_compatibility(tree, c, field, 2)
             assert ok
 
 
@@ -656,7 +730,7 @@ class TestNewtonForU:
         for c in seeded_couplings(ctx5, rng, 50, J0=J0):
             for n in (1, 2):
                 field = solve_7_11(tree, c, n)
-                assert check_compatibility(tree, c, field, field, n).ok
+                assert check_compatibility(tree, c, field, n).ok
 
 
 class TestPeriodicFields:
@@ -681,7 +755,7 @@ class TestPeriodicFields:
         x0 = find_x0(params)
         cand = diagonal_field_from_orbit(tree, c, [x0], n=2)
         assert cand.residual <= Fraction(1, 5 ** 56)
-        assert check_compatibility(tree, c, cand.field, cand.field, 2).ok
+        assert check_compatibility(tree, c, cand.field, 2).ok
 
     def test_m2_orbit_diagonal_field(self):
         ctx, c, tree, params = self.orbit_setup()
@@ -690,7 +764,7 @@ class TestPeriodicFields:
         with pytest.raises(NoValidPlacement):
             periodic_field_from_orbit(tree, c, orbit, n=2)
         cand = diagonal_field_from_orbit(tree, c, orbit, n=2)
-        assert check_compatibility(tree, c, cand.field, cand.field, 2).ok
+        assert check_compatibility(tree, c, cand.field, 2).ok
         # the two levels genuinely differ: an H_2- but not H_1-periodic field
         assert diff_valuation(cand.field.component((1,), 1, 1),
                               cand.field.component((1, 1), 1, 1)) is not None
