@@ -52,8 +52,16 @@ def _glue_negative_literals(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.lru_cache(maxsize=fixedpoints.MEMO_SIZE)
+def _context(p: int, precision: int, guard: int) -> PrimeContext:
+    """One context per (p, N, g) per process, so the per-pair memos hand each
+    caller values in its own context; a DomainError is raised again on
+    every call, never stored."""
+    return PrimeContext(p, precision, guard)
+
+
 def _ctx(args) -> PrimeContext:
-    return PrimeContext(args.p, args.precision, args.guard)
+    return _context(args.p, args.precision, args.guard)
 
 
 def _params(args) -> MapParams:
@@ -65,11 +73,16 @@ def _word(text: str):
     return check_word(tuple(int(s) for s in text.replace(",", " ").split()))
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use: each parse_args
     call fills a fresh Namespace, so nothing carries over between calls.
     Each subcommand names its body in its `run` default."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and each subcommand's own parser, by name."""
     context = argparse.ArgumentParser(add_help=False)
     context.add_argument("--p", type=int, required=True)
     context.add_argument("--precision", type=int, default=64)
@@ -126,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="periodic: 'x0' or comma-separated symbols in {1,2}")
     s.add_argument("--diagonal", action="store_true", default=None,
                    help="periodic: also try the two-component diagonal placement")
-    return parser
+    return parser, subs.choices
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -324,11 +337,21 @@ def _emit(body) -> None:
     print(json.dumps(body))
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv in one argparse pass: a leading subcommand name sends the
+    rest straight to that subcommand's parser.  The full parser takes the
+    other inputs: no argv, -h, an unknown command, flags before the command."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:])
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     argv = _glue_negative_literals(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:

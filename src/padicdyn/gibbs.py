@@ -278,6 +278,8 @@ def check_compatibility(tree: CayleyTree, couplings: Couplings,
     edge = {x: {(sp, sx): field.component(x, sp, sx) ** (sp * sx) if x else one
                 for sp, sx in sums}
             for x, sums in below.items()}
+    # x / z and x * (1 / z) are the same unit mod p^N: one inverse per side
+    inv_n, inv_prev = one / z_n, one / z_prev
     residuals = []
     ok = True
     for sigma in configurations(tree.vertices(n - 1)):
@@ -286,8 +288,8 @@ def check_compatibility(tree: CayleyTree, couplings: Couplings,
             state = (sigma[x[:-1]] if x else 0, sigma[x])
             marginal = marginal * sums[state]
             boundary = boundary * edge[x][state]
-        lhs = marginal / z_n
-        rhs = boundary / z_prev
+        lhs = marginal * inv_n
+        rhs = boundary * inv_prev
         residuals.append(norm_diff(lhs, rhs))
         if not eq_to_precision(lhs, rhs, ctx.residual_digits):
             ok = False

@@ -149,14 +149,16 @@ class PrimeContext:
 
     def from_digits(self, valuation: int, digits) -> "PadicNumber":
         """Build p^valuation * (d0 + d1 p + ...); leading digit must be nonzero."""
+        p, digits = self.p, tuple(digits)
+        if digits and (min(digits) < 0 or max(digits) >= p):
+            bad = next(d for d in digits if not 0 <= d < p)
+            raise DomainError(f"digit {bad} out of range for p = {p}")
         unit = 0
-        for j, d in enumerate(digits):
-            if not 0 <= d < self.p:
-                raise DomainError(f"digit {d} out of range for p = {self.p}")
-            unit += d * self.p ** j
+        for d in reversed(digits):  # Horner, from the top digit down
+            unit = unit * p + d
         if unit == 0:
             return self.zero()
-        if unit % self.p == 0:
+        if unit % p == 0:
             raise DomainError("leading digit must be nonzero")
         return PadicNumber(self, valuation, unit % self.modulus)
 

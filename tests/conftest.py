@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from padicdyn import MapParams, PrimeContext, fixedpoints, symbolic
+from padicdyn import MapParams, PrimeContext, cli, fixedpoints, symbolic
 
 
 def random_unit(ctx, rng):
@@ -52,14 +52,16 @@ def _digits(u, ctx):
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Start every test with no parameter pair solved.
+    """Start every test with no parameter pair solved and no CLI context built.
 
-    The fixed points (x0, Delta and the repelling roots) and the repeller
-    geometry, with the cylinder centres and k-periodic points it keeps, are
-    kept per process; a test that counts or monkeypatches solver calls must
-    see the cold path.  tests/test_surface.py checks that these are the
-    package's two memos and that both are cleared here.
+    The fixed points (x0, Delta and the repelling roots), the repeller
+    geometry, with the cylinder centres and k-periodic points it keeps, and
+    the CLI's PrimeContext per (p, N, g) are kept per process; a test that
+    counts or monkeypatches solver calls must see the cold path.
+    tests/test_surface.py checks that these are the package's three memos
+    and that all three are cleared here.
     """
+    cli._context.cache_clear()
     fixedpoints._fixed_points.cache_clear()
     symbolic._geometry.cache_clear()
 

@@ -77,6 +77,124 @@ class TestParserReuse:
             "x0": "attracting", "x1": "repelling", "x2": "repelling"}
 
 
+def full_parser_outcome(capsys, argv):
+    """Exit code, stdout and stderr of the full parser alone on argv, as run()
+    reports an argparse exit."""
+    try:
+        build_parser().parse_args(cli._glue_negative_literals(argv))
+        code = None
+    except SystemExit as exc:
+        code = 1 if exc.code else 0
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestDispatch:
+    """A leading subcommand name is parsed by that subcommand's parser alone;
+    every other argv still goes through the full parser."""
+
+    GIBBS = ["gibbs", "--p", "5"]
+
+    @pytest.mark.parametrize("argv", [
+        ["fixed-points", *STRICT],
+        ["fixed-points", *STRICT, "--prec", "80", "--gu", "10"],
+        ["classify", *STRICT, "--x", "0;1,2"],
+        ["orbit", *STRICT, "--x=-3/7", "--steps", "3", "--map", "f"],
+        ["orbit", *STRICT, "--x", "-3/7"],
+        ["basin", *STRICT, "--x", "1/1", "--max", "5"],
+        ["itinerary", *STRICT, "--x", "-1;3", "--len", "4"],
+        ["periodic", *STRICT, "--word", "1,2", "--map", "g"],
+        ["periodic", "--word", "2,1", *STRICT],
+        ["cylinders", *STRICT, "--depth", "3"],
+        ["lemmas", *STRICT, "--samples", "5", "--seed", "7"],
+        [*GIBBS, "solve", "--J", "-5/1", "--J1", "5/1"],
+        [*GIBBS, "verify", "--source", "unit", "--n", "3", "--prec", "80"],
+        ["gibbs", "periodic", "--p", "5", "--J=25/1", "--J1", "5/1", "--diag",
+         "--word", "1,2"],
+    ], ids=lambda argv: "-".join(argv[:1] + [a for a in argv[1:4] if a.isalpha()]))
+    def test_subcommand_parser_matches_the_full_parser(self, argv):
+        argv = cli._glue_negative_literals(argv)
+        full = vars(build_parser().parse_args(argv))
+        assert full.pop("command") == argv[0]
+        # no `command` key: the namespace came from the subcommand's parser
+        assert vars(cli._parse(argv)) == full
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["-h"],
+        ["no-such-command", *STRICT],
+        ["--p", "13", "fixed-points", "--a", "170/1", "--b", "14/1"],
+        ["fixed-points", "--p", "13", "--a", "170/1"],
+        ["orbit", *STRICT, "--x", "1/1", "--map", "q"],
+        ["periodic", "-h"],
+    ], ids=["empty", "help", "unknown", "flags-first", "missing-b", "bad-map",
+            "command-help"])
+    def test_argparse_exits_unchanged(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == full_parser_outcome(capsys, argv)
+        assert code == (0 if "-h" in argv else 1)
+
+    def test_unrecognized_argument_prints_the_subcommand_usage(self, capsys,
+                                                               monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(["periodic", *STRICT, "--word", "1,2", "extra"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage: padicdyn periodic [-h] --p P [--precision PRECISION] "
+            "[--guard GUARD]\n"
+            "                         --a A --b B --word WORD [--map {g,k}]\n"
+            "padicdyn periodic: error: unrecognized arguments: extra\n")
+
+
+class TestContextMemo:
+    """One PrimeContext per (p, N, g) per process, shared by every CLI call."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The arguments of every PrimeContext the CLI builds."""
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return PrimeContext(*args)
+
+        monkeypatch.setattr(cli, "PrimeContext", counted)
+        return built
+
+    def test_one_context_and_the_geometry_shares_it(self, capsys, monkeypatch,
+                                                    built):
+        params = []
+        cli_params = cli._params
+
+        def recorded(args):
+            params.append(cli_params(args))
+            return params[-1]
+
+        monkeypatch.setattr(cli, "_params", recorded)
+        argv = ["periodic", *STRICT, "--word", "1,2"]
+        first = invoke(capsys, argv)
+        assert invoke(capsys, argv) == first
+        assert built == [(13, 64, 8)]
+        assert params[0].ctx is params[1].ctx
+        # the second call was a geometry memo hit, in the caller's context
+        assert symbolic._geometry.cache_info().misses == 1
+        geom = RepellerGeometry.build(params[1])
+        assert geom.params.ctx is params[1].ctx
+        assert geom.periodic_point_k((1, 2)).ctx is params[1].ctx
+
+    def test_a_bad_context_is_refused_on_every_call(self, capsys, built):
+        argv = ["fixed-points", "--p", "12", "--a", "2/1", "--b", "3/1"]
+        for _ in range(2):
+            assert run(argv) == 1
+            assert capsys.readouterr().err == (
+                "domain error: p must be an odd prime >= 3, got 12\n")
+        assert len(built) == 2
+        assert cli._context.cache_info().currsize == 0
+
+
 class TestOutputFormat:
     """stdout is one line of compact JSON, whatever the subcommand and exit."""
 

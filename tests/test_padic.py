@@ -136,6 +136,30 @@ class TestDigitsAndParsing:
             again = ctx.from_digits(x.valuation, x.digits())
             assert diff_valuation(x, again) is None
 
+    @pytest.mark.parametrize("p", [3, 5, 13, 10007])
+    def test_from_digits_matches_the_power_sum(self, p, rng):
+        ctx = PrimeContext(p)
+        for _ in range(50):
+            x = random_padic(ctx, rng)
+            digits = x.digits()
+            again = ctx.from_digits(x.valuation, digits)
+            assert (again.valuation, again.unit) == (x.valuation, x.unit)
+            # one power of p per digit, the former loop, as the oracle
+            assert again.unit == sum(d * p ** j for j, d in enumerate(digits))
+            # digits past the precision are dropped, and fewer are fine
+            longer = ctx.from_digits(x.valuation, digits + [p - 1, 1])
+            assert (longer.valuation, longer.unit) == (x.valuation, x.unit)
+            short = ctx.from_digits(x.valuation, digits[:3])
+            assert short.unit == sum(d * p ** j for j, d in enumerate(digits[:3]))
+
+    def test_from_digits_names_the_first_bad_digit(self, ctx):
+        p = ctx.p
+        for digits, bad in [([1, p, -1], p), ([1, -2, p + 1], -2),
+                            ([p + 3, 0, p], p + 3), ((d for d in (1, 2, p)), p)]:
+            with pytest.raises(DomainError) as info:
+                ctx.from_digits(0, digits)
+            assert str(info.value) == f"digit {bad} out of range for p = {p}"
+
     def test_parse_format_roundtrip(self, ctx, rng):
         for _ in range(50):
             x = random_padic(ctx, rng)
