@@ -14,8 +14,8 @@ import sys
 
 from . import fixedpoints, gibbs
 from .errors import DomainError, NoValidPlacement, PadicError
-from .maps import MapParams, deriv_g_norm, eval_f, eval_g, eval_k
-from .padic import PrimeContext, norm_diff, norm_str, parse_padic, to_json
+from .maps import MapParams, deriv_g, eval_f, eval_g, eval_k
+from .padic import PrimeContext, diff_valuation, norm_diff, norm_str, parse_padic, to_json
 from .symbolic import RepellerGeometry, basin_status, check_word
 
 _ERROR_KIND = {1: "domain", 2: "precision", 3: "verification"}
@@ -155,7 +155,7 @@ def _cmd_classify(args):
     return {
         "x": to_json(x),
         "classification": label,
-        "multiplier_norm": norm_str(deriv_g_norm(params, x), params.ctx.p),
+        "multiplier_norm": norm_str(deriv_g(params, x).valuation, params.ctx.p),
     }, 0
 
 
@@ -206,7 +206,7 @@ def _cmd_periodic(args):
         "word": list(word),
         "map": args.map,
         "point": to_json(point),
-        "period_residual": norm_str(norm_diff(final, point), params.ctx.p),
+        "period_residual": norm_str(diff_valuation(final, point), params.ctx.p),
     }, 0
 
 

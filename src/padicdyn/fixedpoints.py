@@ -14,11 +14,11 @@ from fractions import Fraction
 from .errors import ConsistencyError, NotAFixedPoint
 from .maps import MapParams, deriv_g, deriv_g_norm, eval_g
 from .padic import (
+    Ball,
     PadicNumber,
     converge,
     diff_valuation,
     eq_to_precision,
-    norm_diff,
     norm_str,
     sqrt_both,
     sqrt_exists,
@@ -31,10 +31,11 @@ REPELLING = "repelling"
 
 LEMMA_3_4_CLAUSES = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 
-# pairs kept per process, per memo: the fixed points here and the repeller
-# geometry, with its cylinder centres and periodic points, in symbolic; past
-# that, the pair used longest ago is dropped.  Each entry keeps its caller's
-# PrimeContext, with p^0..p^N, alive.
+# entries kept per process, per memo: pairs in the fixed points here and in
+# the repeller geometry of symbolic, with its cylinder centres and periodic
+# points, and (p, N, g) contexts in cli._context; past that, the entry used
+# longest ago is dropped.  Each entry keeps a PrimeContext, with p^0..p^N,
+# alive.
 MEMO_SIZE = 16
 
 
@@ -125,11 +126,11 @@ def verify_lemma_3_4(params: MapParams, x0: PadicNumber,
     """
     a, b, ctx = params.a, params.b, params.ctx
     one = ctx.one()
-    r = params.radius
+    m, r = params.radius_exponent, params.radius
     b2 = b * b
     out: dict[str, bool | None] = dict.fromkeys(LEMMA_3_4_CLAUSES)
 
-    out["i"] = norm_diff(x0, a) < r
+    out["i"] = Ball(a, -m).contains(x0)
     out["iv"] = (x0 * x0 + b2).norm() * (x0 * x0 * b2 + 1).norm() == 1
     if roots is not None:
         x1, x2 = roots
@@ -140,10 +141,10 @@ def verify_lemma_3_4(params: MapParams, x0: PadicNumber,
             (xi * xi + b2).norm() * (xi * xi * b2 + 1).norm() <= Fraction(1, ctx.p ** 2)
             for xi in (x1, x2))
     if params.strict_regime:
-        out["vi"] = norm_diff(x0, one) < r
+        out["vi"] = Ball(one, -m).contains(x0)
         # Delta = -4 + p^(2m+l) delta', read with l >= 0: ord(Delta + 4) >= 2m
         dv = diff_valuation(delta, ctx.from_int(-4))
-        out["vii"] = dv is None or dv >= 2 * params.radius_exponent
+        out["vii"] = dv is None or dv >= 2 * m
     return out
 
 
@@ -164,7 +165,7 @@ class FixedPointReport:
             "p": ctx.p,
             "precision": ctx.precision,
             "strict_regime": self.params.strict_regime,
-            "radius": norm_str(self.params.radius, ctx.p),
+            "radius": norm_str(self.params.radius_exponent, ctx.p),
             "x0": to_json(self.x0),
             "delta": to_json(self.delta),
             "classifications": self.classifications,

@@ -265,21 +265,19 @@ def check_compatibility(tree: CayleyTree, couplings: Couplings,
     precomputed sum of the weights below x in the state sigma fixes there.
     exp_p(H_{n-1}(sigma)) is a unit common to both sides, so it is left out:
     the sides compared are prod_x S_x / Z_n and prod_x h_x^(sigma sigma) / Z_{n-1}.
+    The pass over V_{n-1} that gives Z_{n-1} starts from those edge factors on
+    its bottom level W_{n-1}; at n = 1 that is the lone root, weighing 1.
     """
     if n < 1:
         raise DomainError("compatibility needs n >= 1")
     ctx = couplings.ctx
     one = ctx.one()
-    levels = _subtree_sums(tree, couplings, field, n, 0)
-    z_n = _partition_total(levels)
-    z_prev = partition_fn(tree, couplings, field, n - 1)
-    below = levels[n - 1]
-    # h_x^(sigma(parent x) sigma(x)) per state; a lone root has no edge
-    edge = {x: {(sp, sx): field.component(x, sp, sx) ** (sp * sx) if x else one
-                for sp, sx in sums}
-            for x, sums in below.items()}
     # x / z and x * (1 / z) are the same unit mod p^N: one inverse per side
-    inv_n, inv_prev = one / z_n, one / z_prev
+    levels = _subtree_sums(tree, couplings, field, n, 0)
+    inv_n = one / _partition_total(levels)
+    prev = _subtree_sums(tree, couplings, field, n - 1, 0)
+    inv_prev = one / _partition_total(prev)
+    below, edge = levels[n - 1], prev[n - 1]
     residuals = []
     ok = True
     for sigma in configurations(tree.vertices(n - 1)):

@@ -88,7 +88,7 @@ class PrimeContext:
     precision: int = 64
     guard: int = 8
     _powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _modulus: int = field(init=False, repr=False, compare=False)
+    modulus: int = field(init=False, repr=False, compare=False)  # p^N
 
     def __post_init__(self):
         if self.p == 2:
@@ -105,11 +105,7 @@ class PrimeContext:
         for _ in range(self.precision):
             powers.append(powers[-1] * self.p)
         object.__setattr__(self, "_powers", tuple(powers))  # p^0 .. p^N
-        object.__setattr__(self, "_modulus", powers[-1])
-
-    @property
-    def modulus(self) -> int:
-        return self._modulus
+        object.__setattr__(self, "modulus", powers[-1])
 
     @property
     def residual_digits(self) -> int:
@@ -129,7 +125,7 @@ class PrimeContext:
         while m % p == 0:
             m //= p
             v += 1
-        return PadicNumber(self, v, m % self._modulus)
+        return PadicNumber(self, v, m % self.modulus)
 
     def from_rational(self, m: int, n: int = 1) -> "PadicNumber":
         """Canonical N-digit expansion of m/n."""
@@ -140,7 +136,7 @@ class PrimeContext:
         vm, vn = _vp(m, self.p), _vp(n, self.p)
         mu = m // self.p ** vm
         nu = n // self.p ** vn
-        pN = self._modulus
+        pN = self.modulus
         unit = mu * _inv_unit(nu % pN, self) % pN
         return PadicNumber(self, vm - vn, unit)
 
@@ -244,7 +240,7 @@ class PadicNumber:
             return y
         if yv is None:
             return x
-        powers, N, pN = ctx._powers, ctx.precision, ctx._modulus
+        powers, N, pN = ctx._powers, ctx.precision, ctx.modulus
         if xv <= yv:
             v, s = xv, (x.unit + y.unit * powers[min(yv - xv, N)]) % pN
         else:
@@ -265,7 +261,7 @@ class PadicNumber:
     def __neg__(self):
         if self.valuation is None:
             return self
-        return PadicNumber(self.ctx, self.valuation, self.ctx._modulus - self.unit)
+        return PadicNumber(self.ctx, self.valuation, self.ctx.modulus - self.unit)
 
     def __sub__(self, other):
         y = self._coerce(other)
@@ -283,7 +279,7 @@ class PadicNumber:
         if self.valuation is None or y.valuation is None:
             return self.ctx.zero()
         return PadicNumber(self.ctx, self.valuation + y.valuation,
-                           self.unit * y.unit % self.ctx._modulus)
+                           self.unit * y.unit % self.ctx.modulus)
 
     __rmul__ = __mul__
 
@@ -297,7 +293,7 @@ class PadicNumber:
             return self
         ctx = self.ctx
         return PadicNumber(ctx, self.valuation - y.valuation,
-                           self.unit * _inv_unit(y.unit, ctx) % ctx._modulus)
+                           self.unit * _inv_unit(y.unit, ctx) % ctx.modulus)
 
     def __rtruediv__(self, other):
         y = self._coerce(other)
@@ -350,9 +346,9 @@ def diff_valuation(x: PadicNumber, y: PadicNumber) -> int | None:
         return xv
     powers, N = ctx._powers, ctx.precision
     if xv <= yv:
-        v, s = xv, (x.unit - y.unit * powers[min(yv - xv, N)]) % ctx._modulus
+        v, s = xv, (x.unit - y.unit * powers[min(yv - xv, N)]) % ctx.modulus
     else:
-        v, s = yv, (x.unit * powers[min(xv - yv, N)] - y.unit) % ctx._modulus
+        v, s = yv, (x.unit * powers[min(xv - yv, N)] - y.unit) % ctx.modulus
     if s == 0:
         return None
     return v + _vp(s, ctx.p)
@@ -420,26 +416,26 @@ def in_Ep(x: PadicNumber) -> bool:
 
 @dataclass(frozen=True)
 class Ball:
-    """Ball of radius p^radius_exponent around center; open unless closed=True."""
+    """Open ball {x : |x - center|_p < p^radius_exponent}.
+
+    |.|_p takes values in p^Z, so the closed ball of radius p^e is the open
+    ball of radius p^(e+1): every ball here is open.  A value
+    indistinguishable from the centre at precision N lies inside.
+    """
 
     center: PadicNumber
     radius_exponent: int
-    closed: bool = False
 
     def contains(self, x: PadicNumber) -> bool:
         dv = diff_valuation(self.center, x)
-        if dv is None:
-            return True
         # |x - c|_p = p^-dv against radius p^re
-        if self.closed:
-            return dv >= -self.radius_exponent
-        return dv > -self.radius_exponent
+        return dv is None or dv > -self.radius_exponent
 
     def to_json(self) -> dict:
         return {
             "center": to_json(self.center),
             "radius_exponent": self.radius_exponent,
-            "closed": self.closed,
+            "closed": False,
         }
 
 
@@ -460,7 +456,7 @@ def exp_p(x: PadicNumber) -> PadicNumber:
     v = x.valuation
     if v < 1:
         raise DomainError("exp_p needs |x|_p <= 1/p")
-    p, N, powers, pN = ctx.p, ctx.precision, ctx._powers, ctx._modulus
+    p, N, powers, pN = ctx.p, ctx.precision, ctx._powers, ctx.modulus
     budget = N + ctx.guard
     acc, den = 1, 1       # the partial sum is acc / den
     num, v_fact = 1, 0    # x.unit^n mod p^N and v_p(n!)
@@ -502,7 +498,7 @@ def log_p(x: PadicNumber) -> PadicNumber:
     if x.is_zero or t.valuation < 1:
         raise DomainError("log_p needs |x - 1|_p < 1")
     v = t.valuation
-    p, N, powers, pN = ctx.p, ctx.precision, ctx._powers, ctx._modulus
+    p, N, powers, pN = ctx.p, ctx.precision, ctx._powers, ctx.modulus
     budget = N + ctx.guard
     e = 0                 # the series stops before n = 2 * budget
     while p ** (e + 1) <= 2 * budget:
@@ -587,7 +583,7 @@ def sqrt_both(x: PadicNumber) -> tuple[PadicNumber, PadicNumber]:
         k = min(2 * k, N)
         mod = powers[k]
         z = z * (3 - u * z * z) * ((mod + 1) >> 1) % mod
-    y = u * z % ctx._modulus
+    y = u * z % ctx.modulus
     if y % p > (p - 1) // 2:
         y = ctx.modulus - y
     root = PadicNumber(ctx, x.valuation // 2, y)
@@ -617,14 +613,11 @@ def to_json(x: PadicNumber) -> dict:
     }
 
 
-def norm_str(value: Fraction, p: int) -> str:
-    """Render an exact norm p^k as 'p^k' (or '0' / '1')."""
-    if value == 0:
+def norm_str(order: int | None, p: int) -> str:
+    """Render the norm p^-order of a value of ord_p `order` as 'p^-order',
+    '1' at order 0, and '0' for zero (order None)."""
+    if order is None:
         return "0"
-    if value == 1:
+    if order == 0:
         return "1"
-    if value < 1:
-        k = _vp(value.denominator, p)
-        return f"{p}^-{k}"
-    k = _vp(value.numerator, p)
-    return f"{p}^{k}"
+    return f"{p}^{-order}"

@@ -58,12 +58,12 @@ def k_membership(params: MapParams, x: PadicNumber, x0: PadicNumber) -> bool:
     """x in K = {x on the unit sphere around x0 : |x^2 + 1|_p <= |b^2 - 1|_p}.
 
     b + 1 is a unit, so |b^2 - 1|_p = |b - 1|_p = p^-m: the second condition
-    puts x^2 in the closed ball of radius p^-m around -1.
+    puts x^2 within p^-m of -1, i.e. in the open ball of radius p^(1-m).
     """
     if diff_valuation(x, x0) != 0:
         return False
     minus_one = params.ctx.from_int(-1)
-    return Ball(minus_one, -params.radius_exponent, closed=True).contains(x * x)
+    return Ball(minus_one, 1 - params.radius_exponent).contains(x * x)
 
 
 @dataclass(frozen=True)
@@ -379,13 +379,14 @@ def _geometry(params: MapParams) -> RepellerGeometry:
     x1, x2 = roots
     i_root, i_other = sqrt_both(ctx.from_int(-1))
     m = params.radius_exponent
-    # alpha_i is the square root of -1 sharing x_i's closed r-ball
-    if Ball(x1, -m, closed=True).contains(i_root):
+    # alpha_i is the square root of -1 within r = p^-m of x_i, i.e. in the
+    # open ball of radius p^(1-m) around x_i
+    if Ball(x1, 1 - m).contains(i_root):
         alpha1, alpha2 = i_root, i_other
     else:
         alpha1, alpha2 = i_other, i_root
     for alpha, xi in ((alpha1, x1), (alpha2, x2)):
-        if not Ball(xi, -m, closed=True).contains(alpha):
+        if not Ball(xi, 1 - m).contains(alpha):
             raise DomainError("square roots of -1 do not pair with x1, x2")
     x1sq, x2sq = x1 * x1, x2 * x2
     kappa = diff_valuation(x1sq, x2sq)

@@ -300,6 +300,11 @@ class TestCouplings:
         assert diff_valuation(c.a, exp_p(ctx5.from_int(5))) is None
         assert c.c.norm() == 1
 
+    def test_one_context(self, ctx5):
+        other = PrimeContext(5, 32)
+        with pytest.raises(DomainError, match="share a PrimeContext"):
+            Couplings(ctx5.from_int(5), other.from_int(5), ctx5.from_int(5))
+
     def test_zero_couplings_give_unit_abc(self, ctx5):
         c = couplings(ctx5, 0, 0, 0)
         for value in (c.a, c.b, c.c):
@@ -813,6 +818,19 @@ class TestPeriodicFields:
         # at n >= 2 only the diagonal placement of each orbit solves them
         want = [True] * 5 if n == 1 else [False] * 4 + [True]
         assert verdicts == want * 3
+
+    def test_field_needs_all_four_components(self, ctx5):
+        one = ctx5.one()
+        with pytest.raises(DomainError, match="missing field component"):
+            GibbsField({(1,): {pair: one for pair in PAIRS[:3]}})
+
+    def test_non_unit_orbit_and_other_tree_orders(self):
+        ctx, c, tree, params = self.orbit_setup()
+        x0 = find_x0(params)
+        with pytest.raises(DomainError, match="must be units"):
+            periodic_field_from_orbit(tree, c, [x0, ctx.from_int(5)], n=2)
+        with pytest.raises(DomainError, match="k = 2"):
+            diagonal_field_from_orbit(CayleyTree(3), c, [x0], n=2)
 
     def test_orbit_validation(self):
         # every entry point reports an empty orbit as a domain error, not

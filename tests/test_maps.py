@@ -7,6 +7,7 @@ from padicdyn import (
     DomainError,
     MapParams,
     PoleError,
+    PrecisionExhausted,
     PrimeContext,
     deriv_g_norm,
     diff_valuation,
@@ -34,6 +35,8 @@ class TestMapParams:
             MapParams(ctx.from_int(ctx.p), one)  # not a unit
         with pytest.raises(DomainError):
             MapParams(one + ctx.from_int(ctx.p), one)  # b = 1
+        with pytest.raises(DomainError, match="b must lie in E_p"):
+            MapParams(one, ctx.from_int(-1))
         if ctx.p > 3:
             with pytest.raises(DomainError):
                 MapParams(ctx.from_int(2), one + ctx.from_int(ctx.p))
@@ -221,3 +224,11 @@ class TestDerivative:
         pole = i_root * params.b  # b^2 + x^2 = 0 exactly
         with pytest.raises(PoleError):
             eval_g(params, pole)
+
+    def test_pole_error_from_deep_cancellation(self, ctx):
+        # b^2 + x = p^(N-2) cancels more than N - g digits
+        params = MapParams(ctx.from_int(1 + ctx.p ** 2), ctx.from_int(1 + ctx.p))
+        x = -params.b2 + ctx.from_int(ctx.p) ** (ctx.precision - 2)
+        with pytest.raises(PoleError) as info:
+            eval_k(params, x)
+        assert isinstance(info.value.__cause__, PrecisionExhausted)

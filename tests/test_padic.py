@@ -24,6 +24,7 @@ from padicdyn import (
     is_unit,
     log_p,
     norm_diff,
+    norm_str,
     parse_padic,
     sqrt_both,
     sqrt_exists,
@@ -159,6 +160,12 @@ class TestDigitsAndParsing:
             with pytest.raises(DomainError) as info:
                 ctx.from_digits(0, digits)
             assert str(info.value) == f"digit {bad} out of range for p = {p}"
+
+    def test_from_digits_zero_and_leading_zero(self, ctx):
+        assert ctx.from_digits(3, [0, 0]) == ctx.zero()
+        assert ctx.from_digits(3, []) == ctx.zero()
+        with pytest.raises(DomainError, match="leading digit must be nonzero"):
+            ctx.from_digits(0, [0, 1])
 
     def test_parse_format_roundtrip(self, ctx, rng):
         for _ in range(50):
@@ -376,11 +383,36 @@ class TestUnitInverse:
 
 class TestBall:
     def test_open_vs_closed(self, ctx):
+        # |.|_p takes values in p^Z: the closed ball of radius p^-1 is the
+        # open ball of radius p^0, and |x - c|_p = p^-1 sits on the boundary
         c = ctx.one()
         x = c + ctx.from_int(ctx.p)
-        assert Ball(c, -1, closed=True).contains(x)
-        assert not Ball(c, -1, closed=False).contains(x)
-        assert Ball(c, -1, closed=False).contains(c + ctx.from_int(ctx.p ** 2))
+        assert Ball(c, 0).contains(x)
+        assert not Ball(c, -1).contains(x)
+        assert Ball(c, -1).contains(c + ctx.from_int(ctx.p ** 2))
+        assert Ball(c, -1).contains(c)
+        assert Ball(c, 0).to_json()["closed"] is False
+
+
+class TestNormStr:
+    def test_renders_the_order(self):
+        assert norm_str(None, 13) == "0"
+        assert norm_str(0, 13) == "1"
+        assert norm_str(63, 13) == "13^-63"
+        assert norm_str(-2, 5) == "5^2"
+
+    def test_text_is_the_norm(self, ctx, rng):
+        # the text read back as a rational is |x|_p, the exact norm
+        def value(text):
+            if text in ("0", "1"):
+                return Fraction(text)
+            base, exponent = text.split("^")
+            assert base == str(ctx.p)
+            return Fraction(ctx.p) ** int(exponent)
+
+        values = [ctx.zero(), ctx.one()] + [random_padic(ctx, rng) for _ in range(50)]
+        for x in values:
+            assert value(norm_str(x.valuation, ctx.p)) == x.norm()
 
 
 class TestConverge:

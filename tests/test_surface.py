@@ -2,9 +2,10 @@
 
 A module imports only names it uses, and every name `padicdyn/__init__.py`
 exports is used by some other module of the package, unless KEEP names the
-paper claim it serves.  One function inverts a unit mod p^N, and one writes
-JSON to stdout.  Every memo of the package is cleared before each test.
-Every CLI subcommand names one `_cmd_*` body, read from the built parser.
+paper claim it serves.  One function inverts a unit mod p^N, one writes
+JSON to stdout, and the open Ball alone tests ball membership.  Every memo
+of the package is cleared before each test.  Every CLI subcommand names
+one `_cmd_*` body, read from the built parser.
 """
 import argparse
 import ast
@@ -18,6 +19,7 @@ CONFTEST = Path(__file__).resolve().parent / "conftest.py"
 # exported names no other module uses, each with the claim that needs it
 KEEP = {
     "log_p": "acceptance criterion 1: exp_p and log_p are mutually inverse",
+    "partition_fn": "Z_n normalises mu_h^(n), and ROADMAP item 4 reads ord_p Z_n",
 }
 
 
@@ -106,6 +108,28 @@ def _found_in_package(matches) -> dict[str, list[str]]:
 
 def test_one_way_to_invert():
     assert _found_in_package(_is_inverse) == {"padic.py": ["_inv_unit"]}
+
+
+def _passes_closed(node: ast.AST) -> bool:
+    """A call Ball(...) with a third argument or a closed= keyword."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Ball"
+            and (len(node.args) > 2 or any(kw.arg == "closed" for kw in node.keywords)))
+
+
+def _orders_a_norm_diff(node: ast.AST) -> bool:
+    """A <, <=, > or >= comparison with a norm_diff(...) operand."""
+    if not (isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)):
+        return False
+    return any(isinstance(operand, ast.Call) and ast.unparse(operand.func) == "norm_diff"
+               for operand in [node.left, *node.comparators])
+
+
+def test_one_way_to_test_ball_membership():
+    # every ball is open, and membership is Ball.contains, not a norm compared
+    assert _found_in_package(_passes_closed) == {}
+    assert _found_in_package(_orders_a_norm_diff) == {}
 
 
 def _writes_stdout(node: ast.AST) -> bool:

@@ -213,6 +213,12 @@ class TestBasin:
             assert st.outcome == "stays_in_k"
             assert st.steps == 100
 
+    def test_budget_runs_out_inside_K(self, geom):
+        # one step, no revisit yet: the budget alone ends the run
+        st = basin_status(geom.params, geom.x1, 1)
+        assert st.outcome == "stays_in_k" and st.steps == 1
+        assert st.trail == (geom.x1.leading_digit(),)
+
     def test_max_iter_validation(self, geom):
         with pytest.raises(DomainError):
             basin_status(geom.params, geom.x0, 0)
