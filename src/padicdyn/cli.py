@@ -195,13 +195,9 @@ def _cmd_periodic(args):
     params = _params(args)
     geom = RepellerGeometry.build(params)
     word = _word(args.word)
-    if args.map == "g":
-        orbit = geom.forward_g_orbit(word)
-        point, final = orbit[0], orbit[-1]
-    else:
-        point = final = geom.periodic_point_k(word)
-        for _ in word:
-            final = eval_k(params, final)
+    forward = geom.forward_g_orbit if args.map == "g" else geom.forward_k_ends
+    orbit = forward(word)
+    point, final = orbit[0], orbit[-1]
     return {
         "word": list(word),
         "map": args.map,

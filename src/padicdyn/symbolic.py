@@ -19,6 +19,7 @@ from .errors import (
     DomainError,
     EscapeError,
     LengthMismatch,
+    PadicError,
     PrecisionExhausted,
     VerificationError,
 )
@@ -106,6 +107,18 @@ def basin_status(params: MapParams, x: PadicNumber, max_iter: int) -> BasinStatu
     return BasinStatus("stays_in_k", max_iter, tuple(trail))
 
 
+class _Periodic:
+    """What a geometry keeps of one word: its k-periodic point, and what its
+    forward passes gave once run and verified (None until then)."""
+
+    __slots__ = ("point", "k_image", "g_orbit")
+
+    def __init__(self, point: PadicNumber):
+        self.point = point
+        self.k_image: PadicNumber | None = None  # k^n(point), n = |w|
+        self.g_orbit: tuple[PadicNumber, ...] | None = None  # forward_g_orbit
+
+
 @dataclass(frozen=True)
 class RepellerGeometry:
     """The two-ball repeller of k and everything the coding needs.
@@ -130,7 +143,8 @@ class RepellerGeometry:
     # [center of w, node of 1.w, node of 2.w], grown by cylinder_center
     _cylinder_tree: list = field(default_factory=lambda: [None, None, None],
                                  init=False, repr=False, compare=False)
-    # word -> k-periodic point, grown by periodic_point_k
+    # word -> _Periodic: its k-periodic point, k^|w| of it and its g-orbit,
+    # grown by periodic_point_k, forward_k_ends and forward_g_orbit
     _periodic_points: dict = field(default_factory=dict, init=False, repr=False,
                                    compare=False)
 
@@ -138,8 +152,8 @@ class RepellerGeometry:
     def build(cls, params: MapParams) -> "RepellerGeometry":
         """The geometry of params, solved once per (p, N, g, a, b) per process.
 
-        Equal pairs share one, with the centres and periodic points it keeps;
-        a DomainError is raised again on every call, never stored.
+        Equal pairs share one, with the centres, periodic points and orbits
+        it keeps; a DomainError is raised again on every call, never stored.
         """
         return _geometry(params)
 
@@ -247,12 +261,13 @@ class RepellerGeometry:
         trusted digit, so the pass itself is iterated instead: it contracts
         by p^(-nm) and settles the N - g digits in one step.  The geometry
         keeps the point of every word shorter than MAX_CYLINDER_DEPTH, whose
-        Newton start its tree keeps too; a longer word is solved on every
-        call, and so is a word whose solve raised.
+        Newton start its tree keeps too, and later what the word's forward
+        passes give (forward_k_ends, forward_g_orbit); a longer word is solved
+        on every call, and so is a word whose solve raised.
         """
         word = check_word(word)
         if word in self._periodic_points:
-            return self._periodic_points[word]
+            return self._periodic_points[word].point
         params, ctx = self.params, self.params.ctx
 
         def one_pass(y: PadicNumber) -> PadicNumber:
@@ -274,27 +289,58 @@ class RepellerGeometry:
             point = converge(newton, self.cylinder_center(word + word[:1]),
                              "Newton iteration for k^n(x) = x")
         if len(word) < MAX_CYLINDER_DEPTH:
-            self._periodic_points[word] = point
+            self._periodic_points[word] = _Periodic(point)
         return point
 
-    def periodic_point_g(self, word: Word) -> PadicNumber:
-        """The g-periodic point whose square has k-itinerary word."""
-        return self.forward_g_orbit(word)[0]
+    def _record(self, word: Word) -> _Periodic:
+        """The kept record of a checked word; for a word too long to keep, a
+        new record of its point alone."""
+        point = self.periodic_point_k(word)
+        record = self._periodic_points.get(word)
+        return _Periodic(point) if record is None else record
 
-    def forward_g_orbit(self, word: Word) -> list[PadicNumber]:
-        """[y, g(y), ..., g^n(y)] for the g-periodic point y of word, n = |w|.
+    def forward_k_ends(self, word: Word) -> tuple[PadicNumber, PadicNumber]:
+        """(x, k^n(x)) for the k-periodic point x of word, n = |w|: the ends
+        of x's forward orbit, whose distance is the period residual.  A kept
+        word keeps k^n(x), so the n steps of k run once per geometry.
+        """
+        word = check_word(word)
+        record = self._record(word)
+        if record.k_image is None:
+            image = record.point
+            for _ in word:
+                image = eval_k(self.params, image)
+            record.k_image = image
+        return record.point, record.k_image
+
+    def forward_g_orbit(self, word: Word) -> tuple[PadicNumber, ...]:
+        """(y, g(y), ..., g^n(y)) for the g-periodic point y of word, n = |w|.
 
         The square root s of the k-periodic point is taken in B_r(x_{w1}).
         Because g is even, the forward orbit returns to +s or to -s, the
         latter exactly when the word's last symbol differs from its first;
         that sign is the periodic point y, and g(y) = g(s) exactly, so the n
         steps from s are y's forward orbit.  g^n(y) = y is checked wherever
-        the orbit keeps a trusted digit, min(N - g, N - |w|m - 2).
+        the orbit keeps a trusted digit, min(N - g, N - |w|m - 2).  A kept
+        word keeps its orbit once the check has passed, so the orbit is run
+        and checked once per geometry; a word whose orbit raised is dropped,
+        point included, and solved and checked again on the next call.
         """
         word = check_word(word)
-        y = self.periodic_point_k(word)
+        record = self._record(word)
+        if record.g_orbit is None:
+            try:
+                record.g_orbit = self._checked_g_orbit(word, record.point)
+            except PadicError:
+                self._periodic_points.pop(word, None)
+                raise
+        return record.g_orbit
+
+    def _checked_g_orbit(self, word: Word,
+                         point: PadicNumber) -> tuple[PadicNumber, ...]:
+        """forward_g_orbit from the word's k-periodic point, run and checked."""
         ball = self.ball_g(word[0])
-        hits = [s for s in sqrt_both(y) if ball.contains(s)]
+        hits = [s for s in sqrt_both(point) if ball.contains(s)]
         if len(hits) != 1:
             raise BranchError("square root of the periodic point missed both balls")
         s = hits[0]
@@ -306,12 +352,12 @@ class RepellerGeometry:
         digits = self._orbit_digits(len(word))
         if digits > 0 and not eq_to_precision(z, orbit[0], digits):
             raise VerificationError("g-orbit verification of the periodic point failed")
-        return orbit
+        return tuple(orbit)
 
     def g_orbit(self, word: Word) -> list[PadicNumber]:
         """[h_0, ..., h_{m-1}] with h_i = g(h_{i+1 mod m}), h_0 the word's point."""
         forward = self.forward_g_orbit(word)
-        return [forward[0]] + forward[-2:0:-1]
+        return [forward[0], *forward[-2:0:-1]]
 
     # -- coding -------------------------------------------------------------
 

@@ -55,9 +55,10 @@ def cold_memos():
     """Start every test with no parameter pair solved and no CLI context built.
 
     The fixed points (x0, Delta and the repelling roots), the repeller
-    geometry, with the cylinder centres and k-periodic points it keeps, and
-    the CLI's PrimeContext per (p, N, g) are kept per process; a test that
-    counts or monkeypatches solver calls must see the cold path.
+    geometry, with the cylinder centres, k-periodic points and forward k- and
+    g-orbits it keeps, and the CLI's PrimeContext per (p, N, g) are kept per
+    process; a test that counts or monkeypatches solver or map calls must
+    see the cold path.
     tests/test_surface.py checks that these are the package's three memos
     and that all three are cleared here.
     """

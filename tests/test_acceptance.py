@@ -229,7 +229,7 @@ def test_criterion_8_basin_dichotomy():
         assert eq_to_precision(y, geom.x0, ctx.residual_digits)
         for m in range(1, 5):
             for word in all_words(m):
-                s = geom.periodic_point_g(word)
+                s = geom.forward_g_orbit(word)[0]
                 st = basin_status(params, s, 100)
                 assert st.outcome == "stays_in_k" and st.steps == 100, word
 

@@ -417,6 +417,21 @@ class TestDynamics:
         assert code == 0 and body["map"] == "g"
         assert len(calls) == 5
 
+    def test_periodic_prints_the_same_cold_and_warm(self, capsys):
+        # the second run of each reads the point and orbits its geometry kept
+        argvs = [["periodic", *STRICT, "--word", "1,2,2,1,2", "--map", "k"],
+                 ["periodic", *STRICT, "--word", "1,2,2,1,2", "--map", "g"],
+                 ["gibbs", "--p", "5", "periodic", "--J", "25/1", "--J1", "5/1",
+                  "--n", "3", "--word", "1,2", "--diagonal"]]
+
+        def outputs():
+            return [(run(argv), capsys.readouterr().out) for argv in argvs]
+
+        cold = outputs()
+        assert symbolic._geometry.cache_info().currsize == 2
+        assert [code for code, _ in cold] == [0, 0, 0]
+        assert outputs() == cold
+
     def test_lemmas(self, capsys):
         code, body = invoke(capsys, ["lemmas", *STRICT, "--samples", "20"])
         assert code == 0

@@ -208,7 +208,7 @@ class TestBasin:
 
     def test_periodic_points_stay_in_K(self, geom):
         for word in [(1,), (2,), (1, 2), (1, 2, 2)]:
-            y = geom.periodic_point_g(word)
+            y = geom.forward_g_orbit(word)[0]
             st = basin_status(geom.params, y, 100)
             assert st.outcome == "stays_in_k"
             assert st.steps == 100
@@ -259,8 +259,8 @@ class TestPeriodicPoints:
         d = geom.params.ctx.residual_digits
         assert eq_to_precision(geom.periodic_point_k((1,)), geom.x1sq, d)
         assert eq_to_precision(geom.periodic_point_k((2,)), geom.x2sq, d)
-        assert eq_to_precision(geom.periodic_point_g((1,)), geom.x1, d)
-        assert eq_to_precision(geom.periodic_point_g((2,)), geom.x2, d)
+        assert eq_to_precision(geom.forward_g_orbit((1,))[0], geom.x1, d)
+        assert eq_to_precision(geom.forward_g_orbit((2,))[0], geom.x2, d)
 
     def test_word_12_has_exact_period_2(self, geom):
         params = geom.params
@@ -331,7 +331,8 @@ class TestNewtonAgainstInverseBranches:
         monkeypatch.setattr(symbolic, "eval_k_slope", counted_k)
         assert geom._periodic_points == {}  # the cold solve
         point = geom.periodic_point_k((1, 2, 2, 1, 2))
-        assert geom._periodic_points == {(1, 2, 2, 1, 2): point}
+        assert list(geom._periodic_points) == [(1, 2, 2, 1, 2)]
+        assert geom.periodic_point_k((1, 2, 2, 1, 2)) is point
         assert branches == [2, 1, 2, 2, 1]
         assert 0 < len(k_steps) <= 50
 
@@ -342,7 +343,8 @@ def fresh_geometry(params):
 
 
 class TestPeriodicMemo:
-    """The geometry keeps the k-periodic point of each word it solved."""
+    """The geometry keeps the k-periodic point of each word it solved, and
+    the forward orbits run from it."""
 
     def test_cold_warm_and_uncached_agree(self, geom):
         word = (1, 2, 2)
@@ -354,6 +356,16 @@ class TestPeriodicMemo:
         precision = geom.params.ctx.precision
         assert cold.valuation == uncached.valuation
         assert cold.digits(precision) == uncached.digits(precision)
+        # the orbits too, and k^n(x) is |w| steps of k from the point
+        fresh = fresh_geometry(geom.params)
+        for forward in (RepellerGeometry.forward_k_ends,
+                        RepellerGeometry.forward_g_orbit, RepellerGeometry.g_orbit):
+            cold = forward(geom, word)
+            assert forward(geom, word) == cold == forward(fresh, word)
+        image = uncached
+        for _ in word:
+            image = eval_k(geom.params, image)
+        assert geom.forward_k_ends(word) == (uncached, image)
 
     def test_g_point_reuses_the_k_point(self, geom, monkeypatch):
         k_steps = []
@@ -366,7 +378,7 @@ class TestPeriodicMemo:
         geom.periodic_point_k((1, 2))
         assert k_steps
         del k_steps[:]
-        geom.periodic_point_g((1, 2))
+        geom.forward_g_orbit((1, 2))
         geom.g_orbit((1, 2))
         assert k_steps == []
 
@@ -403,8 +415,9 @@ class TestPeriodicMemo:
         high = RepellerGeometry.build(acceptance_params(128))
         x_low, x_high = low.periodic_point_k((1, 2)), high.periodic_point_k((1, 2))
         assert low is not high
-        assert low._periodic_points == {(1, 2): x_low}
-        assert high._periodic_points == {(1, 2): x_high}
+        assert list(low._periodic_points) == list(high._periodic_points) == [(1, 2)]
+        assert low.periodic_point_k((1, 2)) is x_low
+        assert high.periodic_point_k((1, 2)) is x_high
         assert x_high.ctx.precision == 128
         digits = low.params.ctx.residual_digits
         assert x_low.digits(digits) == x_high.digits(digits)
@@ -456,40 +469,80 @@ class TestPeriodicPointGSign:
         low, high = self.geom_at(16), self.geom_at(64)
         digits = low.params.ctx.residual_digits
         for word in all_words(7):
-            point = low.periodic_point_g(word)
-            assert point.digits(digits) == high.periodic_point_g(word).digits(digits), word
+            point = low.forward_g_orbit(word)[0]
+            assert point.digits(digits) == \
+                high.forward_g_orbit(word)[0].digits(digits), word
             s = [r for r in (point, -point) if low.ball_g(word[0]).contains(r)][0]
             assert (point == -s) == (word[-1] != word[0])
 
     @pytest.mark.parametrize("precision", [16, 64])
-    def test_one_forward_orbit_per_call(self, precision, monkeypatch):
+    def test_one_forward_orbit_per_word(self, precision, monkeypatch):
         # at N = 16 the length-7 word keeps no trusted digit and the check is
-        # skipped; the orbit is still computed once, |w| g-steps
+        # skipped; each orbit is still run once per geometry, |w| steps
         geom = self.geom_at(precision)
         word = (1, 2, 2, 1, 1, 2, 1)
-        geom.periodic_point_k(word)
-        g_steps = []
-
-        def counted_g(*args):
-            g_steps.append(args)
-            return eval_g(*args)
-
-        monkeypatch.setattr(symbolic, "eval_g", counted_g)
+        point = geom.periodic_point_k(word)
+        g_steps = count_calls(monkeypatch, "eval_g")
+        k_steps = count_calls(monkeypatch, "eval_k")
         forward = geom.forward_g_orbit(word)
         assert len(g_steps) == len(word) and len(forward) == len(word) + 1
         for x, image in zip(forward, forward[1:]):
             assert eval_g(geom.params, x) == image
-        assert forward[0] == geom.periodic_point_g(word)
         del g_steps[:]
-        orbit = geom.g_orbit(word)
-        assert len(g_steps) == len(word)
-        assert orbit == [forward[0]] + forward[-2:0:-1]
+        assert geom.forward_g_orbit(word) is forward
+        assert geom.g_orbit(word) == [forward[0], *forward[-2:0:-1]]
+        assert g_steps == []
+        ends = geom.forward_k_ends(word)
+        assert len(k_steps) == len(word)
+        image = point
+        for _ in word:
+            image = eval_k(geom.params, image)
+        assert ends == (point, image)
+        del k_steps[:]
+        assert geom.forward_k_ends(word)[1] is ends[1]
+        assert k_steps == [] and g_steps == []
+        # a 12-symbol word is not kept: it is solved, and both orbits run, on
+        # every call.  Each solve steps k in the inverse branches' round
+        # trips, the same number of times once the tree holds its centres
+        long_word = (2, 1) * 6
+        assert len(long_word) == symbolic.MAX_CYLINDER_DEPTH
+        geom.forward_k_ends(long_word)
+        del k_steps[:]
+        geom.periodic_point_k(long_word)
+        solve = len(k_steps)
+        for _ in range(2):
+            del k_steps[:], g_steps[:]
+            geom.forward_k_ends(long_word)
+            geom.forward_g_orbit(long_word)
+            assert len(k_steps) == 2 * solve + len(long_word)
+            assert len(g_steps) == len(long_word)
+        assert list(geom._periodic_points) == [word]
 
     def test_forward_check_kept_where_digits_remain(self, geom, monkeypatch):
-        # an orbit that returns to the other sign fails the check
+        # an orbit that returns to the other sign fails the check, on every
+        # call: the word is dropped, point included, and nothing is kept
+        word = (1, 2, 2)
         monkeypatch.setattr(symbolic, "eval_g", lambda params, x: -eval_g(params, x))
-        with pytest.raises(VerificationError):
-            geom.periodic_point_g((1, 2, 2))
+        for forward in (geom.forward_g_orbit, geom.forward_g_orbit, geom.g_orbit):
+            with pytest.raises(VerificationError):
+                forward(word)
+            assert geom._periodic_points == {}
+        monkeypatch.undo()
+        assert geom.forward_g_orbit(word) == \
+            fresh_geometry(geom.params).forward_g_orbit(word)
+
+
+def count_calls(monkeypatch, name):
+    """The arguments of every call of symbolic.<name> from now on."""
+    calls = []
+    step = getattr(symbolic, name)
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(symbolic, name, counted)
+    return calls
 
 
 class TestCoding:
