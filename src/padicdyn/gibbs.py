@@ -121,9 +121,6 @@ class GibbsField:
                 if not is_unit(comp[pair]):
                     raise DomainError("field components must be p-adic units")
 
-    def component(self, child: Vertex, sx: int, sy: int) -> PadicNumber:
-        return self.assign[child][(sx, sy)]
-
     def with_component(self, child: Vertex, pair: SpinPair,
                        value: PadicNumber) -> "GibbsField":
         assign = {v: dict(c) for v, c in self.assign.items()}

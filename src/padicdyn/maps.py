@@ -53,6 +53,11 @@ class MapParams:
         """r = |b - 1|_p."""
         return Fraction(1, self.ctx.p ** self.radius_exponent)
 
+    @property
+    def trusted_steps(self) -> int:
+        """(N - g) // m: each step on the repeller spends m trusted digits."""
+        return self.ctx.residual_digits // self.radius_exponent
+
     # per-pair constants of the maps, computed on first use: products mod p^N
     # are exact, so reusing them leaves every digit as it was
 

@@ -75,35 +75,37 @@ class BasinStatus:
     steps: int
     trail: tuple[int, ...]  # leading digit of each iterate seen inside K
 
-    @property
-    def in_basin(self) -> bool:
-        return self.outcome == "in_basin"
-
 
 def basin_status(params: MapParams, x: PadicNumber, max_iter: int) -> BasinStatus:
-    """Semi-decide membership in the basin of x0.
+    """Decide, within the digit budget, whether the g-orbit of x leaves K.
 
-    An iterate leaving K certifies convergence to x0 (next iterate enters
-    E_p, where g contracts).  A revisit of an earlier iterate certifies a
-    periodic orbit trapped in K, reported as stays_in_k without burning the
-    remaining budget on an expanding map that would only amplify rounding.
+    An iterate outside K proves convergence to x0: in_basin, steps its index.
+    In K each g-step spends m = ord(b - 1) of the R = N - g trusted digits, so
+    iterates 0..T, T = params.trusted_steps = R // m, are decided; all in K
+    gives stays_in_k: x lies within p^-R of the Julia set.  On K, g(u) - u =
+    -(u - x0)(u - x1)(u - x2)/(b^2 + u^2), |u - x0| = |x1 - x2| = 1 and
+    |b^2 + u^2| <= p^-m, so |g(u) - u| = p^-d puts u within p^-(d + m) of x1
+    or x2, and by Lemma 3.4 (iii) g^i(u) is in K for i <= d // m.  Hence the
+    run stops with stays_in_k at iterate j if (j - 1) m + d >= R, p^-d the
+    distance of iterates j - 1 and j (they agree in every digit iterate j - 1
+    still trusts), or if the two are indistinguishable.  stays_in_k reports
+    steps = max_iter, also when max_iter cuts the run before iterate T.
     """
     if max_iter < 1:
         raise DomainError("max_iter must be >= 1")
-    ctx = params.ctx
     x0 = find_x0(params)
-    cycle_digits = max(2, ctx.residual_digits // 2)
-    trail: list[int] = []
-    visited: list[PadicNumber] = []
-    current = x
-    for step in range(max_iter):
+    m, budget = params.radius_exponent, params.ctx.residual_digits
+    trail, current = [], x
+    for step in range(min(max_iter, params.trusted_steps + 1)):
+        if step:
+            previous, current = current, eval_g(params, current)
         if not k_membership(params, current, x0):
             return BasinStatus("in_basin", step, tuple(trail))
         trail.append(current.leading_digit())
-        if any(eq_to_precision(prev, current, cycle_digits) for prev in visited):
-            return BasinStatus("stays_in_k", max_iter, tuple(trail))
-        visited.append(current)
-        current = eval_g(params, current)
+        if step:
+            d = diff_valuation(previous, current)
+            if d is None or (step - 1) * m + d >= budget:
+                break
     return BasinStatus("stays_in_k", max_iter, tuple(trail))
 
 
@@ -170,10 +172,9 @@ class RepellerGeometry:
 
     def in_X(self, x: PadicNumber) -> int | None:
         """Index of the square-picture ball containing x, or None."""
-        if self.ball_sq(1).contains(x):
-            return 1
-        if self.ball_sq(2).contains(x):
-            return 2
+        for j in (1, 2):
+            if self.ball_sq(j).contains(x):
+                return j
         return None
 
     # -- inverse branches ---------------------------------------------------
@@ -364,22 +365,18 @@ class RepellerGeometry:
     def itinerary(self, x: PadicNumber, length: int) -> Word:
         """The first `length` k-symbols of x.
 
-        Each k-step spends radius_exponent trusted digits, so an escape
-        once more than N - g of them are spent is precision loss, not proof
-        that x lies off the repeller.
+        Each k-step spends m of the N - g trusted digits: an escape after
+        step params.trusted_steps is precision loss (PrecisionExhausted).
         """
         if length < 0:
             raise DomainError("length must be >= 0")
-        ctx = self.params.ctx
-        out = []
-        current = x
+        out, current = [], x
         for step in range(length):
             j = self.in_X(current)
             if j is None:
-                if step * self.params.radius_exponent > ctx.residual_digits:
+                if step > self.params.trusted_steps:
                     raise PrecisionExhausted(
-                        f"orbit left X at step {step}, after the "
-                        f"{ctx.residual_digits} trusted digits were spent")
+                        f"orbit left X at step {step}, past the digit budget")
                 raise EscapeError(step)
             out.append(j)
             if step + 1 < length:

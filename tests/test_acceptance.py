@@ -222,7 +222,7 @@ def test_criterion_8_basin_dichotomy():
             x = eval_g(params, x)
         assert eq_to_precision(x, geom.x0, ctx.residual_digits)
         st = basin_status(params, geom.alpha1, 100)
-        assert st.in_basin and st.steps <= 2
+        assert st.outcome == "in_basin" and st.steps <= 2
         y = eval_g(params, geom.alpha1)
         for _ in range(ctx.precision + ctx.guard):
             y = eval_g(params, y)
@@ -255,7 +255,7 @@ def test_criterion_9_gibbs_compatibility():
         pair = rng.choice(((1, 1), (1, -1), (-1, 1), (-1, -1)))
         unit = ctx.from_int(1 + 5 ** rng.choice((1, 2)) * rng.randrange(1, 5 ** 4))
         pert = field.with_component(child, pair,
-                                    field.component(child, *pair) * unit)
+                                    field.assign[child][pair] * unit)
         if not check_compatibility(tree, cpl, pert, 2).ok:
             broken += 1
     assert broken >= 95

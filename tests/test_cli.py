@@ -17,6 +17,7 @@ from padicdyn import (
 from padicdyn import cli
 from padicdyn.cli import build_parser, run
 from padicdyn.maps import eval_k_slope
+from conftest import acceptance_params
 
 STRICT = ["--p", "13", "--a", "170/1", "--b", "14/1"]
 
@@ -364,6 +365,17 @@ class TestDynamics:
         assert code == 0
         assert body == {"outcome": "in_basin", "steps": 0, "trail": []}
 
+    def test_basin_decided_to_the_digit_budget(self, capsys):
+        # x1 + 13^30 leaves K at step 30 <= N - g = 56, which plain iteration
+        # of g at 2N digits confirms; a cycle test at (N - g) // 2 = 28 digits
+        # took it for a trapped orbit
+        geom = RepellerGeometry.build(acceptance_params())
+        x = geom.x1 + geom.params.ctx.from_int(13 ** 30)
+        code, body = invoke(capsys, ["basin", *STRICT, "--x", digit_literal(x)])
+        assert code == 0
+        assert body == {"outcome": "in_basin", "steps": 30,
+                        "trail": [geom.x1.leading_digit()] * 30}
+
     def test_periodic_and_itinerary(self, capsys):
         code, body = invoke(capsys, ["periodic", *STRICT, "--word", "1,2"])
         assert code == 0
@@ -528,8 +540,8 @@ class TestGibbs:
         def perturbed(tree, couplings, n):
             field = solve(tree, couplings, n)
             child = (1,) * n
-            return field.with_component(child, (1, 1), field.component(
-                child, 1, 1) * couplings.ctx.from_int(6))
+            value = field.assign[child][1, 1] * couplings.ctx.from_int(6)
+            return field.with_component(child, (1, 1), value)
 
         monkeypatch.setattr(padicdyn.gibbs, "solve_7_11", perturbed)
         code, body = invoke(capsys, [*self.BASE, "solve", "--J", "5/1",

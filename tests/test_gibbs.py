@@ -93,7 +93,7 @@ def measure_weight(tree, c, field, sigma, n):
     s1, s2, s3 = interaction_sums(tree, sigma, n)
     w = c.a ** s1 * c.b ** s2 * c.c ** s3
     for x, y in boundary_edges(tree, n):
-        h = field.component(y, sigma[x], sigma[y])
+        h = field.assign[y][sigma[x], sigma[y]]
         w = w * h if sigma[x] * sigma[y] > 0 else w / h
     return w
 
@@ -241,7 +241,7 @@ def random_field(tree, n, ctx, rng):
 def scaled(field, *changes):
     """field with h_y(pair) multiplied by factor, per (y, pair, factor)."""
     for y, pair, factor in changes:
-        field = field.with_component(y, pair, field.component(y, *pair) * factor)
+        field = field.with_component(y, pair, field.assign[y][pair] * factor)
     return field
 
 
@@ -389,7 +389,7 @@ class TestCompatibility:
         c = couplings(ctx5, 5, 5, 0)
         field = solve_7_11(tree, c, 2)
         pert = field.with_component(
-            (1, 1), (1, 1), field.component((1, 1), 1, 1) * ctx5.from_int(6))
+            (1, 1), (1, 1), field.assign[(1, 1)][1, 1] * ctx5.from_int(6))
         report = check_compatibility(tree, c, pert, 2)
         assert not report.ok
         # frozen regression: the (1+p) perturbation shows up at norm 1/5
@@ -540,7 +540,7 @@ class TestRecursionAgainstOracle:
         assert len(report.residuals) == 2 ** 7
         assert report.max_residual <= self.floor(ctx5)
         pert = field.with_component(
-            (1, 1, 1), (1, 1), field.component((1, 1, 1), 1, 1) * ctx5.from_int(6))
+            (1, 1, 1), (1, 1), field.assign[(1, 1, 1)][1, 1] * ctx5.from_int(6))
         assert not check_compatibility(tree, c, pert, 3).ok
 
 
@@ -550,19 +550,19 @@ class TestSolve:
         for child in tree.vertices(2):
             if child:
                 for pair in PAIRS:
-                    assert diff_valuation(field.component(child, *pair),
+                    assert diff_valuation(field.assign[child][pair],
                                           ctx5.one()) is None
 
     def test_components_near_one(self, ctx5, tree):
         field = solve_7_11(tree, couplings(ctx5, 5, 5, 0), 2)
         for pair in PAIRS:
-            assert in_Ep(field.component((1,), *pair))
+            assert in_Ep(field.assign[(1,)][pair])
 
     def test_u_component_equals_squared_fixed_point(self, ctx5, tree):
         # the diagonal product solves u = F(u)^2 whose E_p root is (x0/a)^2
         c = couplings(ctx5, 5, 5, 0)
         field = solve_7_11(tree, c, 2)
-        u = field.component((1,), 1, 1) * field.component((1,), -1, 1)
+        u = field.assign[(1,)][1, 1] * field.assign[(1,)][-1, 1]
         x0 = find_x0(MapParams(c.a, c.b))
         assert eq_to_precision(u, (x0 / c.a) ** 2, ctx5.residual_digits)
 
@@ -590,7 +590,7 @@ class TestSolve:
         f_hi = solve_7_11(t3, couplings(hi, J, J1), 1)
         assert check_compatibility(t3, c_lo, f_lo, 2).ok
         for pair in PAIRS:
-            x, y = f_lo.component((1,), *pair), f_hi.component((1,), *pair)
+            x, y = f_lo.assign[(1,)][pair], f_hi.assign[(1,)][pair]
             assert x.valuation == y.valuation
             assert x.digits(lo.residual_digits) == y.digits(lo.residual_digits)
 
@@ -675,7 +675,7 @@ class TestNewtonForU:
         for N, ord_J1, J0, k in newton_sweep(p):
             c = draw_couplings(contexts[N], rng, ord_J1, J0)
             tree = CayleyTree(k)
-            u = solve_7_11(tree, c, 1).component((1,), 1, 1)
+            u = solve_7_11(tree, c, 1).assign[(1,)][1, 1]
             assert u == oracle_linear_u(tree, c), (N, ord_J1, J0, k)
 
     @pytest.mark.parametrize("ord_J1", [55, 57, 60, 64])
@@ -684,7 +684,7 @@ class TestNewtonForU:
         for k in (1, 2, 3):
             for J0 in (0, 5):
                 c, tree = couplings(ctx5, 5, 5 ** ord_J1, J0), CayleyTree(k)
-                u = solve_7_11(tree, c, 1).component((1,), 1, 1)
+                u = solve_7_11(tree, c, 1).assign[(1,)][1, 1]
                 assert u == oracle_linear_u(tree, c)
 
     @pytest.mark.parametrize("N", [64, 128])
@@ -771,8 +771,8 @@ class TestPeriodicFields:
         cand = diagonal_field_from_orbit(tree, c, orbit, n=2)
         assert check_compatibility(tree, c, cand.field, 2).ok
         # the two levels genuinely differ: an H_2- but not H_1-periodic field
-        assert diff_valuation(cand.field.component((1,), 1, 1),
-                              cand.field.component((1, 1), 1, 1)) is not None
+        assert diff_valuation(cand.field.assign[(1,)][1, 1],
+                              cand.field.assign[(1, 1)][1, 1]) is not None
 
     def test_constant_orbit_matches_m1(self):
         ctx, c, tree, params = self.orbit_setup()
@@ -781,8 +781,8 @@ class TestPeriodicFields:
         doubled = diagonal_field_from_orbit(tree, c, [x0, x0], n=2)
         for child in ((1,), (1, 1)):
             for pair in PAIRS:
-                assert diff_valuation(single.field.component(child, *pair),
-                                      doubled.field.component(child, *pair)) is None
+                assert diff_valuation(single.field.assign[child][pair],
+                                      doubled.field.assign[child][pair]) is None
 
     def test_h_periodicity(self):
         ctx, c, tree, params = self.orbit_setup()
@@ -792,8 +792,8 @@ class TestPeriodicFields:
         # h_{tau_g(x)} = h_x for g in H_2: levels congruent mod 2 share values
         for x, y in (((1,), (1, 2, 1)), ((2,), (2, 1, 1))):
             for pair in PAIRS:
-                assert diff_valuation(cand.field.component(x, *pair),
-                                      cand.field.component(y, *pair)) is None
+                assert diff_valuation(cand.field.assign[x][pair],
+                                      cand.field.assign[y][pair]) is None
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_residual_agrees_with_product_system(self, n):

@@ -2,10 +2,11 @@
 
 A module imports only names it uses, and every name `padicdyn/__init__.py`
 exports is used by some other module of the package, unless KEEP names the
-paper claim it serves.  One function inverts a unit mod p^N, one writes
-JSON to stdout, and the open Ball alone tests ball membership.  Every memo
-of the package is cleared before each test.  Every CLI subcommand names
-one `_cmd_*` body, read from the built parser.
+paper claim it serves; so is every public method and property of an
+exported class, unless KEEP_MEMBERS names its claim.  One function inverts
+a unit mod p^N, one writes JSON to stdout, and the open Ball alone tests
+ball membership.  Every memo of the package is cleared before each test.
+Every CLI subcommand names one `_cmd_*` body, read from the built parser.
 """
 import argparse
 import ast
@@ -20,6 +21,17 @@ CONFTEST = Path(__file__).resolve().parent / "conftest.py"
 KEEP = {
     "log_p": "acceptance criterion 1: exp_p and log_p are mutually inverse",
     "partition_fn": "Z_n normalises mu_h^(n), and ROADMAP item 4 reads ord_p Z_n",
+}
+
+# public methods and properties of exported classes that no module calls,
+# each with the claim that needs it; dataclass fields are not members here
+KEEP_MEMBERS = {
+    "RepellerGeometry.subshift_metric":
+        "acceptance criterion 7: the shift coding is an isometry",
+    "RepellerGeometry.incidence_matrix":
+        "the repeller is coded by the full 2-shift (ROADMAP item 8)",
+    "GibbsField.with_component":
+        "acceptance criterion 9: perturbed fields fail compatibility",
 }
 
 
@@ -69,6 +81,29 @@ def test_every_export_has_a_caller_or_a_claim():
     # a kept name that gains a caller leaves KEEP
     assert sorted(set(KEEP) & used) == []
     assert set(KEEP) <= exported
+
+
+def _members(modules: dict[str, ast.Module], classes: set[str]) -> set[str]:
+    """Class.member for every public method and property of the classes."""
+    return {
+        f"{node.name}.{item.name}"
+        for tree in modules.values() for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in classes
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    }
+
+
+def test_every_member_has_a_caller_or_a_claim():
+    modules = _modules()
+    exported = _imported(modules.pop("__init__.py"))
+    members = _members(modules, exported)
+    used = set().union(*(_used(tree) for tree in modules.values()))
+    uncalled = {member for member in members if member.split(".")[1] not in used}
+    assert sorted(uncalled - set(KEEP_MEMBERS)) == []
+    # a kept member that gains a caller leaves KEEP_MEMBERS
+    assert sorted(set(KEEP_MEMBERS) - uncalled) == []
 
 
 def _is_inverse(node: ast.AST) -> bool:

@@ -192,12 +192,12 @@ class TestGeometryMemo:
 class TestBasin:
     def test_one_in_basin_immediately(self, geom):
         st = basin_status(geom.params, geom.params.ctx.one(), 50)
-        assert st.in_basin and st.steps == 0 and st.trail == ()
+        assert st.outcome == "in_basin" and st.steps == 0 and st.trail == ()
 
     def test_alpha_exits_then_converges(self, geom):
         params, ctx = geom.params, geom.params.ctx
         st = basin_status(params, geom.alpha1, 50)
-        assert st.in_basin and st.steps <= 2
+        assert st.outcome == "in_basin" and st.steps <= 2
         # g(alpha) = a(1 - b^2)/(b^2 - 1) = -a
         g_alpha = eval_g(params, geom.alpha1)
         assert eq_to_precision(g_alpha, -params.a, ctx.residual_digits)
@@ -214,7 +214,7 @@ class TestBasin:
             assert st.steps == 100
 
     def test_budget_runs_out_inside_K(self, geom):
-        # one step, no revisit yet: the budget alone ends the run
+        # one iterate: the max_iter budget ends the run before the digit budget
         st = basin_status(geom.params, geom.x1, 1)
         assert st.outcome == "stays_in_k" and st.steps == 1
         assert st.trail == (geom.x1.leading_digit(),)
@@ -222,6 +222,111 @@ class TestBasin:
     def test_max_iter_validation(self, geom):
         with pytest.raises(DomainError):
             basin_status(geom.params, geom.x0, 0)
+
+
+def _as_int(x):
+    """The p-adic integer x as a nonnegative integer below p^(v + N)."""
+    return x.unit * x.ctx.p ** x.valuation
+
+
+def plain_iteration(params, start: int):
+    """The basin answer for the integer start from plain iteration of g at 2N.
+
+    (outcome, escape step or None, leading digits of the iterates in K): K is
+    tested by exact rational norms, and an escape at step t is in_basin when
+    t * m <= N - g, stays_in_k otherwise.
+    """
+    ctx = params.ctx
+    wide_ctx = PrimeContext(ctx.p, 2 * ctx.precision, ctx.guard)
+    wide = MapParams(wide_ctx.from_int(_as_int(params.a)),
+                     wide_ctx.from_int(_as_int(params.b)))
+    x0 = find_x0(wide)
+    u = wide_ctx.from_int(start)
+    digits, step = [], 0
+    while step * params.radius_exponent <= ctx.residual_digits:
+        if not norm_k_membership(wide, u, x0):
+            return "in_basin", step, tuple(digits)
+        digits.append(u.leading_digit())
+        u = eval_g(wide, u)
+        step += 1
+    return "stays_in_k", None, tuple(digits)
+
+
+def assert_decided(params, start: int):
+    """basin_status at N digits gives the 2N plain-iteration answer."""
+    outcome, escape, digits = plain_iteration(params, start)
+    st = basin_status(params, params.ctx.from_int(start), 100)
+    assert st.outcome == outcome, start
+    if outcome == "in_basin":
+        assert (st.steps, st.trail) == (escape, digits)
+    else:
+        assert st.steps == 100 and st.trail == digits[:len(st.trail)]
+    return st
+
+
+class TestBasinDigitBudget:
+    """basin_status decides iterates 0..trusted_steps, or stops on the
+    certificate (j - 1) m + d >= N - g; plain iteration at 2N is the oracle."""
+
+    def test_trusted_steps(self, geom):
+        params = geom.params
+        assert params.trusted_steps == (params.ctx.residual_digits
+                                        // params.radius_exponent)
+
+    def test_sweep_off_the_repelling_points(self, geom):
+        # x_i + p^e escapes at step e // m: in_basin up to the budget,
+        # stays_in_k past it.  Consecutive iterates differ by p^-(e - jm - m),
+        # so (j - 1) m + d = e - m: the certificate stops the run at iterate 1
+        # exactly when e - m >= N - g, else the budget ends it
+        params, p = geom.params, geom.params.ctx.p
+        m, budget = params.radius_exponent, params.ctx.residual_digits
+        for xi in (geom.x1, geom.x2):
+            for e in range(1, params.ctx.precision + 4):
+                st = assert_decided(params, _as_int(xi) + p ** e)
+                if st.outcome == "stays_in_k":
+                    assert len(st.trail) == (2 if e - m >= budget
+                                             else params.trusted_steps + 1), e
+
+    def test_repro_past_the_old_cycle_test(self):
+        params = acceptance_params()
+        geom = RepellerGeometry.build(params)
+        st = basin_status(params, geom.x1 + params.ctx.from_int(13 ** 30), 100)
+        assert (st.outcome, st.steps) == ("in_basin", 30)
+        assert st.trail == (geom.x1.leading_digit(),) * 30
+
+    def test_random_starts_in_K(self, geom):
+        params, p = geom.params, geom.params.ctx.p
+        m = params.radius_exponent
+        rng = random.Random(22)
+        for _ in range(20):
+            alpha = rng.choice((geom.alpha1, geom.alpha2))
+            start = _as_int(alpha) + p ** m * rng.randrange(p ** params.ctx.precision)
+            assert k_membership(params, params.ctx.from_int(start), geom.x0)
+            assert_decided(params, start)
+
+    @pytest.mark.parametrize("word", [(1, 2), (1, 1, 2), (2, 1, 2, 2)])
+    def test_starts_near_periodic_g_points(self, geom, word):
+        params, p = geom.params, geom.params.ctx.p
+        rng = random.Random(f"{word}")
+        y = _as_int(geom.forward_g_orbit(word)[0])
+        for e in range(1, params.ctx.precision + 4):
+            assert_decided(params, y + rng.randrange(1, p) * p ** e)
+
+    def test_repelling_fixed_points_stop_on_the_certificate(self, geom):
+        for xi in (geom.x1, geom.x2):
+            st = basin_status(geom.params, xi, 100)
+            assert (st.outcome, st.steps) == ("stays_in_k", 100)
+            assert st.trail == (xi.leading_digit(),) * 2
+
+    def test_period_two_runs_to_the_budget(self, geom):
+        # consecutive points of a 2-cycle lie in different balls: d = 0, so
+        # only the budget ends the run, after trusted_steps + 1 iterates
+        params = geom.params
+        y, gy, _ = geom.forward_g_orbit((1, 2))
+        st = basin_status(params, y, 100)
+        assert (st.outcome, st.steps) == ("stays_in_k", 100)
+        pair = (y.leading_digit(), gy.leading_digit())
+        assert st.trail == (pair * params.trusted_steps)[:params.trusted_steps + 1]
 
 
 class TestInverseBranches:
