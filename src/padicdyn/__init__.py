@@ -44,7 +44,7 @@ from .gibbs import (
     periodic_field_from_orbit,
     solve_7_11,
 )
-from .maps import MapParams, deriv_g_norm, eval_f, eval_g, eval_k
+from .maps import MapParams, eval_f, eval_g, eval_k
 from .padic import (
     Ball,
     PadicNumber,

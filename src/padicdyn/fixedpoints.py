@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ConsistencyError, NotAFixedPoint
-from .maps import MapParams, deriv_g, deriv_g_norm, eval_g
+from .maps import MapParams, eval_g_slope
 from .padic import (
     Ball,
     PadicNumber,
@@ -96,8 +95,8 @@ def _fixed_points(params: MapParams) -> tuple[
     a square exactly when p = 1 (mod 4): the roots add no error to find_x0.
     """
     def newton(u: PadicNumber) -> PadicNumber:
-        slope = deriv_g(params, u)
-        return (eval_g(params, u) - u * slope) / (1 - slope)
+        value, slope = eval_g_slope(params, u)
+        return (value - u * slope) / (1 - slope)
 
     x0 = converge(newton, params.ctx.one(), "Newton iteration for x0")
     delta = discriminant(params, x0)
@@ -105,15 +104,22 @@ def _fixed_points(params: MapParams) -> tuple[
 
 
 def classify(params: MapParams, x: PadicNumber) -> str:
-    ctx = params.ctx
-    if not eq_to_precision(eval_g(params, x), x, ctx.residual_digits):
+    return classify_with_slope(params, x)[0]
+
+
+def classify_with_slope(params: MapParams, x: PadicNumber) -> tuple[str, PadicNumber]:
+    """The label of the fixed point x and its multiplier g'(x), from one
+    eval_g_slope: attracting, indifferent or repelling as |g'(x)|_p is below,
+    at or above 1."""
+    value, slope = eval_g_slope(params, x)
+    if not eq_to_precision(value, x, params.ctx.residual_digits):
         raise NotAFixedPoint("|g(x) - x|_p exceeds the precision floor")
-    lam = deriv_g_norm(params, x)
-    if lam < 1:
-        return ATTRACTING
-    if lam == 1:
-        return INDIFFERENT
-    return REPELLING
+    order = slope.valuation  # None for g'(x) = 0
+    if order is None or order > 0:
+        return ATTRACTING, slope
+    if order == 0:
+        return INDIFFERENT, slope
+    return REPELLING, slope
 
 
 def verify_lemma_3_4(params: MapParams, x0: PadicNumber,
@@ -121,25 +127,30 @@ def verify_lemma_3_4(params: MapParams, x0: PadicNumber,
                      delta: PadicNumber) -> dict[str, bool | None]:
     """Evaluate the seven norm identities tying the fixed points to a, b.
 
+    Each identity is read on orders: |y|_p = p^-ord(y), so a product of norms
+    is p to minus the sum of the orders, and a zero factor makes it 0.
     Clauses involving x1, x2 are reported as None when the roots are absent;
     (vi) and (vii) are None outside the strict regime they assume.
     """
     a, b, ctx = params.a, params.b, params.ctx
     one = ctx.one()
-    m, r = params.radius_exponent, params.radius
+    m = params.radius_exponent
     b2 = b * b
     out: dict[str, bool | None] = dict.fromkeys(LEMMA_3_4_CLAUSES)
 
+    def orders(x: PadicNumber) -> tuple[int | None, int | None]:
+        """ord(x^2 + b^2) and ord(x^2 b^2 + 1)."""
+        return (x * x + b2).valuation, (x * x * b2 + 1).valuation
+
     out["i"] = Ball(a, -m).contains(x0)
-    out["iv"] = (x0 * x0 + b2).norm() * (x0 * x0 * b2 + 1).norm() == 1
+    at_x0 = orders(x0)
+    out["iv"] = None not in at_x0 and sum(at_x0) == 0
     if roots is not None:
-        x1, x2 = roots
         out["ii"] = all(
-            (b2 - 1 + (b2 * a - x0) * xi).norm() == r for xi in (x1, x2))
-        out["iii"] = all((xi * xi + b2).norm() == r for xi in (x1, x2))
-        out["v"] = all(
-            (xi * xi + b2).norm() * (xi * xi * b2 + 1).norm() <= Fraction(1, ctx.p ** 2)
-            for xi in (x1, x2))
+            (b2 - 1 + (b2 * a - x0) * xi).valuation == m for xi in roots)
+        at_roots = [orders(xi) for xi in roots]
+        out["iii"] = all(pair[0] == m for pair in at_roots)
+        out["v"] = all(None in pair or sum(pair) >= 2 for pair in at_roots)
     if params.strict_regime:
         out["vi"] = Ball(one, -m).contains(x0)
         # Delta = -4 + p^(2m+l) delta', read with l >= 0: ord(Delta + 4) >= 2m

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, PoleError, PrecisionExhausted
-from .padic import Ball, PadicNumber, PrimeContext, diff_valuation, in_Ep
+from .padic import Ball, PadicNumber, PrimeContext, _inv_unit, _sum, diff_valuation, in_Ep
 
 
 @dataclass(frozen=True)
@@ -72,43 +72,83 @@ class MapParams:
         return self.a * (self.b2 * self.b2 - 1) * 2
 
 
-def _checked_den(params: MapParams, x: PadicNumber, y: PadicNumber) -> PadicNumber:
-    """The denominator x + y, mapping precision loss / near-zero to PoleError."""
+def _square(x: PadicNumber, pN: int) -> tuple[int | None, int]:
+    """x^2 as (valuation, unit), valuation None for zero."""
+    if x.valuation is None:
+        return None, 0
+    return 2 * x.valuation, x.unit * x.unit % pN
+
+
+def _quotient(params: MapParams, tv: int | None, tu: int,
+              c_num: int, c_den: int) -> tuple[int | None, int, int, int]:
+    """(c_num t + 1)/(b^2 + c_den t) at t = p^tv tu, for unit constants c_num
+    and c_den, in the order the PadicNumber composition takes.
+
+    The denominator comes first: a sum that vanishes or cancels past N - g
+    digits is a PoleError.  Then the numerator, which raises
+    PrecisionExhausted where it cancels past the guard.  Returns the
+    (valuation, unit) of the quotient, valuation None for zero, with the
+    order and the inverse unit of the denominator.
+    """
+    ctx = params.ctx
+    pN = ctx.modulus
     try:
-        den = x + y
+        dv, du = _sum(ctx, 0, params.b2.unit, tv, c_den * tu % pN)
     except PrecisionExhausted as exc:
         raise PoleError("denominator vanished at working precision") from exc
-    ctx = params.ctx
-    if den.is_zero or den.valuation > ctx.residual_digits:
+    if dv is None or dv > ctx.residual_digits:
         raise PoleError("denominator indistinguishable from zero")
-    return den
+    nv, nu = _sum(ctx, tv, c_num * tu % pN, 0, 1)
+    inv = _inv_unit(du, ctx)
+    if nv is None:
+        return None, 0, dv, inv
+    return nv - dv, nu * inv % pN, dv, inv
 
+
+# Each map below is one pass over integers mod p^N in padic's (valuation,
+# unit) form: the operations of the composition in the module docstring, in
+# its order, every sum by padic._sum and one _inv_unit of the denominator per
+# point.  Products and the unique inverse mod p^N are exact, so every digit
+# and every error is the composition's.  a and b lie in E_p: their valuations,
+# and b^2's, are 0.
 
 def eval_f(params: MapParams, u: PadicNumber) -> PadicNumber:
-    a, b = params.a, params.b
-    den = _checked_den(params, b * b, a * a * u * u)
-    abu = a * b * u
-    return (abu * abu + 1) / den
+    ctx = params.ctx
+    pN = ctx.modulus
+    a2 = params.a.unit * params.a.unit % pN
+    qv, qu, _, _ = _quotient(params, *_square(u, pN), a2 * params.b2.unit % pN, a2)
+    return PadicNumber(ctx, qv, qu)
 
 
 def eval_g(params: MapParams, u: PadicNumber) -> PadicNumber:
-    b2 = params.b2
-    den = _checked_den(params, b2, u * u)
-    return params.a * (b2 * u * u + 1) / den
+    ctx = params.ctx
+    pN = ctx.modulus
+    qv, qu, _, _ = _quotient(params, *_square(u, pN), params.b2.unit, 1)
+    return PadicNumber(ctx, qv, params.a.unit * qu % pN)
+
+
+def eval_g_slope(params: MapParams, u: PadicNumber) -> tuple[PadicNumber, PadicNumber]:
+    """(g(u), g'(u)) from one inverse of b^2 + u^2, with
+    g'(u) = 2au(b^4 - 1)/(b^2 + u^2)^2."""
+    ctx = params.ctx
+    pN = ctx.modulus
+    qv, qu, dv, inv = _quotient(params, *_square(u, pN), params.b2.unit, 1)
+    value = PadicNumber(ctx, qv, params.a.unit * qu % pN)
+    factor = params.slope_factor  # of order m < N: never zero
+    if u.valuation is None:
+        return value, ctx.zero()
+    return value, PadicNumber(ctx, factor.valuation + u.valuation - 2 * dv,
+                              factor.unit * u.unit * inv * inv % pN)
 
 
 def eval_k(params: MapParams, x: PadicNumber) -> PadicNumber:
-    b2 = params.b2
-    den = _checked_den(params, b2, x)
-    root = params.a * (b2 * x + 1) / den
-    return root * root
-
-
-def deriv_g(params: MapParams, u: PadicNumber) -> PadicNumber:
-    """g'(u) = 2au(b^4 - 1)/(b^2 + u^2)^2."""
-    b2 = params.b2
-    den = _checked_den(params, b2, u * u)
-    return params.slope_factor * u / (den * den)
+    ctx = params.ctx
+    pN = ctx.modulus
+    qv, qu, _, _ = _quotient(params, x.valuation, x.unit, params.b2.unit, 1)
+    if qv is None:
+        return ctx.zero()
+    root = params.a.unit * qu % pN
+    return PadicNumber(ctx, 2 * qv, root * root % pN)
 
 
 def eval_k_slope(params: MapParams, x: PadicNumber) -> tuple[PadicNumber, PadicNumber]:
@@ -117,12 +157,13 @@ def eval_k_slope(params: MapParams, x: PadicNumber) -> tuple[PadicNumber, PadicN
     With root = a(b^2 x + 1)/(b^2 + x), k = root^2 and
     k' = 2 root a(b^4 - 1)/(b^2 + x)^2.
     """
-    b2 = params.b2
-    inv = 1 / _checked_den(params, b2, x)
-    root = params.a * (b2 * x + 1) * inv
-    return root * root, root * params.slope_factor * inv * inv
-
-
-def deriv_g_norm(params: MapParams, x: PadicNumber) -> Fraction:
-    """|g'(x)|_p; valuations of products and quotients are exact."""
-    return deriv_g(params, x).norm()
+    ctx = params.ctx
+    pN = ctx.modulus
+    qv, qu, dv, inv = _quotient(params, x.valuation, x.unit, params.b2.unit, 1)
+    factor = params.slope_factor
+    if qv is None:
+        return ctx.zero(), ctx.zero()
+    root = params.a.unit * qu % pN
+    return (PadicNumber(ctx, 2 * qv, root * root % pN),
+            PadicNumber(ctx, qv + factor.valuation - 2 * dv,
+                        root * factor.unit * inv * inv % pN))

@@ -70,6 +70,35 @@ def _inv_unit(u: int, ctx: PrimeContext) -> int:
     return z
 
 
+def _sum(ctx: PrimeContext, xv: int | None, xu: int,
+         yv: int | None, yu: int) -> tuple[int | None, int]:
+    """p^xv xu + p^yv yu as (valuation, unit), valuation None for zero: the one
+    addition rule, shared by PadicNumber.__add__ and the map kernels.
+
+    A sum that cancels more than N - g leading digits raises
+    PrecisionExhausted; an exact zero mod p^N is zero.
+    """
+    if xv is None:
+        return yv, yu
+    if yv is None:
+        return xv, xu
+    powers, N, pN = ctx._powers, ctx.precision, ctx.modulus
+    if xv <= yv:
+        v, s = xv, (xu + yu * powers[min(yv - xv, N)]) % pN
+    else:
+        v, s = yv, (xu * powers[min(xv - yv, N)] + yu) % pN
+    p = ctx.p
+    if s % p:
+        return v, s
+    if s == 0:
+        return None, 0
+    t = _vp(s, p)
+    if t > N - ctx.guard:
+        raise PrecisionExhausted(
+            f"cancellation of {t} digits leaves fewer than {ctx.guard} significant digits")
+    return v + t, s // powers[t]
+
+
 # largest p.bit_length() * N a context accepts: its powers p^0..p^N take
 # about N^2 log2(p) / 2 bits, under 7 MB at this bound
 MAX_FIELD_BITS = 2 ** 14
@@ -234,27 +263,9 @@ class PadicNumber:
         y = self._coerce(other)
         if y is None:
             return NotImplemented
-        x, ctx = self, self.ctx
-        xv, yv = x.valuation, y.valuation
-        if xv is None:
-            return y
-        if yv is None:
-            return x
-        powers, N, pN = ctx._powers, ctx.precision, ctx.modulus
-        if xv <= yv:
-            v, s = xv, (x.unit + y.unit * powers[min(yv - xv, N)]) % pN
-        else:
-            v, s = yv, (x.unit * powers[min(xv - yv, N)] + y.unit) % pN
-        p = ctx.p
-        if s % p:
-            return PadicNumber(ctx, v, s)
-        if s == 0:
-            return ctx.zero()
-        t = _vp(s, p)
-        if t > N - ctx.guard:
-            raise PrecisionExhausted(
-                f"cancellation of {t} digits leaves fewer than {ctx.guard} significant digits")
-        return PadicNumber(ctx, v + t, s // powers[t])
+        ctx = self.ctx
+        v, s = _sum(ctx, self.valuation, self.unit, y.valuation, y.unit)
+        return PadicNumber(ctx, v, s)
 
     __radd__ = __add__
 

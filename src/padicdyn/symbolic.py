@@ -140,6 +140,8 @@ class RepellerGeometry:
     alpha2: PadicNumber
     x1sq: PadicNumber = field(repr=False)
     x2sq: PadicNumber = field(repr=False)
+    # (B_r(x1^2), B_r(x2^2)), the two balls of X, built once per geometry
+    balls_sq: tuple[Ball, Ball] = field(repr=False)
     kappa: int = 0
     # [None, node of word (1,), node of word (2,)]; a node of word w is
     # [center of w, node of 1.w, node of 2.w], grown by cylinder_center
@@ -165,15 +167,15 @@ class RepellerGeometry:
         return self.x1sq if j == 1 else self.x2sq
 
     def ball_sq(self, j: int) -> Ball:
-        return Ball(self.center_sq(j), -self.params.radius_exponent)
+        return self.balls_sq[j - 1]
 
     def ball_g(self, j: int) -> Ball:
         return Ball(self.x1 if j == 1 else self.x2, -self.params.radius_exponent)
 
     def in_X(self, x: PadicNumber) -> int | None:
         """Index of the square-picture ball containing x, or None."""
-        for j in (1, 2):
-            if self.ball_sq(j).contains(x):
+        for j, ball in enumerate(self.balls_sq, 1):
+            if ball.contains(x):
                 return j
         return None
 
@@ -365,18 +367,21 @@ class RepellerGeometry:
     def itinerary(self, x: PadicNumber, length: int) -> Word:
         """The first `length` k-symbols of x.
 
-        Each k-step spends m of the N - g trusted digits: an escape after
-        step params.trusted_steps is precision loss (PrecisionExhausted).
+        Each k-step spends m of the N - g trusted digits, so the symbols of
+        steps 0..T, T = params.trusted_steps, are decided and no later one
+        is: asking for step T + 1 raises PrecisionExhausted, whether or not
+        that iterate lies in X, unless the orbit escaped X before it.
         """
         if length < 0:
             raise DomainError("length must be >= 0")
         out, current = [], x
+        budget = self.params.trusted_steps
         for step in range(length):
+            if step > budget:
+                raise PrecisionExhausted(
+                    f"step {step} is past the digit budget of {budget} steps")
             j = self.in_X(current)
             if j is None:
-                if step > self.params.trusted_steps:
-                    raise PrecisionExhausted(
-                        f"orbit left X at step {step}, past the digit budget")
                 raise EscapeError(step)
             out.append(j)
             if step + 1 < length:
@@ -435,5 +440,7 @@ def _geometry(params: MapParams) -> RepellerGeometry:
     kappa = diff_valuation(x1sq, x2sq)
     if kappa is None:
         raise DomainError("x1^2 and x2^2 coincide at working precision")
-    return RepellerGeometry(params, x0, x1, x2, alpha1, alpha2, x1sq, x2sq, kappa)
+    balls_sq = (Ball(x1sq, -m), Ball(x2sq, -m))
+    return RepellerGeometry(params, x0, x1, x2, alpha1, alpha2, x1sq, x2sq,
+                            balls_sq, kappa)
 

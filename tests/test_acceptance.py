@@ -26,7 +26,6 @@ from padicdyn import (
     diagonal_field_from_orbit,
     diff_valuation,
     discriminant,
-    deriv_g_norm,
     eq_to_precision,
     eval_g,
     eval_k,
@@ -41,6 +40,7 @@ from padicdyn import (
     sqrt_exists,
     verify_lemma_3_4,
 )
+from test_maps import deriv_g
 from conftest import random_padic, strict_params
 
 TOL56 = {p: Fraction(1, p ** 56) for p in (3, 5, 7, 13)}
@@ -113,13 +113,13 @@ def test_criterion_4_classification():
         for params in samples:
             b = params.b
             x0 = find_x0(params)
-            lam0 = deriv_g_norm(params, x0)
+            lam0 = deriv_g(params, x0).norm()
             assert lam0 == (b ** 4 - 1).norm()
             assert lam0 <= Fraction(1, p)
             assert classify(params, x0) == "attracting"
             roots = repelling_roots(params, x0, discriminant(params, x0))
             for x in roots:
-                lam = deriv_g_norm(params, x)
+                lam = deriv_g(params, x).norm()
                 assert lam == 1 / params.radius
                 assert lam >= p
                 assert classify(params, x) == "repelling"

@@ -16,7 +16,7 @@ from padicdyn import (
 )
 from padicdyn import cli
 from padicdyn.cli import build_parser, run
-from padicdyn.maps import eval_k_slope
+from padicdyn.maps import eval_g_slope, eval_k_slope
 from conftest import acceptance_params
 
 STRICT = ["--p", "13", "--a", "170/1", "--b", "14/1"]
@@ -315,10 +315,11 @@ class TestDynamics:
 
         def counted(*args):
             calls.append(args)
-            return eval_g(*args)
+            return eval_g_slope(*args)
 
-        # find_x0 reads fixedpoints.eval_g; basin_status iterates symbolic.eval_g
-        monkeypatch.setattr(fixedpoints, "eval_g", counted)
+        # find_x0 reads fixedpoints.eval_g_slope; basin_status iterates
+        # symbolic.eval_g
+        monkeypatch.setattr(fixedpoints, "eval_g_slope", counted)
         argv = ["basin", *STRICT, "--x", "1/1"]
         first = invoke(capsys, argv)
         cold = len(calls)

@@ -1,4 +1,6 @@
 """Fixed-point location, classification, and the norm identities behind them."""
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,6 @@ from padicdyn import (
     PrimeContext,
     analyze,
     classify,
-    deriv_g_norm,
     discriminant,
     eq_to_precision,
     eval_g,
@@ -20,11 +21,14 @@ from padicdyn import (
     norm_diff,
     quadratic_coeffs,
     repelling_roots,
+    sqrt_both,
     sqrt_exists,
     verify_lemma_3_4,
 )
 from padicdyn import fixedpoints
+from padicdyn.maps import eval_g_slope
 from padicdyn.padic import converge
+from test_maps import deriv_g
 from conftest import acceptance_params, strict_params
 
 
@@ -60,9 +64,9 @@ class TestX0:
 
         def counted(*args):
             calls.append(args)
-            return eval_g(*args)
+            return eval_g_slope(*args)
 
-        monkeypatch.setattr(fixedpoints, "eval_g", counted)
+        monkeypatch.setattr(fixedpoints, "eval_g_slope", counted)
         find_x0(params)
         assert 0 < len(calls) <= 10
 
@@ -164,11 +168,11 @@ class TestClassification:
             params = strict_params(ctx, rng)
             b = params.b
             x0 = find_x0(params)
-            assert deriv_g_norm(params, x0) == (b ** 4 - 1).norm()
+            assert deriv_g(params, x0).norm() == (b ** 4 - 1).norm()
             assert classify(params, x0) == ATTRACTING
             if ctx.p % 4 == 1:
                 for xi in repelling_roots(params, x0, discriminant(params, x0)):
-                    assert deriv_g_norm(params, xi) == 1 / params.radius
+                    assert deriv_g(params, xi).norm() == 1 / params.radius
                     assert classify(params, xi) == REPELLING
 
     def test_not_a_fixed_point(self, ctx, rng):
@@ -190,6 +194,51 @@ class TestLemma34:
             else:
                 assert out["i"] and out["iv"] and out["vi"] and out["vii"]
                 assert out["ii"] is None and out["iii"] is None and out["v"] is None
+
+
+def norm_lemma_3_4(params, x0, roots):
+    """Clauses (ii)-(v) of Lemma 3.4 as exact Fraction norms, the former form
+    of verify_lemma_3_4, kept as the oracle of its order sums."""
+    a, b2, r = params.a, params.b * params.b, params.radius
+    out = {"iv": (x0 * x0 + b2).norm() * (x0 * x0 * b2 + 1).norm() == 1}
+    if roots is not None:
+        out["ii"] = all((b2 - 1 + (b2 * a - x0) * xi).norm() == r for xi in roots)
+        out["iii"] = all((xi * xi + b2).norm() == r for xi in roots)
+        out["v"] = all(
+            (xi * xi + b2).norm() * (xi * xi * b2 + 1).norm() <= Fraction(1, params.ctx.p ** 2)
+            for xi in roots)
+    return out
+
+
+class TestLemma34Orders:
+    def test_orders_match_fraction_norms(self):
+        # the three acceptance pairs and 50 seeded strict pairs per p; beside
+        # the solved points, perturbed ones make clauses fail, x0/p gives
+        # negative orders, and i*b (i^2 = -1) makes the factor x^2 + b^2 of
+        # (v) vanish
+        pairs = [MapParams(PrimeContext(p).from_int(a), PrimeContext(p).from_int(b))
+                 for p, a, b in ((13, 170, 14), (5, 26, 6), (13, 2198, 170))]
+        for p in (5, 13):
+            ctx, rng = PrimeContext(p), random.Random(p)
+            pairs += [strict_params(ctx, rng, t=rng.choice((1, 2))) for _ in range(50)]
+        seen = Counter()
+        for params in pairs:
+            ctx = params.ctx
+            x0 = find_x0(params)
+            delta = discriminant(params, x0)
+            x1, x2 = repelling_roots(params, x0, delta)
+            i_b = sqrt_both(ctx.from_int(-1))[0] * params.b
+            near = x1 + ctx.from_int(ctx.p) ** params.radius_exponent
+            roots_of_negative_order = (x1 / ctx.from_int(ctx.p), x2)
+            for point, roots in ((x0, (x1, x2)), (x1, (x2, x1)), (x0, (near, x2)),
+                                 (x0, (i_b, x2)), (x0, (x0, x0)), (x2, None),
+                                 (x0 / ctx.from_int(ctx.p), roots_of_negative_order)):
+                want = norm_lemma_3_4(params, point, roots)
+                got = verify_lemma_3_4(params, point, roots, delta)
+                assert {clause: got[clause] for clause in want} == want
+                seen.update(want.items())
+        assert set(seen) == {(clause, holds) for clause in ("ii", "iii", "iv", "v")
+                             for holds in (True, False)}
 
 
 class TestReport:

@@ -1,4 +1,6 @@
 """The maps f, g, k against exact rational evaluation and each other."""
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,6 @@ from padicdyn import (
     PoleError,
     PrecisionExhausted,
     PrimeContext,
-    deriv_g_norm,
     diff_valuation,
     eq_to_precision,
     eval_f,
@@ -17,9 +18,64 @@ from padicdyn import (
     eval_k,
     norm_diff,
     sqrt_both,
+    sqrt_exists,
 )
-from padicdyn.maps import deriv_g, eval_k_slope
+from padicdyn.maps import eval_g_slope, eval_k_slope
 from conftest import random_padic, strict_params
+
+
+# The PadicNumber compositions that the integer kernels of maps.py replaced,
+# kept as the oracle: each kernel gives their digits and raises their errors.
+
+def checked_den(params, x, y):
+    """x + y, with precision loss or a value indistinguishable from zero
+    reported as PoleError."""
+    try:
+        den = x + y
+    except PrecisionExhausted as exc:
+        raise PoleError("denominator vanished at working precision") from exc
+    if den.is_zero or den.valuation > params.ctx.residual_digits:
+        raise PoleError("denominator indistinguishable from zero")
+    return den
+
+
+def composed_f(params, u):
+    a, b = params.a, params.b
+    den = checked_den(params, b * b, a * a * u * u)
+    abu = a * b * u
+    return (abu * abu + 1) / den
+
+
+def composed_g(params, u):
+    b2 = params.b2
+    den = checked_den(params, b2, u * u)
+    return params.a * (b2 * u * u + 1) / den
+
+
+def deriv_g(params, u):
+    """g'(u) = 2au(b^4 - 1)/(b^2 + u^2)^2."""
+    b2 = params.b2
+    den = checked_den(params, b2, u * u)
+    return params.slope_factor * u / (den * den)
+
+
+def composed_k(params, x):
+    b2 = params.b2
+    den = checked_den(params, b2, x)
+    root = params.a * (b2 * x + 1) / den
+    return root * root
+
+
+def composed_k_slope(params, x):
+    b2 = params.b2
+    inv = 1 / checked_den(params, b2, x)
+    root = params.a * (b2 * x + 1) * inv
+    return root * root, root * params.slope_factor * inv * inv
+
+
+def composed_g_slope(params, u):
+    slope = deriv_g(params, u)  # the order of the former Newton step
+    return composed_g(params, u), slope
 
 
 def rational_params(ctx):
@@ -208,7 +264,7 @@ class TestDerivative:
                 x = random_padic(ctx, rng, vmin=-2, vmax=2)
                 h = ctx.from_int(ctx.p) ** 20
                 try:
-                    lam = deriv_g_norm(params, x)
+                    lam = deriv_g(params, x).norm()
                     quot = norm_diff(eval_g(params, x + h),
                                      eval_g(params, x)) / h.norm()
                 except PoleError:
@@ -232,3 +288,71 @@ class TestDerivative:
         with pytest.raises(PoleError) as info:
             eval_k(params, x)
         assert isinstance(info.value.__cause__, PrecisionExhausted)
+
+
+KERNELS = {
+    "f": (eval_f, composed_f),
+    "g": (eval_g, composed_g),
+    "k": (eval_k, composed_k),
+    "g_slope": (eval_g_slope, composed_g_slope),
+    "k_slope": (eval_k_slope, composed_k_slope),
+}
+
+
+def outcome(fn, params, x):
+    """The value fn returns, or the class of the error it raises and of its cause."""
+    try:
+        return fn(params, x)
+    except (PoleError, PrecisionExhausted) as exc:
+        cause = exc.__cause__
+        return type(exc), None if cause is None else type(cause)
+
+
+def kind(result):
+    """"zero" or "value" by the first value returned, or the error classes."""
+    first = result[0] if isinstance(result, tuple) else result
+    if isinstance(first, type):
+        return result
+    return "zero" if first.is_zero else "value"
+
+
+def kernel_inputs(params, rng):
+    """Zero, values of valuation -6..6, and t0 + p^e and sqrt(t0) + p^e for
+    each pole and numerator zero t0 of k (as x) and of g and f (as u^2):
+    near them the denominator or the numerator cancels e digits, for e
+    below, at and past N - g, and at and past N."""
+    ctx = params.ctx
+    p, N, R = ctx.p, ctx.precision, ctx.residual_digits
+    a2, b2 = params.a * params.a, params.b2
+    xs = [ctx.zero()] + [random_padic(ctx, rng) for _ in range(8)]
+    for t0 in (-b2, -1 / b2, -b2 / a2, -1 / (a2 * b2)):
+        near = [t0, *(sqrt_both(t0) if sqrt_exists(t0) else ())]
+        for e in (1, 2, R - 1, R, R + 1, N - 1, N, N + 1):
+            shift = ctx.from_int(p) ** e * rng.randrange(1, p)
+            xs.extend(c + shift for c in near)
+    return xs
+
+
+class TestKernelsAgainstComposition:
+    """Each integer kernel against the PadicNumber composition it replaced:
+    the same representation, digit for digit, or the same error class."""
+
+    @pytest.mark.parametrize("precision", [64, 128])
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_digit_for_digit(self, p, precision):
+        ctx = PrimeContext(p, precision)
+        rng = random.Random(100 * p + precision)
+        R = ctx.residual_digits
+        pairs = [strict_params(ctx, rng, t=1), strict_params(ctx, rng, t=2),
+                 # b - 1 of order N - g + 1: the slope factor 2a(b^4 - 1)
+                 # cancels past the guard, so every slope raises
+                 MapParams(ctx.from_int(1 + p ** (R + 2)), ctx.from_int(1 + p ** (R + 1)))]
+        seen = Counter()
+        for params in pairs:
+            for x in kernel_inputs(params, rng):
+                for name, (kernel, composed) in KERNELS.items():
+                    want = outcome(composed, params, x)
+                    assert outcome(kernel, params, x) == want, (name, x)
+                    seen[kind(want)] += 1
+        assert set(seen) == {"value", "zero", (PoleError, None),
+                             (PoleError, PrecisionExhausted), (PrecisionExhausted, None)}

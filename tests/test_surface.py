@@ -32,6 +32,11 @@ KEEP_MEMBERS = {
         "the repeller is coded by the full 2-shift (ROADMAP item 8)",
     "GibbsField.with_component":
         "acceptance criterion 9: perturbed fields fail compatibility",
+    "PadicNumber.norm":
+        "acceptance criterion 1: |.|_p is multiplicative and ultrametric",
+    "MapParams.radius":
+        "acceptance criteria 4 and 6: |g'(x1)|_p = 1/r, and k scales distances "
+        "on the repeller balls by 1/r, r = |b - 1|_p",
 }
 
 

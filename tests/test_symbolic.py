@@ -694,6 +694,57 @@ class TestCoding:
                               geom.subshift_metric(v, w))
 
 
+def replay_itinerary(geom, x, length):
+    """x's first `length` k-symbols with x read as exact in geom's context, or
+    ("escape", s) once the orbit leaves X at step s < length."""
+    try:
+        return geom.itinerary(x, length)
+    except EscapeError as exc:
+        return ("escape", exc.step)
+
+
+class TestItineraryBudget:
+    """itinerary answers only within its digit budget T = (N - g) // m.
+
+    The periodic point x of every word of length <= 4 is asked for T - 2 to
+    T + 8 symbols at N = 64, and the same 64 digits are replayed at N = 256,
+    where every one of those steps is trusted: each N = 64 answer is the
+    replay's, or PrecisionExhausted, which every length past T + 1 raises.
+    """
+
+    @pytest.mark.parametrize("p, a, b", [(13, 170, 14), (5, 26, 6), (13, 2198, 170)])
+    def test_answers_match_the_4n_replay(self, p, a, b):
+        def geom_at(precision):
+            ctx = PrimeContext(p, precision)
+            return RepellerGeometry.build(MapParams(ctx.from_int(a), ctx.from_int(b)))
+
+        geom, wide = geom_at(64), geom_at(256)
+        budget = geom.params.trusted_steps
+        lengths = range(budget - 2, budget + 9)
+        assert wide.params.trusted_steps > lengths[-1]
+        answered = exhausted = 0
+        for n in range(1, 5):
+            for word in all_words(n):
+                x = geom.periodic_point_k(word)
+                wide_x = wide.params.ctx.from_digits(x.valuation, x.digits())
+                replay = replay_itinerary(wide, wide_x, lengths[-1])
+                if replay[0] == "escape":  # the symbols before the escape
+                    prefix = wide.itinerary(wide_x, replay[1])
+                for length in lengths:
+                    want = replay[:length] if replay[0] != "escape" else (
+                        prefix[:length] if length <= replay[1] else replay)
+                    try:
+                        got = replay_itinerary(geom, x, length)
+                    except PrecisionExhausted:
+                        assert length > budget + 1, (word, length)
+                        exhausted += 1
+                        continue
+                    assert got == want, (word, length)
+                    assert length <= budget + 1
+                    answered += 1
+        assert answered and exhausted
+
+
 class TestCylinders:
     def test_depth_1_is_X(self, geom):
         cyl = dict(geom.julia_cylinders(1))
