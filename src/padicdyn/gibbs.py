@@ -17,6 +17,7 @@ from itertools import product
 from math import comb
 
 from .errors import (
+    DivisionByZero,
     DomainError,
     NoConvergence,
     NoValidPlacement,
@@ -26,7 +27,11 @@ from .errors import (
 from .padic import (
     PadicNumber,
     PrimeContext,
+    _inv_unit,
+    _same_ctx,
+    _sum,
     converge,
+    diff_valuation,
     eq_to_precision,
     exp_p,
     is_unit,
@@ -100,6 +105,24 @@ class Couplings:
     def c(self) -> PadicNumber:
         return exp_p(self.J0)
 
+    # the units of the weight kernels, once per instance: products and the
+    # inverse mod p^N are exact, so reusing them leaves every digit as it was
+
+    @cached_property
+    def _edge_units(self) -> dict:
+        """a^i b^j mod p^N by (i, j), i in {1, -1}, j in {1, -1, 0}: the
+        factor of an edge (y, t) with i = sigma(y) t, j = sigma(parent y) t."""
+        ctx = self.ctx
+        a, b = self.a.unit, self.b.unit
+        a_pow = {1: a, -1: _inv_unit(a, ctx)}
+        b_pow = {1: b, -1: _inv_unit(b, ctx), 0: 1}
+        return {(i, j): a_pow[i] * b_pow[j] % ctx.modulus for i in a_pow for j in b_pow}
+
+    @cached_property
+    def _c_units(self) -> dict:
+        """Per tree order k, the units of _c_powers, filled on first use."""
+        return {}
+
 
 def configurations(vertices: list[Vertex]):
     """All 2^|vertices| spin assignments, in a fixed deterministic order."""
@@ -156,31 +179,104 @@ class GibbsField:
 
 
 # -- weights -----------------------------------------------------------------
+# The weights are built in one pass over integers mod p^N, each value a
+# (valuation, unit) pair in padic's form, valuation None for zero, as in
+# maps._quotient.  Products and the unique inverse mod p^N are exact, so they
+# are grouped freely and every inverse is taken once; every sum goes through
+# padic._sum in the order of the PadicNumber composition the formulas
+# describe, so every digit and every error is that composition's.  A
+# PadicNumber is built only for what leaves the pass: Z_n, u and the sides
+# the checks compare.
 
-def _sibling_sum(c_pow: list[PadicNumber],
-                 factors: list[tuple[PadicNumber, PadicNumber]]) -> PadicNumber:
+_ZERO, _ONE = (None, 0), (0, 1)
+
+
+def _times(x: tuple, y: tuple, pN: int) -> tuple:
+    """x y for two (valuation, unit) pairs."""
+    if x[0] is None or y[0] is None:
+        return _ZERO
+    return x[0] + y[0], x[1] * y[1] % pN
+
+
+def _minus(ctx: PrimeContext, x: tuple, y: tuple) -> tuple:
+    """x - y, as x + (-y)."""
+    if y[0] is None:
+        return x
+    return _sum(ctx, *x, y[0], ctx.modulus - y[1])
+
+
+def _divide(ctx: PrimeContext, x: tuple, y: tuple) -> PadicNumber:
+    """x / y, with one _inv_unit of y's unit."""
+    if y[0] is None:
+        raise DivisionByZero("p-adic division by zero")
+    if x[0] is None:
+        return ctx.zero()
+    return PadicNumber(ctx, x[0] - y[0], x[1] * _inv_unit(y[1], ctx) % ctx.modulus)
+
+
+def _c_powers(couplings: Couplings, k: int) -> list[int]:
+    """The units c^(((2j - k)^2 - k) / 2), j = 0..k: c to the one-level sum
+    of k siblings, j of them +; once per Couplings and tree order."""
+    memo = couplings._c_units
+    if k not in memo:
+        ctx = couplings.ctx
+        c = couplings.c.unit
+        inv_c = _inv_unit(c, ctx)
+        exponents = [((2 * j - k) ** 2 - k) // 2 for j in range(k + 1)]
+        memo[k] = [pow(c if e >= 0 else inv_c, abs(e), ctx.modulus) for e in exponents]
+    return memo[k]
+
+
+def _sibling_sum(ctx: PrimeContext, c_pow: list[int], factors: list) -> tuple:
     """Sum over the spins t of k siblings of c^(sum_{i<j} t_i t_j) prod_i f_i(t_i).
 
-    factors[i] is (f_i(+1), f_i(-1)).  The one-level sum depends only on the
-    number j of + siblings, ((2j - k)^2 - k) / 2, so the products are
-    accumulated per j (c_pow[j] is c to that power): O(k^2), not 2^k.
+    factors[i] is (f_i(+1), f_i(-1)) as pairs.  The one-level sum depends
+    only on the number j of + siblings, ((2j - k)^2 - k) / 2, so the products
+    are accumulated per j (c_pow[j] is the unit of c to that power): O(k^2),
+    not 2^k.
     """
+    pN = ctx.modulus
     (plus, minus), *rest = factors
     by_count = [minus, plus]
     for plus, minus in rest:
-        nxt = [w * minus for w in by_count] + [by_count[-1] * plus]
+        nxt = [_times(w, minus, pN) for w in by_count] + [_times(by_count[-1], plus, pN)]
         for j in range(1, len(by_count)):
-            nxt[j] = nxt[j] + by_count[j - 1] * plus
+            nxt[j] = _sum(ctx, *nxt[j], *_times(by_count[j - 1], plus, pN))
         by_count = nxt
-    total = c_pow[0] * by_count[0]
-    for cj, w in zip(c_pow[1:], by_count[1:]):
-        total = total + cj * w
+    total = _ZERO
+    for cj, (v, w) in zip(c_pow, by_count):
+        total = _sum(ctx, *total, v, cj * w % pN)
     return total
 
 
-def _c_powers(couplings: Couplings, k: int) -> list[PadicNumber]:
-    """c to the one-level sum ((2j - k)^2 - k) / 2 of k siblings, j of them +."""
-    return [couplings.c ** (((2 * j - k) ** 2 - k) // 2) for j in range(k + 1)]
+def _components(field: GibbsField, ctx: PrimeContext, y: Vertex) -> dict:
+    """h_y, the field on the edge into y, each component in ctx."""
+    try:
+        comp = field.assign[y]
+    except KeyError:
+        raise DomainError(f"the field has no components at vertex {y}") from None
+    for h in comp.values():
+        if not _same_ctx(h.ctx, ctx):
+            raise DomainError("mixed PrimeContext arithmetic")
+    return comp
+
+
+def _boundary_sums(tree: CayleyTree, ctx: PrimeContext, field: GibbsField,
+                   n: int) -> dict:
+    """Per y on W_n, per state (s', s): h_y^(s' s), which is h_y(s', s) for
+    s' = s and its inverse otherwise; one _inv_unit per distinct unit."""
+    inverse, out = {}, {}
+    for y in tree.level(n):
+        sums = out[y] = {}
+        for (sx, sy), h in _components(field, ctx, y).items():
+            if sx == sy:
+                sums[sx, sy] = (h.valuation, h.unit)
+            else:
+                inv = inverse.get(h.unit)
+                if inv is None:
+                    inv = inverse[h.unit] = _inv_unit(h.unit, ctx)
+                sums[sx, sy] = (-h.valuation, inv)
+    return out
 
 
 _ROOT_STATES: tuple[SpinPair, ...] = ((0, 1), (0, -1))
@@ -189,44 +285,44 @@ _ROOT_STATES: tuple[SpinPair, ...] = ((0, 1), (0, -1))
 def _subtree_sums(tree: CayleyTree, couplings: Couplings, field: GibbsField,
                   n: int, level: int) -> dict:
     """Per ell from level to n, per x on W_ell, per state (sigma(parent x),
-    sigma(x)): the summed weight of all spins below x in V_n.
+    sigma(x)): the summed weight of all spins below x in V_n, as a pair.
 
     Every edge (y, t) below x contributes a^(sigma(y) t), b^(sigma(parent y) t)
     and, on W_n, h_t^(sigma(y) t); every sibling group contributes its
     c-coupling.  The sums are built bottom-up from W_n, one level at a time,
     so Z_n costs O(|V_n| k^2), and every level built is returned.  The root
     has no parent: its states carry parent spin 0, which drops the b-factor
-    of its children; a lone root (n = 0) weighs 1 in each state.
+    of its children; a lone root (n = 0) weighs 1 in each state.  A field
+    that misses a vertex of W_n, or lies in another context, is a
+    DomainError.
     """
-    k, one = tree.k, couplings.ctx.one()
     if n == 0:
-        return {0: {ROOT: {state: one for state in _ROOT_STATES}}}
-    a_pow = {1: couplings.a, -1: one / couplings.a}
-    b_pow = {1: couplings.b, -1: one / couplings.b, 0: one}
-    # a^(sigma(y) t) b^(sigma(parent y) t), by the two exponents
-    ab_pow = {(i, j): a_pow[i] * b_pow[j] for i in a_pow for j in b_pow}
-    c_pow = _c_powers(couplings, k)
-    levels = {n: {y: {(sx, sy): h if sx == sy else one / h
-                      for (sx, sy), h in field.assign[y].items()}
-                  for y in tree.level(n)}}
+        return {0: {ROOT: {state: _ONE for state in _ROOT_STATES}}}
+    ctx = couplings.ctx
+    pN, edge, c_pow = ctx.modulus, couplings._edge_units, _c_powers(couplings, tree.k)
+    levels = {n: _boundary_sums(tree, ctx, field, n)}
     for ell in range(n - 1, level - 1, -1):
-        states, sums = (PAIRS if ell else _ROOT_STATES), levels[ell + 1]
-        levels[ell] = {
-            x: {(sp, sx): _sibling_sum(c_pow, [
-                    tuple(ab_pow[sx * t, sp * t] * sums[y][(sx, t)]
-                          for t in (1, -1))
-                    for y in tree.successors(x)])
-                for sp, sx in states}
-            for x in tree.level(ell)
-        }
+        states, below = (PAIRS if ell else _ROOT_STATES), levels[ell + 1]
+        sums = levels[ell] = {}
+        for x in tree.level(ell):
+            children = [below[y] for y in tree.successors(x)]
+            sums[x] = {}
+            for sp, sx in states:
+                # a child with spin t weighs a^(sx t) b^(sp t) times its sum
+                plus, minus = edge[sx, sp], edge[-sx, -sp]
+                factors = []
+                for child in children:
+                    (pv, pu), (mv, mu) = child[sx, 1], child[sx, -1]
+                    factors.append(((pv, plus * pu % pN), (mv, minus * mu % pN)))
+                sums[x][sp, sx] = _sibling_sum(ctx, c_pow, factors)
     return levels
 
 
-def _partition_total(levels: dict) -> PadicNumber:
+def _partition_total(ctx: PrimeContext, levels: dict) -> tuple:
     """Z_n from the root sums of a _subtree_sums pass over V_n."""
     root = levels[0][ROOT]
-    total = root[_ROOT_STATES[0]] + root[_ROOT_STATES[1]]
-    if total.is_zero or total.valuation > total.ctx.residual_digits:
+    total = _sum(ctx, *root[_ROOT_STATES[0]], *root[_ROOT_STATES[1]])
+    if total[0] is None or total[0] > ctx.residual_digits:
         raise ZeroPartitionFunction("|Z_n|_p is below the precision floor")
     return total
 
@@ -234,7 +330,9 @@ def _partition_total(levels: dict) -> PadicNumber:
 def partition_fn(tree: CayleyTree, couplings: Couplings, field: GibbsField,
                  n: int) -> PadicNumber:
     """Z_n, the sum of weights over all configurations of V_n, by tree recursion."""
-    return _partition_total(_subtree_sums(tree, couplings, field, n, 0))
+    ctx = couplings.ctx
+    return PadicNumber(ctx, *_partition_total(ctx, _subtree_sums(tree, couplings,
+                                                                 field, n, 0)))
 
 
 @dataclass(frozen=True)
@@ -268,25 +366,32 @@ def check_compatibility(tree: CayleyTree, couplings: Couplings,
     if n < 1:
         raise DomainError("compatibility needs n >= 1")
     ctx = couplings.ctx
-    one = ctx.one()
+    pN, R = ctx.modulus, ctx.residual_digits
     # x / z and x * (1 / z) are the same unit mod p^N: one inverse per side
     levels = _subtree_sums(tree, couplings, field, n, 0)
-    inv_n = one / _partition_total(levels)
+    zv, zu = _partition_total(ctx, levels)
     prev = _subtree_sums(tree, couplings, field, n - 1, 0)
-    inv_prev = one / _partition_total(prev)
-    below, edge = levels[n - 1], prev[n - 1]
-    residuals = []
+    pv, pu = _partition_total(ctx, prev)
+    inv_n, inv_prev = (-zv, _inv_unit(zu, ctx)), (-pv, _inv_unit(pu, ctx))
+    below = [(x[:-1] if x else None, x, levels[n - 1][x], prev[n - 1][x])
+             for x in tree.level(n - 1)]
+    residuals, norms = [], {}
     ok = True
     for sigma in configurations(tree.vertices(n - 1)):
-        marginal = boundary = one
-        for x, sums in below.items():
-            state = (sigma[x[:-1]] if x else 0, sigma[x])
-            marginal = marginal * sums[state]
-            boundary = boundary * edge[x][state]
-        lhs = marginal * inv_n
-        rhs = boundary * inv_prev
-        residuals.append(norm_diff(lhs, rhs))
-        if not eq_to_precision(lhs, rhs, ctx.residual_digits):
+        marginal = boundary = _ONE
+        for parent, x, sums, edge in below:
+            state = (0 if parent is None else sigma[parent], sigma[x])
+            marginal = _times(marginal, sums[state], pN)
+            boundary = _times(boundary, edge[state], pN)
+        lhs = PadicNumber(ctx, *_times(marginal, inv_n, pN))
+        rhs = PadicNumber(ctx, *_times(boundary, inv_prev, pN))
+        # one order per sigma gives its residual and eq_to_precision's verdict
+        dv = diff_valuation(lhs, rhs)
+        if dv not in norms:
+            norms[dv] = norm_diff(lhs, rhs)
+        residuals.append(norms[dv])
+        if dv is not None and (lhs.is_zero or rhs.is_zero
+                               or dv < min(lhs.valuation, rhs.valuation) + R):
             ok = False
     return CompatibilityReport(ok, max(residuals), tuple(residuals))
 
@@ -307,20 +412,27 @@ def field_equation_residual(tree: CayleyTree, couplings: Couplings,
     S_x(s', s') = S_x(s', -s') h_x(s', +) h_x(s', -) and
     prod_x S_x(+, +) h_x(-, -) = prod_x S_x(-, -) h_x(+, +).
     """
-    one = couplings.ctx.one()
+    ctx = couplings.ctx
+    pN = ctx.modulus
     worst = Fraction(0)
+
+    def residual(x: tuple, y: tuple) -> Fraction:
+        return norm_diff(PadicNumber(ctx, *x), PadicNumber(ctx, *y))
+
     for m in range(2, n + 1):
         below = _subtree_sums(tree, couplings, field, m, m - 1)[m - 1]
         for y in tree.level(m - 2):
-            plus = minus = one
+            plus = minus = _ONE
             for x in tree.successors(y):
-                sums, h = below[x], field.assign[x]
+                sums = below[x]
+                h = {pair: (value.valuation, value.unit)
+                     for pair, value in _components(field, ctx, x).items()}
                 for s in SPINS:
-                    worst = max(worst, norm_diff(
-                        sums[(s, s)], sums[(s, -s)] * h[(s, 1)] * h[(s, -1)]))
-                plus = plus * sums[(1, 1)] * h[(-1, -1)]
-                minus = minus * sums[(-1, -1)] * h[(1, 1)]
-            worst = max(worst, norm_diff(plus, minus))
+                    worst = max(worst, residual(sums[s, s], _times(
+                        _times(sums[s, -s], h[s, 1], pN), h[s, -1], pN)))
+                plus = _times(_times(plus, sums[1, 1], pN), h[-1, -1], pN)
+                minus = _times(_times(minus, sums[-1, -1], pN), h[1, 1], pN)
+            worst = max(worst, residual(plus, minus))
     return worst
 
 
@@ -330,14 +442,50 @@ def _solves_equations(couplings: Couplings, residual: Fraction) -> bool:
     return residual <= Fraction(1, ctx.p ** ctx.residual_digits)
 
 
-def _horner(coeffs: list[PadicNumber],
-            u: PadicNumber) -> tuple[PadicNumber, PadicNumber]:
-    """(f(u), f'(u)) for f = sum_i coeffs[i] u^i, in one Horner pass."""
-    value, slope = coeffs[-1], u.ctx.zero()
+def _field_polynomials(couplings: Couplings, k: int) -> tuple[list, list]:
+    """The coefficient pairs of P and M (see solve_7_11).
+
+    The coefficient of u^j is binomial(k, j) c_pow[j] x^(2j - k), with x = ab
+    in P (j siblings +) and x = a/b in M (j siblings -).
+    """
+    ctx = couplings.ctx
+    pN, edge, c_pow = ctx.modulus, couplings._edge_units, _c_powers(couplings, k)
+
+    def coeffs(x: int, inv_x: int) -> list:
+        out = []
+        for j in range(k + 1):
+            binom, e = ctx.from_int(comb(k, j)), 2 * j - k
+            xe = pow(x if e >= 0 else inv_x, abs(e), pN)
+            out.append((binom.valuation, binom.unit * c_pow[j] * xe % pN))
+        return out
+
+    return coeffs(edge[1, 1], edge[-1, -1]), coeffs(edge[1, -1], edge[-1, 1])
+
+
+def _horner(ctx: PrimeContext, coeffs: list, u: tuple) -> tuple[tuple, tuple]:
+    """(f(u), f'(u)) for f = sum_i coeffs[i] u^i, in one Horner pass on pairs."""
+    pN = ctx.modulus
+    value, slope = coeffs[-1], _ZERO
     for coeff in reversed(coeffs[:-1]):
-        slope = slope * u + value
-        value = value * u + coeff
+        slope = _sum(ctx, *_times(slope, u, pN), *value)
+        value = _sum(ctx, *_times(value, u, pN), *coeff)
     return value, slope
+
+
+def _newton_step(ctx: PrimeContext, P: list, M: list, u: PadicNumber) -> PadicNumber:
+    """u -> (PM - uW) / (M^2 - W) with W = P'M - PM', at u (see solve_7_11)."""
+    pN = ctx.modulus
+    x = (u.valuation, u.unit)
+    p_u, dp_u = _horner(ctx, P, x)
+    m_u, dm_u = _horner(ctx, M, x)
+    try:
+        w = _minus(ctx, _times(dp_u, m_u, pN), _times(p_u, dm_u, pN))
+    except PrecisionExhausted:
+        # |W|_p is below the precision floor, e.g. ord(J1) > N - g: as 0,
+        # it moves the step in no trusted digit
+        w = _ZERO
+    return _divide(ctx, _minus(ctx, _times(p_u, m_u, pN), _times(x, w, pN)),
+                   _minus(ctx, _times(m_u, m_u, pN), w))
 
 
 def solve_7_11(tree: CayleyTree, couplings: Couplings, n: int = 2) -> GibbsField:
@@ -369,40 +517,23 @@ def solve_7_11(tree: CayleyTree, couplings: Couplings, n: int = 2) -> GibbsField
     it must keep N - g digits of u, or NoConvergence is raised.
     """
     ctx, k = couplings.ctx, tree.k
-    a, b, one = couplings.a, couplings.b, ctx.one()
-    ab, b_a, a_b = a * b, b / a, a / b
-    inv_ab, c_pow = one / ab, _c_powers(couplings, k)
+    pN, edge, c_pow = ctx.modulus, couplings._edge_units, _c_powers(couplings, k)
+    ab, inv_ab, a_b, b_a = edge[1, 1], edge[-1, -1], edge[1, -1], edge[-1, 1]
 
     def step(u: PadicNumber) -> PadicNumber:
         # a child with spin t below the state (s', s) weighs a^(st) b^(s't)
         # times h_{s t}^(st)
-        plus = _sibling_sum(c_pow, [(ab * u, inv_ab)] * k)
-        minus = _sibling_sum(c_pow, [(b_a, a_b * u)] * k)
-        return plus / minus
+        v = u.valuation
+        plus = _sibling_sum(ctx, c_pow, [((v, ab * u.unit % pN), (0, inv_ab))] * k)
+        minus = _sibling_sum(ctx, c_pow, [((0, b_a), (v, a_b * u.unit % pN))] * k)
+        return _divide(ctx, plus, minus)
 
-    def coeffs(x: PadicNumber, inv_x: PadicNumber) -> list[PadicNumber]:
-        # the coefficient of u^j: binomial(k, j) c_pow[j] x^(2j - k), with
-        # x = ab in P (j siblings +) and x = a_b in M (j siblings -)
-        return [comb(k, j) * c_pow[j] * (x ** (2 * j - k) if 2 * j >= k
-                                         else inv_x ** (k - 2 * j))
-                for j in range(k + 1)]
-
-    P, M = coeffs(ab, inv_ab), coeffs(a_b, b_a)
-
-    def newton(u: PadicNumber) -> PadicNumber:
-        p_u, dp_u = _horner(P, u)
-        m_u, dm_u = _horner(M, u)
-        try:
-            w = dp_u * m_u - p_u * dm_u  # M^2 F', |F'|_p <= |b - 1|_p
-        except PrecisionExhausted:
-            # |W|_p is below the precision floor, e.g. ord(J1) > N - g: as 0,
-            # it moves the step in no trusted digit
-            w = ctx.zero()
-        return (p_u * m_u - u * w) / (m_u * m_u - w)
-
-    u = converge(newton, one, "Newton iteration for u")
+    P, M = _field_polynomials(couplings, k)
+    u = converge(lambda u: _newton_step(ctx, P, M, u), ctx.one(),
+                 "Newton iteration for u")
     if not eq_to_precision(step(u), u, ctx.residual_digits):
         raise NoConvergence("the field u is not a fixed point to N - g digits")
+    one = ctx.one()
     return GibbsField.from_levels(tree, n, [{(1, 1): u, (-1, 1): one,
                                              (1, -1): one, (-1, -1): u}])
 

@@ -110,7 +110,7 @@ def _quotient(params: MapParams, tv: int | None, tu: int,
 # its order, every sum by padic._sum and one _inv_unit of the denominator per
 # point.  Products and the unique inverse mod p^N are exact, so every digit
 # and every error is the composition's.  a and b lie in E_p: their valuations,
-# and b^2's, are 0.
+# and b^2's, are 0.  The Gibbs weight kernels in gibbs.py work the same way.
 
 def eval_f(params: MapParams, u: PadicNumber) -> PadicNumber:
     ctx = params.ctx

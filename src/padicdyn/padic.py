@@ -73,7 +73,8 @@ def _inv_unit(u: int, ctx: PrimeContext) -> int:
 def _sum(ctx: PrimeContext, xv: int | None, xu: int,
          yv: int | None, yu: int) -> tuple[int | None, int]:
     """p^xv xu + p^yv yu as (valuation, unit), valuation None for zero: the one
-    addition rule, shared by PadicNumber.__add__ and the map kernels.
+    addition rule, shared by PadicNumber.__add__, the map kernels and the
+    Gibbs weight kernels.
 
     A sum that cancels more than N - g leading digits raises
     PrecisionExhausted; an exact zero mod p^N is zero.

@@ -1,8 +1,11 @@
 """Cayley-tree combinatorics, measures, compatibility, and boundary fields."""
+import random
+import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import ceil, log2
+from math import ceil, comb, log2
 
 import pytest
 
@@ -14,8 +17,12 @@ from padicdyn import (
     MapParams,
     NoConvergence,
     NoValidPlacement,
+    PadicError,
+    PadicNumber,
+    PrecisionExhausted,
     PrimeContext,
     RepellerGeometry,
+    ZeroPartitionFunction,
     check_compatibility,
     configurations,
     diagonal_field_from_orbit,
@@ -31,10 +38,10 @@ from padicdyn import (
     solve_7_11,
 )
 from padicdyn.cli import run
-from padicdyn.gibbs import PAIRS, _c_powers, _sibling_sum, field_equation_residual
-from padicdyn.padic import converge
+from padicdyn.gibbs import PAIRS, field_equation_residual
+from padicdyn.padic import _sum, converge
 
-from conftest import random_unit
+from conftest import random_Ep, random_padic, random_unit
 
 
 @pytest.fixture
@@ -49,6 +56,101 @@ def tree():
 
 def couplings(ctx, J, J1, J0=0):
     return Couplings(ctx.from_int(J), ctx.from_int(J1), ctx.from_int(J0))
+
+
+# -- the PadicNumber composition the weight kernels replaced -------------------
+
+def composed_c_powers(couplings, k):
+    """c to the one-level sum ((2j - k)^2 - k) / 2 of k siblings, j of them +."""
+    return [couplings.c ** (((2 * j - k) ** 2 - k) // 2) for j in range(k + 1)]
+
+
+def composed_sibling_sum(c_pow, factors):
+    """Sum over the spins t of k siblings of c^(sum_{i<j} t_i t_j) prod_i f_i(t_i),
+    accumulated per number j of + siblings; factors[i] is (f_i(+1), f_i(-1))."""
+    (plus, minus), *rest = factors
+    by_count = [minus, plus]
+    for plus, minus in rest:
+        nxt = [w * minus for w in by_count] + [by_count[-1] * plus]
+        for j in range(1, len(by_count)):
+            nxt[j] = nxt[j] + by_count[j - 1] * plus
+        by_count = nxt
+    total = c_pow[0] * by_count[0]
+    for cj, w in zip(c_pow[1:], by_count[1:]):
+        total = total + cj * w
+    return total
+
+
+def composed_subtree_sums(tree, couplings, field, n, level):
+    """Per ell from level to n, per x on W_ell, per state (sigma(parent x),
+    sigma(x)): the summed weight of all spins below x in V_n, bottom-up from
+    the edge factors h^(sigma(y) t) on W_n; the root's states carry parent
+    spin 0, and a lone root weighs 1 in each state."""
+    k, one = tree.k, couplings.ctx.one()
+    states_root = ((0, 1), (0, -1))
+    if n == 0:
+        return {0: {(): {state: one for state in states_root}}}
+    a_pow = {1: couplings.a, -1: one / couplings.a}
+    b_pow = {1: couplings.b, -1: one / couplings.b, 0: one}
+    ab_pow = {(i, j): a_pow[i] * b_pow[j] for i in a_pow for j in b_pow}
+    c_pow = composed_c_powers(couplings, k)
+    levels = {n: {y: {(sx, sy): h if sx == sy else one / h
+                      for (sx, sy), h in field.assign[y].items()}
+                  for y in tree.level(n)}}
+    for ell in range(n - 1, level - 1, -1):
+        states, sums = (PAIRS if ell else states_root), levels[ell + 1]
+        levels[ell] = {
+            x: {(sp, sx): composed_sibling_sum(c_pow, [
+                    tuple(ab_pow[sx * t, sp * t] * sums[y][(sx, t)] for t in (1, -1))
+                    for y in tree.successors(x)])
+                for sp, sx in states}
+            for x in tree.level(ell)
+        }
+    return levels
+
+
+def composed_partition_fn(tree, couplings, field, n):
+    """Z_n from the root sums, ZeroPartitionFunction below the precision floor."""
+    root = composed_subtree_sums(tree, couplings, field, n, 0)[0][()]
+    total = root[(0, 1)] + root[(0, -1)]
+    if total.is_zero or total.valuation > total.ctx.residual_digits:
+        raise ZeroPartitionFunction("|Z_n|_p is below the precision floor")
+    return total
+
+
+def composed_polynomials(couplings, k):
+    """P and M of solve_7_11: the coefficient of u^j is binomial(k, j) c_pow[j]
+    x^(2j - k), with x = ab in P and x = a/b in M."""
+    a, b, one = couplings.a, couplings.b, couplings.ctx.one()
+    ab, b_a, a_b = a * b, b / a, a / b
+    c_pow = composed_c_powers(couplings, k)
+
+    def coeffs(x, inv_x):
+        return [comb(k, j) * c_pow[j] * (x ** (2 * j - k) if 2 * j >= k
+                                         else inv_x ** (k - 2 * j))
+                for j in range(k + 1)]
+
+    return coeffs(ab, one / ab), coeffs(a_b, b_a)
+
+
+def composed_horner(coeffs, u):
+    """(f(u), f'(u)) for f = sum_i coeffs[i] u^i, in one Horner pass."""
+    value, slope = coeffs[-1], u.ctx.zero()
+    for coeff in reversed(coeffs[:-1]):
+        slope = slope * u + value
+        value = value * u + coeff
+    return value, slope
+
+
+def composed_newton(P, M, u):
+    """u -> (PM - uW) / (M^2 - W), W = P'M - PM', W as 0 where it cancels."""
+    p_u, dp_u = composed_horner(P, u)
+    m_u, dm_u = composed_horner(M, u)
+    try:
+        w = dp_u * m_u - p_u * dm_u
+    except PrecisionExhausted:
+        w = u.ctx.zero()
+    return (p_u * m_u - u * w) / (m_u * m_u - w)
 
 
 # -- the brute-force oracle: pair lists and configuration weights --------------
@@ -195,11 +297,11 @@ def oracle_linear_u(tree, c):
     ctx, k = c.ctx, tree.k
     a, b, one = c.a, c.b, ctx.one()
     ab, b_a, a_b = a * b, b / a, a / b
-    inv_ab, c_pow = one / ab, _c_powers(c, k)
+    inv_ab, c_pow = one / ab, composed_c_powers(c, k)
 
     def step(u):
-        plus = _sibling_sum(c_pow, [(ab * u, inv_ab)] * k)
-        minus = _sibling_sum(c_pow, [(b_a, a_b * u)] * k)
+        plus = composed_sibling_sum(c_pow, [(ab * u, inv_ab)] * k)
+        minus = composed_sibling_sum(c_pow, [(b_a, a_b * u)] * k)
         return plus / minus
 
     return converge(step, one, "iteration for u")
@@ -238,6 +340,11 @@ def random_field(tree, n, ctx, rng):
                        for y in tree.vertices(n) if y})
 
 
+def k1_field(h11, h1m, hm1, hmm):
+    """The one-edge field of the order-1 tree at n = 1."""
+    return GibbsField({(1,): {(1, 1): h11, (1, -1): h1m, (-1, 1): hm1, (-1, -1): hmm}})
+
+
 def scaled(field, *changes):
     """field with h_y(pair) multiplied by factor, per (y, pair, factor)."""
     for y, pair, factor in changes:
@@ -249,7 +356,7 @@ def per_vertex_residual(tree, c, field, n):
     """Worst residual of the per-vertex identity between levels n - 1 and n:
     the terms of field_equation_residual at m = n, and at n = 1, where the
     root's two states enter, S_root(0, +) = S_root(0, -)."""
-    below = gibbs._subtree_sums(tree, c, field, n, n - 1)[n - 1]
+    below = composed_subtree_sums(tree, c, field, n, n - 1)[n - 1]
     if n == 1:
         root = below[()]
         return norm_diff(root[(0, 1)], root[(0, -1)])
@@ -349,6 +456,22 @@ class TestMeasures:
         got = measure_weight(tree, c, field, sigma, 1)
         assert eq_to_precision(got, want, ctx5.residual_digits)
 
+    def test_partition_fn_at_the_precision_floor(self, ctx5):
+        # Z_1 = a p^e on the order-1 tree: order N - g is kept, one digit
+        # more cancels past the guard
+        c, R, one = couplings(ctx5, 5, 5), ctx5.residual_digits, ctx5.one()
+        tree = CayleyTree(1)
+        near_zero = [k1_field(-one + ctx5.from_int(5) ** e, -one, one, one)
+                     for e in (R, R + 1)]
+        z = partition_fn(tree, c, near_zero[0], 1)
+        assert z.valuation == R
+        # the N - R digits the cancellation leaves
+        assert eq_to_precision(z, c.a * ctx5.from_int(5) ** R, ctx5.precision - R)
+        with pytest.raises(PrecisionExhausted):
+            partition_fn(tree, c, near_zero[1], 1)
+        with pytest.raises(ZeroPartitionFunction):
+            partition_fn(tree, c, k1_field(-one, -one, one, one), 1)
+
     def test_field_validation(self, ctx5, tree):
         bad = {pair: ctx5.one() for pair in PAIRS}
         bad[(1, 1)] = ctx5.from_int(5)  # not a unit
@@ -385,6 +508,17 @@ class TestCompatibility:
         assert report.ok
         assert report.max_residual <= Fraction(1, 5 ** 56)
 
+    def test_verdict_at_the_precision_floor(self, ctx5, tree):
+        # a leaf scaled by 1 + p^e leaves residual p^-e: compatible exactly
+        # when e >= N - g, as eq_to_precision decides on unit sides
+        c, R = couplings(ctx5, 5, 5, 0), ctx5.residual_digits
+        field = solve_7_11(tree, c, 2)
+        for e in (R - 1, R, R + 1):
+            pert = scaled(field, ((1, 1), (1, 1), ctx5.from_int(1 + 5 ** e)))
+            report = check_compatibility(tree, c, pert, 2)
+            assert report.max_residual == Fraction(1, 5 ** e)
+            assert report.ok is (e >= R)
+
     def test_perturbation_breaks_compatibility(self, ctx5, tree):
         c = couplings(ctx5, 5, 5, 0)
         field = solve_7_11(tree, c, 2)
@@ -394,6 +528,38 @@ class TestCompatibility:
         assert not report.ok
         # frozen regression: the (1+p) perturbation shows up at norm 1/5
         assert report.max_residual == Fraction(1, 5)
+
+
+class TestFieldCoverage:
+    """A field that misses a vertex the check reads is a DomainError naming
+    the first such vertex, not a KeyError."""
+
+    @staticmethod
+    def short_field(ctx):
+        # the order-2 tree's W_1 only
+        return GibbsField.unit(CayleyTree(2), 1, ctx)
+
+    @pytest.mark.parametrize("k, n, missing", [(2, 2, "(1, 1)"), (3, 1, "(3,)")])
+    def test_check_compatibility(self, ctx5, k, n, missing):
+        c = couplings(ctx5, 5, 5)
+        with pytest.raises(DomainError, match=f"no components at vertex {re.escape(missing)}"):
+            check_compatibility(CayleyTree(k), c, self.short_field(ctx5), n)
+
+    @pytest.mark.parametrize("k, n, missing", [(2, 2, "(1, 1)"), (3, 1, "(3,)")])
+    def test_partition_fn(self, ctx5, k, n, missing):
+        c = couplings(ctx5, 5, 5)
+        with pytest.raises(DomainError, match=f"no components at vertex {re.escape(missing)}"):
+            partition_fn(CayleyTree(k), c, self.short_field(ctx5), n)
+
+    def test_field_equation_residual(self, ctx5):
+        c, tree, one = couplings(ctx5, 5, 5), CayleyTree(2), ctx5.one()
+        with pytest.raises(DomainError, match=r"no components at vertex \(1, 1\)"):
+            field_equation_residual(CayleyTree(3), c, self.short_field(ctx5), 2)
+        # W_2 covered, W_1 read by the product identity: (2,) is missing
+        comp = {pair: one for pair in PAIRS}
+        field = GibbsField({y: comp for y in [(1,), *tree.level(2)]})
+        with pytest.raises(DomainError, match=r"no components at vertex \(2,\)"):
+            field_equation_residual(tree, c, field, 2)
 
 
 class TestRecursionAgainstOracle:
@@ -712,10 +878,12 @@ class TestNewtonForU:
     def test_newton_that_never_settles_raises(self, ctx5, tree, monkeypatch, capsys):
         horner, calls = gibbs._horner, []
 
-        def drifting(coeffs, u):
-            value, slope = horner(coeffs, u)
+        def drifting(ctx, coeffs, u):
+            # P(u) + 5 * (the number of calls so far), on pairs
+            value, slope = horner(ctx, coeffs, u)
             calls.append(None)
-            return value + ctx5.from_int(5 * len(calls)), slope
+            drift = ctx5.from_int(5 * len(calls))
+            return _sum(ctx, *value, drift.valuation, drift.unit), slope
 
         monkeypatch.setattr(gibbs, "_horner", drifting)
         with pytest.raises(NoConvergence, match="^Newton iteration for u did not"):
@@ -736,6 +904,147 @@ class TestNewtonForU:
             for n in (1, 2):
                 field = solve_7_11(tree, c, n)
                 assert check_compatibility(tree, c, field, n).ok
+
+
+def as_pairs(value):
+    """PadicNumbers, alone or inside dicts, lists and tuples, as (valuation,
+    unit) pairs; the kernels' pairs come back unchanged."""
+    if isinstance(value, PadicNumber):
+        return value.valuation, value.unit
+    if isinstance(value, dict):
+        return {key: as_pairs(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(as_pairs(v) for v in value)
+    return value
+
+
+def kernel_outcome(fn, *args):
+    """What fn returns, as pairs, or the class of the PadicError it raises."""
+    try:
+        return as_pairs(fn(*args))
+    except PadicError as exc:
+        return type(exc)
+
+
+def outcome_kind(result):
+    """The error class, or "zero" / "value" by the root sum or value."""
+    if isinstance(result, type):
+        return result
+    if isinstance(result, dict):  # levels of subtree sums
+        result = result[0][()][0, 1]
+    return "zero" if result[0] is None else "value"
+
+
+class TestGibbsKernelsAgainstComposition:
+    """The integer weight kernels against the PadicNumber composition they
+    replaced: the same representation, digit for digit, or the same error
+    class."""
+
+    CONTEXTS = [(p, N) for p in (3, 5, 7) for N in (64, 128)]
+
+    @staticmethod
+    def fields(tree, c, n, rng):
+        ctx = c.ctx
+        solved = solve_7_11(tree, c, n)
+        out = [solved, GibbsField.unit(tree, n, ctx), random_field(tree, n, ctx, rng)]
+        if n:
+            leaf = (1,) * n
+            out.append(solved.with_component(
+                leaf, (1, 1), solved.assign[leaf][1, 1] * ctx.from_int(1 + ctx.p)))
+        return out
+
+    @staticmethod
+    def special_fields(c):
+        """k = 1, n = 1 fields whose Z_1 is exactly 0, whose root sum in the
+        state (0, +) cancels N - 2 digits, and one in another context."""
+        ctx, a = c.ctx, c.a
+        one, p, N = ctx.one(), ctx.p, ctx.precision
+        return [k1_field(-one, -one, one, one),
+                k1_field(-(one / (a * a)) + ctx.from_int(p) ** (N - 2), one, one, one),
+                GibbsField.unit(CayleyTree(1), 1, PrimeContext(p, N + 1))]
+
+    @pytest.mark.parametrize("p, N", CONTEXTS)
+    def test_subtree_sums_and_partition_fn(self, p, N):
+        ctx = PrimeContext(p, N)
+        rng = random.Random(1000 * p + N)
+        seen = Counter()
+        for k in (1, 2, 3):
+            tree = CayleyTree(k)
+            for J0 in (False, True):
+                c = draw_couplings(ctx, rng, 1, J0)
+                cases = [(n, f) for n in range(4) for f in self.fields(tree, c, n, rng)]
+                if k == 1:
+                    cases += [(1, f) for f in self.special_fields(c)]
+                for n, field in cases:
+                    for level in range(n + 1):
+                        want = kernel_outcome(composed_subtree_sums, tree, c, field, n, level)
+                        got = kernel_outcome(gibbs._subtree_sums, tree, c, field, n, level)
+                        assert got == want, (k, n, level)
+                    want = kernel_outcome(composed_partition_fn, tree, c, field, n)
+                    assert kernel_outcome(partition_fn, tree, c, field, n) == want, (k, n)
+                    seen[outcome_kind(want)] += 1
+        assert set(seen) == {"value", PrecisionExhausted, ZeroPartitionFunction, DomainError}
+
+    @pytest.mark.parametrize("p, N", CONTEXTS)
+    def test_sibling_sum(self, p, N):
+        # zero factors, factors of valuation -3..3, and at k = 1 a pair whose
+        # sum cancels N - 2 digits
+        ctx = PrimeContext(p, N)
+        rng = random.Random(1000 * p + N)
+        seen = Counter()
+
+        def factor():
+            return rng.choice([ctx.zero(), random_unit(ctx, rng),
+                               random_padic(ctx, rng, vmin=-3, vmax=3)])
+
+        for k in (1, 2, 3):
+            for J0 in (False, True):
+                c = draw_couplings(ctx, rng, 1, J0)
+                want_pow = composed_c_powers(c, k)
+                c_pow = gibbs._c_powers(c, k)
+                assert [(0, u) for u in c_pow] == as_pairs(want_pow)
+                groups = [[(factor(), factor()) for _ in range(k)] for _ in range(30)]
+                if k == 1:
+                    for _ in range(3):
+                        minus = random_padic(ctx, rng, vmin=-3, vmax=3)
+                        shift = ctx.from_int(p) ** (minus.valuation + N - 2)
+                        groups.append([(-minus + shift, minus)])
+                for factors in groups:
+                    want = kernel_outcome(composed_sibling_sum, want_pow, factors)
+                    got = kernel_outcome(gibbs._sibling_sum, ctx, c_pow, as_pairs(factors))
+                    assert got == want, factors
+                    seen[outcome_kind(want)] += 1
+        assert set(seen) == {"value", "zero", PrecisionExhausted}
+
+    @pytest.mark.parametrize("p, N", CONTEXTS)
+    def test_newton_step(self, p, N):
+        # the step at 1, at the solved u, at random values, at -1 + p^e,
+        # where at J0 = 0 M is divisible by p, and at k = 1 near the roots of
+        # P and M, where P(u) or M(u) cancels e digits
+        ctx = PrimeContext(p, N)
+        rng = random.Random(1000 * p + N)
+        R, one = ctx.residual_digits, ctx.one()
+        seen = Counter()
+        for k in (1, 2, 3):
+            for J0 in (False, True):
+                for ord_J1 in (1, 2):
+                    c = draw_couplings(ctx, rng, ord_J1, J0)
+                    P, M = gibbs._field_polynomials(c, k)
+                    want_P, want_M = composed_polynomials(c, k)
+                    assert (P, M) == (as_pairs(want_P), as_pairs(want_M))
+                    solved = solve_7_11(CayleyTree(k), c, 1).assign[(1,)][1, 1]
+                    us = [one, ctx.zero(), solved, random_Ep(ctx, rng),
+                          random_unit(ctx, rng), random_padic(ctx, rng, vmin=-2, vmax=2)]
+                    us += [-one + ctx.from_int(p) ** e for e in (1, 2, R - 1, R, R + 1, N)]
+                    if k == 1:
+                        us += [-(f[0] / f[1]) + ctx.from_int(p) ** e
+                               for f in (want_P, want_M) for e in (R - 1, R + 1, N)]
+                    for u in us:
+                        want = kernel_outcome(composed_newton, want_P, want_M, u)
+                        got = kernel_outcome(gibbs._newton_step, ctx, P, M, u)
+                        assert got == want, (k, J0, ord_J1, u)
+                        seen[outcome_kind(want)] += 1
+        assert set(seen) == {"value", PrecisionExhausted}
 
 
 class TestPeriodicFields:
