@@ -15,7 +15,8 @@ import sys
 from . import fixedpoints, gibbs
 from .errors import DomainError, NoValidPlacement, PadicError
 from .maps import MapParams, eval_f, eval_g, eval_k
-from .padic import PrimeContext, diff_valuation, norm_str, parse_padic, to_json
+from .padic import (PadicNumber, PrimeContext, diff_valuation, norm_str,
+                    parse_padic, to_json)
 from .symbolic import RepellerGeometry, basin_status, check_word
 
 _ERROR_KIND = {1: "domain", 2: "precision", 3: "verification"}
@@ -62,6 +63,14 @@ def _context(p: int, precision: int, guard: int) -> PrimeContext:
 
 def _ctx(args) -> PrimeContext:
     return _context(args.p, args.precision, args.guard)
+
+
+@functools.lru_cache(maxsize=fixedpoints.MEMO_SIZE)
+def _couplings(J: PadicNumber, J1: PadicNumber, J0: PadicNumber) -> gibbs.Couplings:
+    """One Couplings per (J, J1, J0) per process, in the context _context
+    shares: a later call reuses its exp_p values, edge units and solved u's;
+    a DomainError is raised again on every call, never stored."""
+    return gibbs.Couplings(J, J1, J0)
 
 
 def _params(args) -> MapParams:
@@ -279,9 +288,8 @@ def _cmd_gibbs(args):
     ctx = _ctx(args)
     tree = gibbs.CayleyTree(args.k)
     _check_listing_size(tree.k, args.n)
-    couplings = gibbs.Couplings(parse_padic(args.J, ctx),
-                                parse_padic(args.J1, ctx),
-                                parse_padic(args.J0, ctx))
+    couplings = _couplings(parse_padic(args.J, ctx), parse_padic(args.J1, ctx),
+                           parse_padic(args.J0, ctx))
 
     if args.action != "periodic":
         # solve, and verify of the solved or the unit field

@@ -32,9 +32,10 @@ LEMMA_3_4_CLAUSES = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 
 # entries kept per process, per memo: pairs in the fixed points here and in
 # the repeller geometry of symbolic, with its cylinder centres and periodic
-# points, and (p, N, g) contexts in cli._context; past that, the entry used
-# longest ago is dropped.  Each entry keeps a PrimeContext, with p^0..p^N,
-# alive.
+# points, (p, N, g) contexts in cli._context, and (J, J1, J0) couplings, with
+# their exp_p values, edge units and solved u's, in cli._couplings; past
+# that, the entry used longest ago is dropped.  Each entry keeps a
+# PrimeContext, with p^0..p^N, alive.
 MEMO_SIZE = 16
 
 

@@ -123,6 +123,11 @@ class Couplings:
         """Per tree order k, the units of _c_powers, filled on first use."""
         return {}
 
+    @cached_property
+    def _solved_u(self) -> dict:
+        """Per tree order k, the u of solve_7_11, filled on its first success."""
+        return {}
+
 
 def configurations(vertices: list[Vertex]):
     """All 2^|vertices| spin assignments, in a fixed deterministic order."""
@@ -169,9 +174,16 @@ class GibbsField:
         return cls.from_levels(tree, n, [{pair: one for pair in PAIRS}])
 
     def to_json(self) -> dict:
+        """Components by vertex path and sign pair; equal values share one
+        padic.to_json form, converted once per call."""
+        forms = {}
+        for comp in self.assign.values():
+            for h in comp.values():
+                if h not in forms:
+                    forms[h] = to_json(h)
         return {
             "/".join(map(str, v)) or "root": {
-                f"{'+' if sx > 0 else '-'}{'+' if sy > 0 else '-'}": to_json(h)
+                f"{'+' if sx > 0 else '-'}{'+' if sy > 0 else '-'}": forms[h]
                 for (sx, sy), h in comp.items()
             }
             for v, comp in sorted(self.assign.items())
@@ -515,25 +527,32 @@ def solve_7_11(tree: CayleyTree, couplings: Couplings, n: int = 2) -> GibbsField
     the root and cancel most digits on the last steps.  The plain step
     u -> S(+, +) / S(+, -), by sibling sums, is kept as an independent check:
     it must keep N - g digits of u, or NoConvergence is raised.
+
+    The Couplings keeps u per tree order once Newton and the check have
+    passed, so a later solve at that order runs neither; a solve that raises
+    keeps nothing.
     """
     ctx, k = couplings.ctx, tree.k
-    pN, edge, c_pow = ctx.modulus, couplings._edge_units, _c_powers(couplings, k)
-    ab, inv_ab, a_b, b_a = edge[1, 1], edge[-1, -1], edge[1, -1], edge[-1, 1]
+    solved = couplings._solved_u
+    if k not in solved:
+        pN, edge, c_pow = ctx.modulus, couplings._edge_units, _c_powers(couplings, k)
+        ab, inv_ab, a_b, b_a = edge[1, 1], edge[-1, -1], edge[1, -1], edge[-1, 1]
 
-    def step(u: PadicNumber) -> PadicNumber:
-        # a child with spin t below the state (s', s) weighs a^(st) b^(s't)
-        # times h_{s t}^(st)
-        v = u.valuation
-        plus = _sibling_sum(ctx, c_pow, [((v, ab * u.unit % pN), (0, inv_ab))] * k)
-        minus = _sibling_sum(ctx, c_pow, [((0, b_a), (v, a_b * u.unit % pN))] * k)
-        return _divide(ctx, plus, minus)
+        def step(u: PadicNumber) -> PadicNumber:
+            # a child with spin t below the state (s', s) weighs a^(st) b^(s't)
+            # times h_{s t}^(st)
+            v = u.valuation
+            plus = _sibling_sum(ctx, c_pow, [((v, ab * u.unit % pN), (0, inv_ab))] * k)
+            minus = _sibling_sum(ctx, c_pow, [((0, b_a), (v, a_b * u.unit % pN))] * k)
+            return _divide(ctx, plus, minus)
 
-    P, M = _field_polynomials(couplings, k)
-    u = converge(lambda u: _newton_step(ctx, P, M, u), ctx.one(),
-                 "Newton iteration for u")
-    if not eq_to_precision(step(u), u, ctx.residual_digits):
-        raise NoConvergence("the field u is not a fixed point to N - g digits")
-    one = ctx.one()
+        P, M = _field_polynomials(couplings, k)
+        u = converge(lambda u: _newton_step(ctx, P, M, u), ctx.one(),
+                     "Newton iteration for u")
+        if not eq_to_precision(step(u), u, ctx.residual_digits):
+            raise NoConvergence("the field u is not a fixed point to N - g digits")
+        solved[k] = u
+    u, one = solved[k], ctx.one()
     return GibbsField.from_levels(tree, n, [{(1, 1): u, (-1, 1): one,
                                              (1, -1): one, (-1, -1): u}])
 

@@ -52,17 +52,20 @@ def _digits(u, ctx):
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Start every test with no parameter pair solved and no CLI context built.
+    """Start every test with no parameter pair solved and no CLI context or
+    coupling built.
 
     The fixed points (x0, Delta and the repelling roots), the repeller
     geometry, with the cylinder centres, k-periodic points and forward k- and
-    g-orbits it keeps, and the CLI's PrimeContext per (p, N, g) are kept per
-    process; a test that counts or monkeypatches solver or map calls must
-    see the cold path.
-    tests/test_surface.py checks that these are the package's three memos
-    and that all three are cleared here.
+    g-orbits it keeps, the CLI's PrimeContext per (p, N, g) and the CLI's
+    Couplings per (J, J1, J0), with the exp_p values, edge units and solved
+    u's it keeps, are kept per process; a test that counts or monkeypatches
+    solver or map calls must see the cold path.
+    tests/test_surface.py checks that these are the package's four memos
+    and that all four are cleared here.
     """
     cli._context.cache_clear()
+    cli._couplings.cache_clear()
     fixedpoints._fixed_points.cache_clear()
     symbolic._geometry.cache_clear()
 

@@ -196,6 +196,116 @@ class TestContextMemo:
         assert cli._context.cache_info().currsize == 0
 
 
+class TestCouplingsMemo:
+    """One Couplings per (J, J1, J0) per process, in the shared context."""
+
+    SOLVE = ["gibbs", "--p", "5", "solve", "--J", "5/1", "--J1", "15/1",
+             "--J0", "25/1"]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every Couplings the CLI builds."""
+        built, couplings = [], padicdyn.gibbs.Couplings
+
+        def recorded(*args):
+            built.append(couplings(*args))
+            return built[-1]
+
+        monkeypatch.setattr(padicdyn.gibbs, "Couplings", recorded)
+        return built
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        """Count the calls of padicdyn.gibbs.<name> from now on."""
+        calls, fn = [], getattr(padicdyn.gibbs, name)
+
+        def counting(*args):
+            calls.append(None)
+            return fn(*args)
+
+        monkeypatch.setattr(padicdyn.gibbs, name, counting)
+        return calls
+
+    def test_verify_after_solve_runs_no_exp_p_and_no_newton(self, capsys,
+                                                             monkeypatch, built):
+        code, solved = invoke(capsys, self.SOLVE)
+        assert code == 0
+        exp_calls = self.counted(monkeypatch, "exp_p")
+        newton_steps = self.counted(monkeypatch, "_newton_step")
+        argv = [*self.SOLVE[:3], "verify", "--source", "solve", *self.SOLVE[4:]]
+        code, verified = invoke(capsys, argv)
+        assert (code, verified) == (0, {"compatibility": solved["compatibility"]})
+        assert (exp_calls, newton_steps) == ([], [])
+        assert len(built) == 1 and cli._couplings.cache_info().hits == 1
+
+    def test_another_precision_or_guard_gets_its_own_entry(self, capsys, built):
+        contexts = {(): (5, 64, 8), ("--precision", "32"): (5, 32, 8),
+                    ("--guard", "4"): (5, 64, 4)}
+        for flags in contexts:
+            assert run([*self.SOLVE, *flags]) == 0
+        capsys.readouterr()
+        assert cli._couplings.cache_info().currsize == 3
+        u = [c._solved_u[2] for c in built]
+        for c, value, key in zip(built, u, contexts.values()):
+            assert c.ctx is cli._context(*key)
+            assert value.ctx is c.ctx
+        assert len(u[1].digits()) == 32
+        # equal (p, N) give equal digits; the guard only moves the floor
+        assert u[0].digits() == u[2].digits() and u[0] != u[2]
+
+    def test_a_bad_coupling_is_refused_on_every_call(self, capsys, built):
+        argv = ["gibbs", "--p", "5", "solve", "--J", "1/1"]
+        for _ in range(2):
+            assert run(argv) == 1
+            assert capsys.readouterr().err == "domain error: |J|_p must be <= 1/p\n"
+        assert cli._couplings.cache_info().currsize == 0
+
+    # solve and verify with J0 != 0 and J0 = 0, at three tree orders and in
+    # three contexts; the unit field, which both couplings make incompatible at
+    # n = 2 (exit 3); periodic bare and with a word (exit 3, no placement),
+    # with the diagonal, at k = 3 (exit 1) and at a precision too low for the
+    # x0 solve (exit 2); and a coupling off the bound (exit 1)
+    SEQUENCE = [
+        ["solve", "--J", "5/1", "--J1", "15/1", "--J0", "25/1"],
+        ["verify", "--source", "solve", "--J", "5/1", "--J1", "15/1", "--J0", "25/1"],
+        ["solve", "--J", "5/1", "--J1", "15/1"],
+        ["solve", "--J", "25/1", "--J1", "5/1", "--n", "3"],
+        ["verify", "--source", "solve", "--J", "25/1", "--J1", "5/1", "--k", "1"],
+        ["verify", "--source", "solve", "--J", "25/1", "--J1", "5/1", "--k", "3",
+         "--precision", "32"],
+        ["verify", "--source", "unit", "--J", "25/1", "--J1", "5/1"],
+        ["verify", "--source", "unit", "--J", "25/1", "--J1", "5/1", "--n", "1"],
+        ["periodic", "--J", "25/1", "--J1", "5/1"],
+        ["periodic", "--J", "25/1", "--J1", "5/1", "--word", "1,2"],
+        ["periodic", "--J", "25/1", "--J1", "5/1", "--diagonal"],
+        ["periodic", "--J", "25/1", "--J1", "5/1", "--word", "1,2", "--diagonal",
+         "--n", "3"],
+        ["periodic", "--J", "25/1", "--J1", "5/1", "--diagonal", "--k", "3"],
+        ["periodic", "--J", "25/1", "--J1", "5/1", "--diagonal", "--precision", "6",
+         "--guard", "5"],
+        ["solve", "--J", "5/1", "--J1", "15/1", "--J0", "25/1", "--precision", "6",
+         "--guard", "5"],
+        ["solve", "--J", "1/1"],
+    ]
+
+    def test_warm_calls_print_what_cold_calls_print(self, capsys):
+        def outputs(cold):
+            out = []
+            for argv in self.SEQUENCE:
+                if cold:
+                    for memo in (cli._context, cli._couplings,
+                                 fixedpoints._fixed_points, symbolic._geometry):
+                        memo.cache_clear()
+                code = run(["gibbs", "--p", "5", *argv])
+                out.append((code, *capsys.readouterr()))
+            return out
+
+        warm = outputs(False) + outputs(False)
+        assert cli._couplings.cache_info().hits > 0
+        assert warm == outputs(True) * 2
+        assert {code for code, _, _ in warm} == {0, 1, 2, 3}
+
+
 class TestOutputFormat:
     """stdout is one line of compact JSON, whatever the subcommand and exit."""
 

@@ -36,6 +36,7 @@ from padicdyn import (
     partition_fn,
     periodic_field_from_orbit,
     solve_7_11,
+    to_json,
 )
 from padicdyn.cli import run
 from padicdyn.gibbs import PAIRS, field_equation_residual
@@ -759,6 +760,79 @@ class TestSolve:
             x, y = f_lo.assign[(1,)][pair], f_hi.assign[(1,)][pair]
             assert x.valuation == y.valuation
             assert x.digits(lo.residual_digits) == y.digits(lo.residual_digits)
+
+
+class TestSolvedU:
+    """A Couplings keeps the u of each tree order it has solved."""
+
+    @pytest.fixture
+    def newton_steps(self, monkeypatch):
+        """The number of Newton steps run so far."""
+        steps, newton_step = [], gibbs._newton_step
+
+        def counted(*args):
+            steps.append(None)
+            return newton_step(*args)
+
+        monkeypatch.setattr(gibbs, "_newton_step", counted)
+        return steps
+
+    @pytest.mark.parametrize("J0", [0, 25])
+    def test_one_u_per_order_equal_to_a_fresh_solve(self, ctx5, J0, newton_steps):
+        c = couplings(ctx5, 5, 15, J0)
+        kept = {k: solve_7_11(CayleyTree(k), c, 1).assign[(1,)][1, 1] for k in (2, 3)}
+        assert c._solved_u == kept
+        for k, u in kept.items():
+            fresh = solve_7_11(CayleyTree(k), couplings(ctx5, 5, 15, J0), 1)
+            assert fresh.assign[(1,)][1, 1] == u
+            assert u.digits() == fresh.assign[(1,)][1, 1].digits()
+        # a later solve at a kept order, at any depth, runs no Newton step
+        steps = len(newton_steps)
+        for k in (2, 3):
+            field = solve_7_11(CayleyTree(k), c, 2)
+            assert {comp[1, 1] for comp in field.assign.values()} == {kept[k]}
+        assert len(newton_steps) == steps
+
+    def test_a_solve_that_raises_keeps_nothing(self, ctx5, tree, monkeypatch):
+        horner, calls = gibbs._horner, []
+
+        def drifting(ctx, coeffs, u):
+            # P(u) + 5 * (the number of calls so far), on pairs
+            value, slope = horner(ctx, coeffs, u)
+            calls.append(None)
+            drift = ctx5.from_int(5 * len(calls))
+            return _sum(ctx, *value, drift.valuation, drift.unit), slope
+
+        c = couplings(ctx5, 5, 5)
+        monkeypatch.setattr(gibbs, "_horner", drifting)
+        for _ in range(2):
+            with pytest.raises(NoConvergence, match="^Newton iteration for u did not"):
+                solve_7_11(tree, c, 2)
+            assert c._solved_u == {}
+        monkeypatch.undo()
+        u = solve_7_11(tree, c, 2).assign[(1,)][1, 1]
+        assert c._solved_u == {2: u}
+        assert u == solve_7_11(tree, couplings(ctx5, 5, 5), 1).assign[(1,)][1, 1]
+
+
+class TestFieldJson:
+    def test_each_distinct_value_converted_once(self, ctx5, tree, monkeypatch):
+        field = solve_7_11(tree, couplings(ctx5, 5, 5), 2)
+        want = {
+            "/".join(map(str, v)): {
+                f"{'+' if sx > 0 else '-'}{'+' if sy > 0 else '-'}": to_json(h)
+                for (sx, sy), h in comp.items()}
+            for v, comp in sorted(field.assign.items())}
+        converted = []
+
+        def counted(h):
+            converted.append(h)
+            return to_json(h)
+
+        monkeypatch.setattr(gibbs, "to_json", counted)
+        assert field.to_json() == want
+        # u and 1 over 6 edges and 4 components each
+        assert len(converted) == 2
 
 
 def seeded_couplings(ctx, rng, count, J0=False):

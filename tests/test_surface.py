@@ -222,7 +222,7 @@ def _cleared_by_fixture() -> set[str]:
 
 def test_every_memo_is_cleared_before_each_test():
     memos = _memos()
-    assert memos == {"cli._context", "fixedpoints._fixed_points",
+    assert memos == {"cli._context", "cli._couplings", "fixedpoints._fixed_points",
                      "symbolic._geometry"}
     assert sorted(memos - _cleared_by_fixture()) == []
 
