@@ -15,8 +15,8 @@ import sys
 from . import fixedpoints, gibbs
 from .errors import DomainError, NoValidPlacement, PadicError
 from .maps import MapParams, eval_f, eval_g, eval_k
-from .padic import (PadicNumber, PrimeContext, diff_valuation, norm_str,
-                    parse_padic, to_json)
+from .padic import (PrimeContext, diff_valuation, norm_str, parse_padic,
+                    to_json)
 from .symbolic import RepellerGeometry, basin_status, check_word
 
 _ERROR_KIND = {1: "domain", 2: "precision", 3: "verification"}
@@ -31,6 +31,15 @@ MAX_ORBIT_STEPS = 4096
 # lemmas spends about 21 us per sample (10^4 took 0.21 s at p = 13, N = 64);
 # more samples are refused before any work
 MAX_LEMMA_SAMPLES = 10000
+
+
+# entries kept per process, per memo: (p, N, g) contexts in _context, and
+# by their argument text (a, b) pairs in _pair, with their fixed points and
+# repeller geometry, and (J, J1, J0) couplings in _couplings, with their
+# exp_p values, edge units, solved u's and pair; past that, the entry used
+# longest ago is dropped.  Each entry keeps a PrimeContext, with
+# p^0..p^N, alive.
+MEMO_SIZE = 16
 
 
 # flags that take a p-adic literal (parse_padic)
@@ -53,11 +62,11 @@ def _glue_negative_literals(argv: list[str]) -> list[str]:
     return out
 
 
-@functools.lru_cache(maxsize=fixedpoints.MEMO_SIZE)
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _context(p: int, precision: int, guard: int) -> PrimeContext:
-    """One context per (p, N, g) per process, so the per-pair memos hand each
-    caller values in its own context; a DomainError is raised again on
-    every call, never stored."""
+    """One context per (p, N, g) per process, shared by the pairs and the
+    couplings the CLI keeps; a DomainError is raised again on every call,
+    never stored."""
     return PrimeContext(p, precision, guard)
 
 
@@ -65,17 +74,31 @@ def _ctx(args) -> PrimeContext:
     return _context(args.p, args.precision, args.guard)
 
 
-@functools.lru_cache(maxsize=fixedpoints.MEMO_SIZE)
-def _couplings(J: PadicNumber, J1: PadicNumber, J0: PadicNumber) -> gibbs.Couplings:
-    """One Couplings per (J, J1, J0) per process, in the context _context
-    shares: a later call reuses its exp_p values, edge units and solved u's;
-    a DomainError is raised again on every call, never stored."""
-    return gibbs.Couplings(J, J1, J0)
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _pair(p: int, precision: int, guard: int, a: str, b: str) -> MapParams:
+    """One MapParams per (p, N, g) and --a, --b text per process, in the
+    context _context shares: a later call skips the parse and the checks and
+    reuses the fixed points and the geometry the pair keeps.  Equal values
+    spelled apart (170 and 170/1) get entries of their own, with equal
+    digits; a DomainError is raised again on every call, never stored."""
+    ctx = _context(p, precision, guard)
+    return MapParams(parse_padic(a, ctx), parse_padic(b, ctx))
 
 
 def _params(args) -> MapParams:
-    ctx = _ctx(args)
-    return MapParams(parse_padic(args.a, ctx), parse_padic(args.b, ctx))
+    return _pair(args.p, args.precision, args.guard, args.a, args.b)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _couplings(p: int, precision: int, guard: int,
+               J: str, J1: str, J0: str) -> gibbs.Couplings:
+    """One Couplings per (p, N, g) and --J, --J1, --J0 text per process, as
+    _pair keeps pairs: a later call reuses its exp_p values, edge units,
+    solved u's and pair; a DomainError is raised again on every call, never
+    stored."""
+    ctx = _context(p, precision, guard)
+    return gibbs.Couplings(parse_padic(J, ctx), parse_padic(J1, ctx),
+                           parse_padic(J0, ctx))
 
 
 def _word(text: str):
@@ -288,8 +311,10 @@ def _cmd_gibbs(args):
     ctx = _ctx(args)
     tree = gibbs.CayleyTree(args.k)
     _check_listing_size(tree.k, args.n)
-    couplings = _couplings(parse_padic(args.J, ctx), parse_padic(args.J1, ctx),
-                           parse_padic(args.J0, ctx))
+    if args.diagonal and tree.k != 2:
+        raise DomainError("the diagonal construction needs tree order k = 2")
+    couplings = _couplings(args.p, args.precision, args.guard,
+                           args.J, args.J1, args.J0)
 
     if args.action != "periodic":
         # solve, and verify of the solved or the unit field
@@ -303,7 +328,7 @@ def _cmd_gibbs(args):
         return body, 0 if report.ok else 3
 
     # periodic: fields placed along the g-orbit of --word
-    params = MapParams(couplings.a, couplings.b)
+    params = couplings.params
     if args.word in (None, "x0"):
         orbit = [fixedpoints.find_x0(params)]
     else:

@@ -7,7 +7,6 @@ case both are repelling and lie outside E_p.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, NotAFixedPoint
@@ -30,24 +29,15 @@ REPELLING = "repelling"
 
 LEMMA_3_4_CLAUSES = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 
-# entries kept per process, per memo: pairs in the fixed points here and in
-# the repeller geometry of symbolic, with its cylinder centres and periodic
-# points, (p, N, g) contexts in cli._context, and (J, J1, J0) couplings, with
-# their exp_p values, edge units and solved u's, in cli._couplings; past
-# that, the entry used longest ago is dropped.  Each entry keeps a
-# PrimeContext, with p^0..p^N, alive.
-MEMO_SIZE = 16
-
-
 def find_x0(params: MapParams) -> PadicNumber:
     """Newton's method on g(u) - u from 1 to the unique fixed point in E_p.
 
     |g'|_p = p^-m on E_p, so the Newton denominator 1 - g'(u) is a unit and
     each step roughly doubles the digits settled.  It runs to the rounding
     floor, so the result carries all N digits rather than only N - g.
-    It is read from _fixed_points, the pair's one solve per process.
+    It is read from params.fixed_points, solved once per pair.
     """
-    return _fixed_points(params)[0]
+    return params.fixed_points[0]
 
 
 def quadratic_coeffs(params: MapParams, x0: PadicNumber) -> tuple[PadicNumber, PadicNumber]:
@@ -86,14 +76,13 @@ def repelling_roots(params: MapParams, x0: PadicNumber,
     return (base + rt) * half, (base - rt) * half
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
 def _fixed_points(params: MapParams) -> tuple[
         PadicNumber, PadicNumber, tuple[PadicNumber, PadicNumber] | None]:
-    """(x0, Delta, repelling_roots) of params, solved once per pair per process.
+    """(x0, Delta, repelling_roots) of params, solved anew: read them from
+    params.fixed_points, which keeps them on the pair.
 
-    MapParams hashes by value (p, N, g, a, b), so equal pairs built apart
-    share the entry.  a, b and x0 lie in E_p, so Delta = -4 (mod p) is a unit,
-    a square exactly when p = 1 (mod 4): the roots add no error to find_x0.
+    a, b and x0 lie in E_p, so Delta = -4 (mod p) is a unit, a square
+    exactly when p = 1 (mod 4): the roots add no error to find_x0.
     """
     def newton(u: PadicNumber) -> PadicNumber:
         value, slope = eval_g_slope(params, u)
@@ -191,7 +180,7 @@ class FixedPointReport:
 
 def analyze(params: MapParams) -> FixedPointReport:
     """Locate, classify and lemma-check every fixed point of g."""
-    x0, delta, roots = _fixed_points(params)
+    x0, delta, roots = params.fixed_points
     quadratic_coeffs(params, x0)  # runs the consistency check
     labels = {"x0": classify(params, x0)}
     if roots is not None:

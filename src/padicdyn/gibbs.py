@@ -24,6 +24,7 @@ from .errors import (
     PrecisionExhausted,
     ZeroPartitionFunction,
 )
+from .maps import MapParams
 from .padic import (
     PadicNumber,
     PrimeContext,
@@ -104,6 +105,12 @@ class Couplings:
     @cached_property
     def c(self) -> PadicNumber:
         return exp_p(self.J0)
+
+    @cached_property
+    def params(self) -> MapParams:
+        """The pair (a, b) of the maps, with the fixed points and the repeller
+        geometry it keeps: the g-orbits of the periodic fields."""
+        return MapParams(self.a, self.b)
 
     # the units of the weight kernels, once per instance: products and the
     # inverse mod p^N are exact, so reusing them leaves every digit as it was

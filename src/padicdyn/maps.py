@@ -71,6 +71,23 @@ class MapParams:
         """2a(b^4 - 1), the constant factor of g' and k'."""
         return self.a * (self.b2 * self.b2 - 1) * 2
 
+    # what the pair derives, solved on first use and kept on the pair, so each
+    # value is in the pair's own context; a call that raises keeps nothing.
+    # The solvers are imported on first use: their modules import this one
+
+    @cached_property
+    def fixed_points(self) -> tuple[PadicNumber, PadicNumber,
+                                    tuple[PadicNumber, PadicNumber] | None]:
+        """(x0, Delta, repelling roots): fixedpoints.find_x0 and analyze."""
+        from .fixedpoints import _fixed_points
+        return _fixed_points(self)
+
+    @cached_property
+    def geometry(self) -> "RepellerGeometry":
+        """The repeller geometry: symbolic.RepellerGeometry.build."""
+        from .symbolic import _geometry
+        return _geometry(self)
+
 
 def _square(x: PadicNumber, pN: int) -> tuple[int | None, int]:
     """x^2 as (valuation, unit), valuation None for zero."""

@@ -9,7 +9,6 @@ coding is an isometry for the word metric built from ord(b - 1).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, product
@@ -23,7 +22,7 @@ from .errors import (
     PrecisionExhausted,
     VerificationError,
 )
-from .fixedpoints import MEMO_SIZE, _fixed_points, find_x0
+from .fixedpoints import find_x0
 from .maps import MapParams, eval_g, eval_k, eval_k_slope
 from .padic import (
     Ball,
@@ -154,12 +153,11 @@ class RepellerGeometry:
 
     @classmethod
     def build(cls, params: MapParams) -> "RepellerGeometry":
-        """The geometry of params, solved once per (p, N, g, a, b) per process.
-
-        Equal pairs share one, with the centres, periodic points and orbits
-        it keeps; a DomainError is raised again on every call, never stored.
+        """The geometry of params, built once per pair and kept on it
+        (params.geometry), with the centres, periodic points and orbits it
+        keeps; a DomainError is raised again on every call, never stored.
         """
-        return _geometry(params)
+        return params.geometry
 
     # -- balls -------------------------------------------------------------
 
@@ -415,14 +413,15 @@ class RepellerGeometry:
                 for word in all_words(depth)]
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
 def _geometry(params: MapParams) -> RepellerGeometry:
+    """A new geometry of params: read it from params.geometry, which keeps
+    it on the pair."""
     ctx = params.ctx
     if ctx.p % 4 != 1:
         raise DomainError("repeller geometry needs p = 1 (mod 4)")
     if not params.strict_regime:
         raise DomainError("repeller geometry assumes |a - 1|_p < |b - 1|_p")
-    x0, _, roots = _fixed_points(params)
+    x0, _, roots = params.fixed_points
     assert roots is not None
     x1, x2 = roots
     i_root, i_other = sqrt_both(ctx.from_int(-1))

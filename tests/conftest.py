@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from padicdyn import MapParams, PrimeContext, cli, fixedpoints, symbolic
+from padicdyn import MapParams, PrimeContext, cli
 
 
 def random_unit(ctx, rng):
@@ -52,22 +52,20 @@ def _digits(u, ctx):
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Start every test with no parameter pair solved and no CLI context or
-    coupling built.
+    """Start every test with no CLI context, pair or coupling built.
 
-    The fixed points (x0, Delta and the repelling roots), the repeller
-    geometry, with the cylinder centres, k-periodic points and forward k- and
-    g-orbits it keeps, the CLI's PrimeContext per (p, N, g) and the CLI's
-    Couplings per (J, J1, J0), with the exp_p values, edge units and solved
-    u's it keeps, are kept per process; a test that counts or monkeypatches
-    solver or map calls must see the cold path.
-    tests/test_surface.py checks that these are the package's four memos
-    and that all four are cleared here.
+    The CLI keeps its PrimeContext per (p, N, g), its MapParams per (a, b)
+    text, with the fixed points and the repeller geometry (cylinder centres,
+    k-periodic points, forward k- and g-orbits) each pair keeps, and its
+    Couplings per (J, J1, J0) text, with the exp_p values, edge units, solved
+    u's and pair each keeps, per process; a test that counts or
+    monkeypatches solver or map calls must see the cold path.
+    tests/test_surface.py checks that these are the package's three memos
+    and that all three are cleared here.
     """
     cli._context.cache_clear()
+    cli._pair.cache_clear()
     cli._couplings.cache_clear()
-    fixedpoints._fixed_points.cache_clear()
-    symbolic._geometry.cache_clear()
 
 
 @pytest.fixture

@@ -179,10 +179,9 @@ class TestContextMemo:
         first = invoke(capsys, argv)
         assert invoke(capsys, argv) == first
         assert built == [(13, 64, 8)]
-        assert params[0].ctx is params[1].ctx
-        # the second call was a geometry memo hit, in the caller's context
-        assert symbolic._geometry.cache_info().misses == 1
-        geom = RepellerGeometry.build(params[1])
+        assert params[0] is params[1] and params[0].ctx is params[1].ctx
+        # the second call read the geometry the pair keeps, in its context
+        geom = params[1].geometry
         assert geom.params.ctx is params[1].ctx
         assert geom.periodic_point_k((1, 2)).ctx is params[1].ctx
 
@@ -196,8 +195,111 @@ class TestContextMemo:
         assert cli._context.cache_info().currsize == 0
 
 
+class TestPairMemo:
+    """One MapParams per (p, N, g) and --a, --b text per process, in the shared
+    context; each pair keeps its fixed points and its geometry."""
+
+    PERIODIC = ["periodic", *STRICT, "--word", "1,2"]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every MapParams the CLI builds."""
+        built = []
+
+        def recorded(*args):
+            built.append(MapParams(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "MapParams", recorded)
+        return built
+
+    @staticmethod
+    def counted(monkeypatch, module, name, calls):
+        """Append name to calls on each call of module.<name> from now on."""
+        fn = getattr(module, name)
+
+        def counting(*args):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    def test_a_repeated_call_builds_one_pair_and_one_geometry(self, capsys,
+                                                               monkeypatch, built):
+        work = []
+        self.counted(monkeypatch, symbolic, "_geometry", work)
+        # the Newton steps of x0 and of the periodic point
+        self.counted(monkeypatch, fixedpoints, "eval_g_slope", work)
+        self.counted(monkeypatch, symbolic, "eval_k_slope", work)
+        first = invoke(capsys, self.PERIODIC)
+        assert first[0] == 0 and work.count("_geometry") == 1
+        del work[:]
+        assert invoke(capsys, self.PERIODIC) == first
+        assert work == []
+        assert len(built) == 1 and cli._pair.cache_info()[:2] == (1, 1)
+
+    def test_equal_values_spelled_apart_get_entries_of_their_own(self, capsys, built):
+        spelled = ["periodic", "--p", "13", "--a", "170", "--b", "14/1", "--word", "1,2"]
+        outputs = []
+        for argv in (self.PERIODIC, spelled):
+            assert run(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert built[0] == built[1] and built[0] is not built[1]
+        assert cli._pair.cache_info().currsize == 2
+
+    def test_another_precision_or_guard_gets_its_own_entry(self, capsys, built):
+        contexts = {(): (13, 64, 8), ("--precision", "32"): (13, 32, 8),
+                    ("--guard", "4"): (13, 64, 4)}
+        for flags in contexts:
+            assert run([*self.PERIODIC, *flags]) == 0
+        capsys.readouterr()
+        assert cli._pair.cache_info().currsize == 3
+        for params, key in zip(built, contexts.values()):
+            assert params.ctx is cli._context(*key)
+            assert fixedpoints.find_x0(params) is params.geometry.x0
+            assert params.geometry.x0.ctx is params.ctx
+        assert len(built[1].geometry.x1.digits()) == 32
+
+    @pytest.mark.parametrize("argv, kept, err", [
+        (["periodic", "--p", "7", "--a", "50/1", "--b", "8/1", "--word", "1"], 1,
+         "repeller geometry needs p = 1 (mod 4)"),
+        (["periodic", "--p", "13", "--a", "14/1", "--b", "14/1", "--word", "1"], 1,
+         "repeller geometry assumes |a - 1|_p < |b - 1|_p"),
+        (["fixed-points", "--p", "12", "--a", "2/1", "--b", "3/1"], 0,
+         "p must be an odd prime >= 3, got 12"),
+        (["fixed-points", "--p", "13", "--a", "2/1", "--b", "14/1"], 0,
+         "a must lie in E_p"),
+    ], ids=["p-3-mod-4", "non-strict", "bad-p", "a-off-E_p"])
+    def test_a_domain_error_is_raised_on_every_call(self, capsys, built,
+                                                    argv, kept, err):
+        for _ in range(2):
+            assert run(argv) == 1
+            assert capsys.readouterr() == ("", f"domain error: {err}\n")
+        # a pair the geometry refuses is kept, without a geometry
+        assert cli._pair.cache_info().currsize == len(built) == kept
+        assert all("geometry" not in vars(params) for params in built)
+
+    def test_a_library_caller_gets_values_in_its_own_context(self, capsys):
+        assert run(self.PERIODIC) == 0
+        capsys.readouterr()
+        first, second = acceptance_params(), acceptance_params()
+        assert first.ctx is not second.ctx
+        for params in (first, second):
+            assert fixedpoints.find_x0(params).ctx is params.ctx
+            geom = RepellerGeometry.build(params)
+            assert geom.params is params and geom.x1.ctx is params.ctx
+
+    def test_bounded(self):
+        for t in range(cli.MEMO_SIZE + 1):
+            cli._pair(13, 64, 8, "170", str(14 + 13 ** 2 * t))
+        info = cli._pair.cache_info()
+        assert (info.misses, info.currsize) == (cli.MEMO_SIZE + 1, cli.MEMO_SIZE)
+
+
 class TestCouplingsMemo:
-    """One Couplings per (J, J1, J0) per process, in the shared context."""
+    """One Couplings per (p, N, g) and --J, --J1, --J0 text per process, in the
+    shared context."""
 
     SOLVE = ["gibbs", "--p", "5", "solve", "--J", "5/1", "--J1", "15/1",
              "--J0", "25/1"]
@@ -293,8 +395,7 @@ class TestCouplingsMemo:
             out = []
             for argv in self.SEQUENCE:
                 if cold:
-                    for memo in (cli._context, cli._couplings,
-                                 fixedpoints._fixed_points, symbolic._geometry):
+                    for memo in (cli._context, cli._pair, cli._couplings):
                         memo.cache_clear()
                 code = run(["gibbs", "--p", "5", *argv])
                 out.append((code, *capsys.readouterr()))
@@ -339,6 +440,76 @@ class TestOutputFormat:
         line = out.removesuffix("\n")
         assert "\n" not in line and out == line + "\n"
         assert line == json.dumps(json.loads(line))
+
+
+class TestWarmEqualsCold:
+    """Every subcommand prints the same from the contexts, pairs and couplings
+    the CLI keeps as with the memos cleared before the call."""
+
+    params = acceptance_params()
+    X0 = digit_literal(fixedpoints.find_x0(params))
+    X1 = digit_literal(params.fixed_points[2][0])
+    K12 = digit_literal(RepellerGeometry.build(params).periodic_point_k((1, 2)))
+    P7 = ["--p", "7", "--a", "50/1", "--b", "8/1"]  # p = 3 (mod 4)
+    GIBBS = ["gibbs", "--p", "5"]
+
+    # each subcommand on the acceptance pair, spelled two ways and in three
+    # contexts, with the errors it exits on: a point that is not fixed, an
+    # orbit that escapes X, steps past the digit budget (exit 2), no repeller
+    # at p = 3 (mod 4), a non-strict pair, a bad p, a value off E_p; and the
+    # gibbs actions, whose periodic fields read the couplings' pair
+    SEQUENCE = [
+        ["fixed-points", *STRICT],
+        ["fixed-points", *STRICT, "--precision", "32"],
+        ["fixed-points", *P7],
+        ["classify", *STRICT, "--x", X0],
+        ["classify", *STRICT, "--x", X1],
+        ["classify", *STRICT, "--x", "1/1"],
+        ["orbit", *STRICT, "--x", "1/1", "--steps", "3", "--map", "f"],
+        ["orbit", *STRICT, "--x", "1/1", "--steps", "3", "--map", "g"],
+        ["orbit", *STRICT, "--x", K12, "--steps", "3", "--map", "k"],
+        ["orbit", *STRICT, "--x", "1/1", "--steps", "-1"],
+        ["basin", *STRICT, "--x", "1/1"],
+        ["basin", *STRICT, "--x", X1],
+        ["basin", *STRICT, "--x", X1, "--guard", "4"],
+        ["itinerary", *STRICT, "--x", K12, "--length", "4"],
+        ["itinerary", *STRICT, "--x", K12, "--length", "60"],
+        ["itinerary", *STRICT, "--x", "1/1", "--length", "3"],
+        ["periodic", *STRICT, "--word", "1,2,2", "--map", "k"],
+        ["periodic", *STRICT, "--word", "1,2,2", "--map", "g"],
+        ["periodic", "--p", "13", "--a", "170", "--b", "14", "--word", "1,2,2"],
+        ["periodic", *P7, "--word", "1"],
+        ["periodic", "--p", "13", "--a", "14/1", "--b", "14/1", "--word", "1"],
+        ["cylinders", *STRICT, "--depth", "2"],
+        ["lemmas", *STRICT, "--samples", "5"],
+        ["lemmas", *P7, "--samples", "5"],
+        ["fixed-points", "--p", "12", "--a", "2/1", "--b", "3/1"],
+        ["fixed-points", "--p", "13", "--a", "2/1", "--b", "14/1"],
+        [*GIBBS, "solve", "--J", "5/1", "--J1", "5/1"],
+        [*GIBBS, "verify", "--J", "5/1", "--J1", "5/1"],
+        [*GIBBS, "verify", "--J", "5/1", "--J1", "5/1", "--source", "unit"],
+        [*GIBBS, "periodic", "--J", "25/1", "--J1", "5/1"],
+        [*GIBBS, "periodic", "--J", "25/1", "--J1", "5/1", "--word", "1,2",
+         "--diagonal"],
+        [*GIBBS, "periodic", "--J", "25/1", "--J1", "5/1", "--diagonal", "--k", "3"],
+        [*GIBBS, "periodic", "--J", "25/1"],
+    ]
+
+    def test_warm_calls_print_what_cold_calls_print(self, capsys):
+        def outputs(cold):
+            out = []
+            for argv in self.SEQUENCE:
+                if cold:
+                    for memo in (cli._context, cli._pair, cli._couplings):
+                        memo.cache_clear()
+                code = run(argv)
+                out.append((code, *capsys.readouterr()))
+            return out
+
+        warm = outputs(False) + outputs(False)
+        assert cli._pair.cache_info().hits > 0
+        assert warm == outputs(True) * 2
+        assert {code for code, _, _ in warm} == {0, 1, 2, 3}
 
 
 class TestFixedPoints:
@@ -551,7 +722,9 @@ class TestDynamics:
             return [(run(argv), capsys.readouterr().out) for argv in argvs]
 
         cold = outputs()
-        assert symbolic._geometry.cache_info().currsize == 2
+        # one pair and one coupling, each pair with the geometry it keeps
+        assert cli._pair.cache_info().currsize == 1
+        assert cli._couplings.cache_info().currsize == 1
         assert [code for code, _ in cold] == [0, 0, 0]
         assert outputs() == cold
 
@@ -694,6 +867,20 @@ class TestGibbs:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "domain error: n must be >= 1\n"
+
+    def test_diagonal_off_k_2_refused_before_any_work(self, capsys, monkeypatch):
+        calls = []
+        TestPairMemo.counted(monkeypatch, fixedpoints, "find_x0", calls)
+        TestPairMemo.counted(monkeypatch, padicdyn.gibbs, "field_equation_residual",
+                             calls)
+        # the last exited 2 when the x0 solve ran first
+        for extra in ([], ["--word", "1,2"], ["--precision", "6", "--guard", "5"]):
+            code = run([*self.BASE, "periodic", "--J", "25/1", "--J1", "5/1",
+                        "--diagonal", "--k", "3", *extra])
+            assert code == 1
+            assert capsys.readouterr() == (
+                "", "domain error: the diagonal construction needs tree order k = 2\n")
+        assert calls == []
 
     def test_size_guard_refuses_large_listing(self, capsys):
         # |V_3| = 15 at k = 2 would list 2^15 residuals

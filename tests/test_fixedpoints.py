@@ -1,5 +1,7 @@
 """Fixed-point location, classification, and the norm identities behind them."""
+import gc
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -72,46 +74,62 @@ class TestX0:
 
 
 class TestX0Memo:
-    """x0, Delta and the repelling roots share one entry per pair."""
+    """x0, Delta and the repelling roots: one solve per pair, kept on it."""
 
-    def test_warm_call_returns_the_cold_digits(self):
-        cold = find_x0(acceptance_params())
-        warm = find_x0(acceptance_params())
-        assert fixedpoints._fixed_points.cache_info()[:2] == (1, 1)  # hits, misses
-        assert warm.digits() == cold.digits()
-        assert warm == fixedpoints._fixed_points.__wrapped__(acceptance_params())[0]
+    @staticmethod
+    def counted_solves(monkeypatch):
+        solves, solve = [], fixedpoints._fixed_points
 
-    def test_analyze_reads_the_same_entry(self):
+        def counted(params):
+            solves.append(params)
+            return solve(params)
+
+        monkeypatch.setattr(fixedpoints, "_fixed_points", counted)
+        return solves
+
+    def test_warm_call_returns_the_cold_digits(self, monkeypatch):
         params = acceptance_params()
+        solves = self.counted_solves(monkeypatch)
+        cold = find_x0(params)
+        warm = find_x0(params)
+        assert len(solves) == 1 and warm is cold
+        assert warm == fixedpoints._fixed_points(acceptance_params())[0]
+
+    def test_analyze_reads_the_same_entry(self, monkeypatch):
+        params = acceptance_params()
+        solves = self.counted_solves(monkeypatch)
         x0 = find_x0(params)
-        report = analyze(acceptance_params())
-        assert fixedpoints._fixed_points.cache_info()[:2] == (1, 1)
+        report = analyze(params)
+        assert len(solves) == 1
         assert report.x0 is x0
-        fresh = fixedpoints._fixed_points.__wrapped__(params)
+        fresh = fixedpoints._fixed_points(acceptance_params())
         assert (report.x0, report.delta, report.roots) == fresh
 
-    def test_equal_contexts_share_an_entry(self):
+    def test_equal_contexts_keep_values_of_their_own(self):
         first, second = acceptance_params(), acceptance_params()
         assert first.ctx is not second.ctx
-        assert find_x0(second) is find_x0(first)
-        assert fixedpoints._fixed_points.cache_info().currsize == 1
+        x0 = find_x0(second)
+        assert x0 is not find_x0(first) and x0 == find_x0(first)
+        # each value in the caller's own context
+        _, delta, roots = second.fixed_points
+        assert all(value.ctx is second.ctx for value in (x0, delta, *roots))
 
     @pytest.mark.parametrize("precision, guard", [(128, 8), (64, 10)])
     def test_other_precision_or_guard_misses(self, precision, guard):
         find_x0(acceptance_params())
         params = acceptance_params(precision, guard)
         got = find_x0(params)
-        assert fixedpoints._fixed_points.cache_info()[:2] == (0, 2)
-        assert got.ctx == params.ctx
-        assert got == fixedpoints._fixed_points.__wrapped__(params)[0]  # a fresh solve
+        assert got.ctx is params.ctx
+        assert got == fixedpoints._fixed_points(params)[0]  # a fresh solve
 
     def test_bounded(self):
-        for t in range(fixedpoints.MEMO_SIZE + 1):
-            ctx = PrimeContext(13)
-            find_x0(MapParams(ctx.from_int(170), ctx.from_int(14 + 13 ** 2 * t)))
-        info = fixedpoints._fixed_points.cache_info()
-        assert (info.misses, info.currsize) == (fixedpoints.MEMO_SIZE + 1,
-                                                fixedpoints.MEMO_SIZE)
+        # the fixed points live and die with their pair: the library keeps none
+        params = acceptance_params()
+        find_x0(params)
+        pair = weakref.ref(params)
+        del params
+        gc.collect()
+        assert pair() is None
 
 
 class TestCubicStructure:

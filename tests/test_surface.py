@@ -5,7 +5,8 @@ exports is used by some other module of the package, unless KEEP names the
 paper claim it serves; so is every public method and property of an
 exported class, unless KEEP_MEMBERS names its claim.  One function inverts
 a unit mod p^N, one writes JSON to stdout, and the open Ball alone tests
-ball membership.  Every memo of the package is cleared before each test.
+ball membership.  The process-wide memos live in cli.py alone, and every
+one is cleared before each test.
 Every CLI subcommand names one `_cmd_*` body, read from the built parser.
 """
 import argparse
@@ -222,9 +223,23 @@ def _cleared_by_fixture() -> set[str]:
 
 def test_every_memo_is_cleared_before_each_test():
     memos = _memos()
-    assert memos == {"cli._context", "cli._couplings", "fixedpoints._fixed_points",
-                     "symbolic._geometry"}
+    assert memos == {"cli._context", "cli._pair", "cli._couplings"}
     assert sorted(memos - _cleared_by_fixture()) == []
+
+
+def _names_a_memo(node: ast.AST) -> bool:
+    """functools.lru_cache or functools.cache, imported or read."""
+    names = {"lru_cache", "cache"}
+    if isinstance(node, ast.ImportFrom) and node.module == "functools":
+        return any(alias.name in names for alias in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(node.value, ast.Name) and node.value.id == "functools")
+
+
+def test_no_memo_outside_the_cli():
+    # a derived value lives on the object it derives from (cached_property);
+    # the process keeps objects in cli.py alone
+    assert _found_in_package(_names_a_memo).keys() <= {"cli.py"}
 
 
 def test_every_subcommand_names_one_body():

@@ -1,6 +1,8 @@
 """Repeller geometry, basin dichotomy, and the shift coding."""
+import gc
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -147,46 +149,59 @@ class TestGeometry:
 
 
 class TestGeometryMemo:
-    def test_warm_call_returns_the_cold_geometry(self):
-        cold = RepellerGeometry.build(acceptance_params())
-        warm = RepellerGeometry.build(acceptance_params())
-        assert symbolic._geometry.cache_info()[:2] == (1, 1)  # hits, misses
-        assert warm is cold
-        assert warm == symbolic._geometry.__wrapped__(acceptance_params())
+    """A pair builds its geometry once and keeps it; nothing else keeps it."""
 
-    def test_equal_contexts_share_an_entry(self):
+    def test_warm_call_returns_the_cold_geometry(self):
+        params = acceptance_params()
+        cold = RepellerGeometry.build(params)
+        warm = RepellerGeometry.build(params)
+        assert warm is cold is params.geometry
+        assert warm == symbolic._geometry(acceptance_params())
+
+    def test_equal_contexts_keep_geometries_of_their_own(self):
         first, second = acceptance_params(), acceptance_params()
         assert first.ctx is not second.ctx
-        assert RepellerGeometry.build(second) is RepellerGeometry.build(first)
-        assert symbolic._geometry.cache_info().currsize == 1
+        geom = RepellerGeometry.build(second)
+        assert geom is not RepellerGeometry.build(first)
+        assert geom == RepellerGeometry.build(first)
+        # every value in the caller's own context, the x0 solve's included
+        assert geom.params is second
+        for value in (geom.x0, geom.x1, geom.x1sq, geom.periodic_point_k((1, 2))):
+            assert value.ctx is second.ctx
 
     @pytest.mark.parametrize("precision, guard", [(128, 8), (64, 10)])
     def test_other_precision_or_guard_misses(self, precision, guard):
         RepellerGeometry.build(acceptance_params())
         params = acceptance_params(precision, guard)
         got = RepellerGeometry.build(params)
-        assert symbolic._geometry.cache_info()[:2] == (0, 2)
-        assert got.params == params
-        assert got == symbolic._geometry.__wrapped__(params)  # a fresh solve
+        assert got.params is params and got.x1.ctx is params.ctx
+        assert got == symbolic._geometry(params)  # a fresh solve
 
-    def test_domain_error_is_raised_on_every_call(self, rng):
+    def test_domain_error_is_raised_on_every_call(self, rng, monkeypatch):
         ctx = PrimeContext(13)
+        built, build = [], symbolic._geometry
+
+        def counted(params):
+            built.append(params)
+            return build(params)
+
+        monkeypatch.setattr(symbolic, "_geometry", counted)
         for params in (strict_params(PrimeContext(7), rng),
                        MapParams(ctx.from_int(14), ctx.from_int(14))):
             for _ in range(2):
                 with pytest.raises(DomainError):
                     RepellerGeometry.build(params)
-        info = symbolic._geometry.cache_info()
-        assert (info.misses, info.currsize) == (4, 0)
+            assert "geometry" not in vars(params)
+        assert len(built) == 4
 
     def test_bounded(self):
-        for t in range(symbolic.MEMO_SIZE + 1):
-            ctx = PrimeContext(13)
-            RepellerGeometry.build(MapParams(ctx.from_int(170),
-                                             ctx.from_int(14 + 13 ** 2 * t)))
-        info = symbolic._geometry.cache_info()
-        assert (info.misses, info.currsize) == (symbolic.MEMO_SIZE + 1,
-                                                symbolic.MEMO_SIZE)
+        # the geometry lives and dies with its pair: the library keeps none
+        params = acceptance_params()
+        geom = weakref.ref(RepellerGeometry.build(params))
+        pair = weakref.ref(params)
+        del params
+        gc.collect()
+        assert geom() is None and pair() is None
 
 
 class TestBasin:
@@ -443,8 +458,9 @@ class TestNewtonAgainstInverseBranches:
 
 
 def fresh_geometry(params):
-    """An uncached geometry of params: no centre and no periodic point kept."""
-    return symbolic._geometry.__wrapped__(params)
+    """A new geometry of params, not the one params keeps: no centre and no
+    periodic point kept."""
+    return symbolic._geometry(params)
 
 
 class TestPeriodicMemo:
@@ -551,13 +567,8 @@ class TestPeriodicMemo:
         assert list(geom._periodic_points) == [kept]
         monkeypatch.undo()
         assert solved == fresh_geometry(geom.params).periodic_point_k(long_word)
-        # the points live and die with their geometry: MEMO_SIZE + 1 pairs
-        # leave MEMO_SIZE geometries, and the first pair starts over
-        for t in range(1, symbolic.MEMO_SIZE + 1):
-            ctx = PrimeContext(13)
-            RepellerGeometry.build(MapParams(ctx.from_int(170),
-                                             ctx.from_int(14 + 13 ** 2 * t)))
-        assert symbolic._geometry.cache_info().currsize == symbolic.MEMO_SIZE
+        # the points live and die with their geometry, which its pair keeps:
+        # an equal pair built apart starts over
         rebuilt = RepellerGeometry.build(acceptance_params())
         assert rebuilt is not geom and rebuilt._periodic_points == {}
 
