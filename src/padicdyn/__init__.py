@@ -38,7 +38,6 @@ from .gibbs import (
     GibbsField,
     PlacementCandidate,
     check_compatibility,
-    configurations,
     diagonal_field_from_orbit,
     partition_fn,
     periodic_field_from_orbit,

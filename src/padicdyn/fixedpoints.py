@@ -179,7 +179,16 @@ class FixedPointReport:
 
 
 def analyze(params: MapParams) -> FixedPointReport:
-    """Locate, classify and lemma-check every fixed point of g."""
+    """Locate, classify and lemma-check every fixed point of g.
+
+    It is read from params.fixed_point_report, made once per pair.
+    """
+    return params.fixed_point_report
+
+
+def _analyze(params: MapParams) -> FixedPointReport:
+    """The report of analyze, made anew: read it from
+    params.fixed_point_report, which keeps it on the pair."""
     x0, delta, roots = params.fixed_points
     quadratic_coeffs(params, x0)  # runs the consistency check
     labels = {"x0": classify(params, x0)}

@@ -17,7 +17,6 @@ from itertools import product
 from math import comb
 
 from .errors import (
-    DivisionByZero,
     DomainError,
     NoConvergence,
     NoValidPlacement,
@@ -28,15 +27,21 @@ from .maps import MapParams
 from .padic import (
     PadicNumber,
     PrimeContext,
+    _ONE,
+    _ZERO,
+    _divide,
     _inv_unit,
+    _minus,
     _same_ctx,
     _sum,
+    _times,
     converge,
     diff_valuation,
     eq_to_precision,
     exp_p,
     is_unit,
     norm_diff,
+    norm_fraction,
     to_json,
 )
 
@@ -136,12 +141,6 @@ class Couplings:
         return {}
 
 
-def configurations(vertices: list[Vertex]):
-    """All 2^|vertices| spin assignments, in a fixed deterministic order."""
-    for spins in product(SPINS, repeat=len(vertices)):
-        yield dict(zip(vertices, spins))
-
-
 @dataclass(frozen=True)
 class GibbsField:
     """Boundary field: four unit components per edge, keyed by the child vertex."""
@@ -198,40 +197,13 @@ class GibbsField:
 
 
 # -- weights -----------------------------------------------------------------
-# The weights are built in one pass over integers mod p^N, each value a
-# (valuation, unit) pair in padic's form, valuation None for zero, as in
-# maps._quotient.  Products and the unique inverse mod p^N are exact, so they
-# are grouped freely and every inverse is taken once; every sum goes through
-# padic._sum in the order of the PadicNumber composition the formulas
-# describe, so every digit and every error is that composition's.  A
+# The weights are built in one pass over padic's (valuation, unit) pairs, by
+# padic's pair rules, as in maps._quotient.  Products and the unique inverse
+# mod p^N are exact, so they are grouped freely and every inverse is taken
+# once; every sum is taken in the order of the PadicNumber composition the
+# formulas describe, so every digit and every error is that composition's.  A
 # PadicNumber is built only for what leaves the pass: Z_n, u and the sides
 # the checks compare.
-
-_ZERO, _ONE = (None, 0), (0, 1)
-
-
-def _times(x: tuple, y: tuple, pN: int) -> tuple:
-    """x y for two (valuation, unit) pairs."""
-    if x[0] is None or y[0] is None:
-        return _ZERO
-    return x[0] + y[0], x[1] * y[1] % pN
-
-
-def _minus(ctx: PrimeContext, x: tuple, y: tuple) -> tuple:
-    """x - y, as x + (-y)."""
-    if y[0] is None:
-        return x
-    return _sum(ctx, *x, y[0], ctx.modulus - y[1])
-
-
-def _divide(ctx: PrimeContext, x: tuple, y: tuple) -> PadicNumber:
-    """x / y, with one _inv_unit of y's unit."""
-    if y[0] is None:
-        raise DivisionByZero("p-adic division by zero")
-    if x[0] is None:
-        return ctx.zero()
-    return PadicNumber(ctx, x[0] - y[0], x[1] * _inv_unit(y[1], ctx) % ctx.modulus)
-
 
 def _c_powers(couplings: Couplings, k: int) -> list[int]:
     """The units c^(((2j - k)^2 - k) / 2), j = 0..k: c to the one-level sum
@@ -254,17 +226,16 @@ def _sibling_sum(ctx: PrimeContext, c_pow: list[int], factors: list) -> tuple:
     are accumulated per j (c_pow[j] is the unit of c to that power): O(k^2),
     not 2^k.
     """
-    pN = ctx.modulus
     (plus, minus), *rest = factors
     by_count = [minus, plus]
     for plus, minus in rest:
-        nxt = [_times(w, minus, pN) for w in by_count] + [_times(by_count[-1], plus, pN)]
+        nxt = [_times(ctx, w, minus) for w in by_count] + [_times(ctx, by_count[-1], plus)]
         for j in range(1, len(by_count)):
-            nxt[j] = _sum(ctx, *nxt[j], *_times(by_count[j - 1], plus, pN))
+            nxt[j] = _sum(ctx, nxt[j], _times(ctx, by_count[j - 1], plus))
         by_count = nxt
     total = _ZERO
-    for cj, (v, w) in zip(c_pow, by_count):
-        total = _sum(ctx, *total, v, cj * w % pN)
+    for cj, w in zip(c_pow, by_count):
+        total = _sum(ctx, total, _times(ctx, (0, cj), w))
     return total
 
 
@@ -283,18 +254,17 @@ def _components(field: GibbsField, ctx: PrimeContext, y: Vertex) -> dict:
 def _boundary_sums(tree: CayleyTree, ctx: PrimeContext, field: GibbsField,
                    n: int) -> dict:
     """Per y on W_n, per state (s', s): h_y^(s' s), which is h_y(s', s) for
-    s' = s and its inverse otherwise; one _inv_unit per distinct unit."""
+    s' = s and its inverse otherwise; one inverse per distinct value."""
     inverse, out = {}, {}
     for y in tree.level(n):
         sums = out[y] = {}
         for (sx, sy), h in _components(field, ctx, y).items():
-            if sx == sy:
-                sums[sx, sy] = (h.valuation, h.unit)
-            else:
-                inv = inverse.get(h.unit)
-                if inv is None:
-                    inv = inverse[h.unit] = _inv_unit(h.unit, ctx)
-                sums[sx, sy] = (-h.valuation, inv)
+            pair = (h.valuation, h.unit)
+            if sx != sy:
+                if pair not in inverse:
+                    inverse[pair] = _divide(ctx, _ONE, pair)
+                pair = inverse[pair]
+            sums[sx, sy] = pair
     return out
 
 
@@ -318,7 +288,7 @@ def _subtree_sums(tree: CayleyTree, couplings: Couplings, field: GibbsField,
     if n == 0:
         return {0: {ROOT: {state: _ONE for state in _ROOT_STATES}}}
     ctx = couplings.ctx
-    pN, edge, c_pow = ctx.modulus, couplings._edge_units, _c_powers(couplings, tree.k)
+    edge, c_pow = couplings._edge_units, _c_powers(couplings, tree.k)
     levels = {n: _boundary_sums(tree, ctx, field, n)}
     for ell in range(n - 1, level - 1, -1):
         states, below = (PAIRS if ell else _ROOT_STATES), levels[ell + 1]
@@ -328,11 +298,9 @@ def _subtree_sums(tree: CayleyTree, couplings: Couplings, field: GibbsField,
             sums[x] = {}
             for sp, sx in states:
                 # a child with spin t weighs a^(sx t) b^(sp t) times its sum
-                plus, minus = edge[sx, sp], edge[-sx, -sp]
-                factors = []
-                for child in children:
-                    (pv, pu), (mv, mu) = child[sx, 1], child[sx, -1]
-                    factors.append(((pv, plus * pu % pN), (mv, minus * mu % pN)))
+                plus, minus = (0, edge[sx, sp]), (0, edge[-sx, -sp])
+                factors = [(_times(ctx, plus, child[sx, 1]),
+                            _times(ctx, minus, child[sx, -1])) for child in children]
                 sums[x][sp, sx] = _sibling_sum(ctx, c_pow, factors)
     return levels
 
@@ -340,7 +308,7 @@ def _subtree_sums(tree: CayleyTree, couplings: Couplings, field: GibbsField,
 def _partition_total(ctx: PrimeContext, levels: dict) -> tuple:
     """Z_n from the root sums of a _subtree_sums pass over V_n."""
     root = levels[0][ROOT]
-    total = _sum(ctx, *root[_ROOT_STATES[0]], *root[_ROOT_STATES[1]])
+    total = _sum(ctx, root[_ROOT_STATES[0]], root[_ROOT_STATES[1]])
     if total[0] is None or total[0] > ctx.residual_digits:
         raise ZeroPartitionFunction("|Z_n|_p is below the precision floor")
     return total
@@ -384,26 +352,28 @@ def check_compatibility(tree: CayleyTree, couplings: Couplings,
     """
     if n < 1:
         raise DomainError("compatibility needs n >= 1")
-    ctx = couplings.ctx
-    pN, R = ctx.modulus, ctx.residual_digits
+    ctx, R = couplings.ctx, couplings.ctx.residual_digits
     # x / z and x * (1 / z) are the same unit mod p^N: one inverse per side
     levels = _subtree_sums(tree, couplings, field, n, 0)
-    zv, zu = _partition_total(ctx, levels)
+    inv_n = _divide(ctx, _ONE, _partition_total(ctx, levels))
     prev = _subtree_sums(tree, couplings, field, n - 1, 0)
-    pv, pu = _partition_total(ctx, prev)
-    inv_n, inv_prev = (-zv, _inv_unit(zu, ctx)), (-pv, _inv_unit(pu, ctx))
-    below = [(x[:-1] if x else None, x, levels[n - 1][x], prev[n - 1][x])
-             for x in tree.level(n - 1)]
+    inv_prev = _divide(ctx, _ONE, _partition_total(ctx, prev))
+    # sigma walks the spin tuples over V_{n-1}; each x on W_{n-1} reads its
+    # parent's spin and its own by position (a lone root has no parent)
+    vertices = tree.vertices(n - 1)
+    position = {v: i for i, v in enumerate(vertices)}
+    below = [(position[x[:-1]] if x else None, position[x],
+              levels[n - 1][x], prev[n - 1][x]) for x in tree.level(n - 1)]
     residuals, norms = [], {}
     ok = True
-    for sigma in configurations(tree.vertices(n - 1)):
+    for sigma in product(SPINS, repeat=len(vertices)):
         marginal = boundary = _ONE
         for parent, x, sums, edge in below:
             state = (0 if parent is None else sigma[parent], sigma[x])
-            marginal = _times(marginal, sums[state], pN)
-            boundary = _times(boundary, edge[state], pN)
-        lhs = PadicNumber(ctx, *_times(marginal, inv_n, pN))
-        rhs = PadicNumber(ctx, *_times(boundary, inv_prev, pN))
+            marginal = _times(ctx, marginal, sums[state])
+            boundary = _times(ctx, boundary, edge[state])
+        lhs = PadicNumber(ctx, *_times(ctx, marginal, inv_n))
+        rhs = PadicNumber(ctx, *_times(ctx, boundary, inv_prev))
         # one order per sigma gives its residual and eq_to_precision's verdict
         dv = diff_valuation(lhs, rhs)
         if dv not in norms:
@@ -432,7 +402,6 @@ def field_equation_residual(tree: CayleyTree, couplings: Couplings,
     prod_x S_x(+, +) h_x(-, -) = prod_x S_x(-, -) h_x(+, +).
     """
     ctx = couplings.ctx
-    pN = ctx.modulus
     worst = Fraction(0)
 
     def residual(x: tuple, y: tuple) -> Fraction:
@@ -448,9 +417,9 @@ def field_equation_residual(tree: CayleyTree, couplings: Couplings,
                      for pair, value in _components(field, ctx, x).items()}
                 for s in SPINS:
                     worst = max(worst, residual(sums[s, s], _times(
-                        _times(sums[s, -s], h[s, 1], pN), h[s, -1], pN)))
-                plus = _times(_times(plus, sums[1, 1], pN), h[-1, -1], pN)
-                minus = _times(_times(minus, sums[-1, -1], pN), h[1, 1], pN)
+                        ctx, _times(ctx, sums[s, -s], h[s, 1]), h[s, -1])))
+                plus = _times(ctx, _times(ctx, plus, sums[1, 1]), h[-1, -1])
+                minus = _times(ctx, _times(ctx, minus, sums[-1, -1]), h[1, 1])
             worst = max(worst, residual(plus, minus))
     return worst
 
@@ -458,7 +427,7 @@ def field_equation_residual(tree: CayleyTree, couplings: Couplings,
 def _solves_equations(couplings: Couplings, residual: Fraction) -> bool:
     """A field equation residual within the library-wide p^-(N-g) tolerance."""
     ctx = couplings.ctx
-    return residual <= Fraction(1, ctx.p ** ctx.residual_digits)
+    return residual <= norm_fraction(ctx.residual_digits, ctx.p)
 
 
 def _field_polynomials(couplings: Couplings, k: int) -> tuple[list, list]:
@@ -475,7 +444,7 @@ def _field_polynomials(couplings: Couplings, k: int) -> tuple[list, list]:
         for j in range(k + 1):
             binom, e = ctx.from_int(comb(k, j)), 2 * j - k
             xe = pow(x if e >= 0 else inv_x, abs(e), pN)
-            out.append((binom.valuation, binom.unit * c_pow[j] * xe % pN))
+            out.append(_times(ctx, (binom.valuation, binom.unit), (0, c_pow[j] * xe % pN)))
         return out
 
     return coeffs(edge[1, 1], edge[-1, -1]), coeffs(edge[1, -1], edge[-1, 1])
@@ -483,28 +452,27 @@ def _field_polynomials(couplings: Couplings, k: int) -> tuple[list, list]:
 
 def _horner(ctx: PrimeContext, coeffs: list, u: tuple) -> tuple[tuple, tuple]:
     """(f(u), f'(u)) for f = sum_i coeffs[i] u^i, in one Horner pass on pairs."""
-    pN = ctx.modulus
     value, slope = coeffs[-1], _ZERO
     for coeff in reversed(coeffs[:-1]):
-        slope = _sum(ctx, *_times(slope, u, pN), *value)
-        value = _sum(ctx, *_times(value, u, pN), *coeff)
+        slope = _sum(ctx, _times(ctx, slope, u), value)
+        value = _sum(ctx, _times(ctx, value, u), coeff)
     return value, slope
 
 
 def _newton_step(ctx: PrimeContext, P: list, M: list, u: PadicNumber) -> PadicNumber:
     """u -> (PM - uW) / (M^2 - W) with W = P'M - PM', at u (see solve_7_11)."""
-    pN = ctx.modulus
     x = (u.valuation, u.unit)
     p_u, dp_u = _horner(ctx, P, x)
     m_u, dm_u = _horner(ctx, M, x)
     try:
-        w = _minus(ctx, _times(dp_u, m_u, pN), _times(p_u, dm_u, pN))
+        w = _minus(ctx, _times(ctx, dp_u, m_u), _times(ctx, p_u, dm_u))
     except PrecisionExhausted:
         # |W|_p is below the precision floor, e.g. ord(J1) > N - g: as 0,
         # it moves the step in no trusted digit
         w = _ZERO
-    return _divide(ctx, _minus(ctx, _times(p_u, m_u, pN), _times(x, w, pN)),
-                   _minus(ctx, _times(m_u, m_u, pN), w))
+    step = _divide(ctx, _minus(ctx, _times(ctx, p_u, m_u), _times(ctx, x, w)),
+                   _minus(ctx, _times(ctx, m_u, m_u), w))
+    return PadicNumber(ctx, *step)
 
 
 def solve_7_11(tree: CayleyTree, couplings: Couplings, n: int = 2) -> GibbsField:
@@ -542,16 +510,17 @@ def solve_7_11(tree: CayleyTree, couplings: Couplings, n: int = 2) -> GibbsField
     ctx, k = couplings.ctx, tree.k
     solved = couplings._solved_u
     if k not in solved:
-        pN, edge, c_pow = ctx.modulus, couplings._edge_units, _c_powers(couplings, k)
-        ab, inv_ab, a_b, b_a = edge[1, 1], edge[-1, -1], edge[1, -1], edge[-1, 1]
+        edge, c_pow = couplings._edge_units, _c_powers(couplings, k)
+        ab, inv_ab = (0, edge[1, 1]), (0, edge[-1, -1])
+        a_b, b_a = (0, edge[1, -1]), (0, edge[-1, 1])
 
         def step(u: PadicNumber) -> PadicNumber:
             # a child with spin t below the state (s', s) weighs a^(st) b^(s't)
             # times h_{s t}^(st)
-            v = u.valuation
-            plus = _sibling_sum(ctx, c_pow, [((v, ab * u.unit % pN), (0, inv_ab))] * k)
-            minus = _sibling_sum(ctx, c_pow, [((0, b_a), (v, a_b * u.unit % pN))] * k)
-            return _divide(ctx, plus, minus)
+            x = (u.valuation, u.unit)
+            plus = _sibling_sum(ctx, c_pow, [(_times(ctx, ab, x), inv_ab)] * k)
+            minus = _sibling_sum(ctx, c_pow, [(b_a, _times(ctx, a_b, x))] * k)
+            return PadicNumber(ctx, *_divide(ctx, plus, minus))
 
         P, M = _field_polynomials(couplings, k)
         u = converge(lambda u: _newton_step(ctx, P, M, u), ctx.one(),

@@ -14,7 +14,18 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, PoleError, PrecisionExhausted
-from .padic import Ball, PadicNumber, PrimeContext, _inv_unit, _sum, diff_valuation, in_Ep
+from .padic import (
+    Ball,
+    PadicNumber,
+    PrimeContext,
+    _ONE,
+    _divide,
+    _sum,
+    _times,
+    diff_valuation,
+    in_Ep,
+    norm_fraction,
+)
 
 
 @dataclass(frozen=True)
@@ -51,7 +62,7 @@ class MapParams:
     @property
     def radius(self) -> Fraction:
         """r = |b - 1|_p."""
-        return Fraction(1, self.ctx.p ** self.radius_exponent)
+        return norm_fraction(self.radius_exponent, self.ctx.p)
 
     @property
     def trusted_steps(self) -> int:
@@ -83,89 +94,78 @@ class MapParams:
         return _fixed_points(self)
 
     @cached_property
+    def fixed_point_report(self) -> "FixedPointReport":
+        """Every fixed point located, classified and lemma-checked:
+        fixedpoints.analyze."""
+        from .fixedpoints import _analyze
+        return _analyze(self)
+
+    @cached_property
     def geometry(self) -> "RepellerGeometry":
         """The repeller geometry: symbolic.RepellerGeometry.build."""
         from .symbolic import _geometry
         return _geometry(self)
 
 
-def _square(x: PadicNumber, pN: int) -> tuple[int | None, int]:
-    """x^2 as (valuation, unit), valuation None for zero."""
-    if x.valuation is None:
-        return None, 0
-    return 2 * x.valuation, x.unit * x.unit % pN
-
-
-def _quotient(params: MapParams, tv: int | None, tu: int,
-              c_num: int, c_den: int) -> tuple[int | None, int, int, int]:
-    """(c_num t + 1)/(b^2 + c_den t) at t = p^tv tu, for unit constants c_num
-    and c_den, in the order the PadicNumber composition takes.
+def _quotient(params: MapParams, t: tuple) -> tuple[tuple, tuple]:
+    """q(t) = (b^2 t + 1)/(b^2 + t) for the pair t, the quotient the three
+    maps share: f(u) = q(a^2 u^2), g(u) = a q(u^2) and k(x) = (a q(x))^2.
 
     The denominator comes first: a sum that vanishes or cancels past N - g
     digits is a PoleError.  Then the numerator, which raises
-    PrecisionExhausted where it cancels past the guard.  Returns the
-    (valuation, unit) of the quotient, valuation None for zero, with the
-    order and the inverse unit of the denominator.
+    PrecisionExhausted where it cancels past the guard.  Returns the quotient
+    and the inverse of the denominator, both as pairs.
     """
     ctx = params.ctx
-    pN = ctx.modulus
+    b2 = (0, params.b2.unit)
     try:
-        dv, du = _sum(ctx, 0, params.b2.unit, tv, c_den * tu % pN)
+        den = _sum(ctx, b2, t)
     except PrecisionExhausted as exc:
         raise PoleError("denominator vanished at working precision") from exc
-    if dv is None or dv > ctx.residual_digits:
+    if den[0] is None or den[0] > ctx.residual_digits:
         raise PoleError("denominator indistinguishable from zero")
-    nv, nu = _sum(ctx, tv, c_num * tu % pN, 0, 1)
-    inv = _inv_unit(du, ctx)
-    if nv is None:
-        return None, 0, dv, inv
-    return nv - dv, nu * inv % pN, dv, inv
+    inv = _divide(ctx, _ONE, den)
+    return _times(ctx, _sum(ctx, _times(ctx, b2, t), _ONE), inv), inv
 
 
-# Each map below is one pass over integers mod p^N in padic's (valuation,
-# unit) form: the operations of the composition in the module docstring, in
-# its order, every sum by padic._sum and one _inv_unit of the denominator per
-# point.  Products and the unique inverse mod p^N are exact, so every digit
-# and every error is the composition's.  a and b lie in E_p: their valuations,
-# and b^2's, are 0.  The Gibbs weight kernels in gibbs.py work the same way.
+# Each map below is one pass over padic's (valuation, unit) pairs: the
+# operations of the composition in the module docstring, in its order, by
+# padic's pair rules, with one inverse of the denominator per point.
+# Products and the unique inverse mod p^N are exact, so every digit and every
+# error is the composition's.  a and b lie in E_p: their valuations, and
+# b^2's, are 0.
 
 def eval_f(params: MapParams, u: PadicNumber) -> PadicNumber:
     ctx = params.ctx
-    pN = ctx.modulus
-    a2 = params.a.unit * params.a.unit % pN
-    qv, qu, _, _ = _quotient(params, *_square(u, pN), a2 * params.b2.unit % pN, a2)
-    return PadicNumber(ctx, qv, qu)
+    t, a = (u.valuation, u.unit), (0, params.a.unit)
+    q, _ = _quotient(params, _times(ctx, _times(ctx, a, a), _times(ctx, t, t)))
+    return PadicNumber(ctx, *q)
 
 
 def eval_g(params: MapParams, u: PadicNumber) -> PadicNumber:
     ctx = params.ctx
-    pN = ctx.modulus
-    qv, qu, _, _ = _quotient(params, *_square(u, pN), params.b2.unit, 1)
-    return PadicNumber(ctx, qv, params.a.unit * qu % pN)
+    t = (u.valuation, u.unit)
+    q, _ = _quotient(params, _times(ctx, t, t))
+    return PadicNumber(ctx, *_times(ctx, (0, params.a.unit), q))
 
 
 def eval_g_slope(params: MapParams, u: PadicNumber) -> tuple[PadicNumber, PadicNumber]:
     """(g(u), g'(u)) from one inverse of b^2 + u^2, with
     g'(u) = 2au(b^4 - 1)/(b^2 + u^2)^2."""
     ctx = params.ctx
-    pN = ctx.modulus
-    qv, qu, dv, inv = _quotient(params, *_square(u, pN), params.b2.unit, 1)
-    value = PadicNumber(ctx, qv, params.a.unit * qu % pN)
-    factor = params.slope_factor  # of order m < N: never zero
-    if u.valuation is None:
-        return value, ctx.zero()
-    return value, PadicNumber(ctx, factor.valuation + u.valuation - 2 * dv,
-                              factor.unit * u.unit * inv * inv % pN)
+    t = (u.valuation, u.unit)
+    q, inv = _quotient(params, _times(ctx, t, t))
+    factor = params.slope_factor
+    slope = _times(ctx, _times(ctx, (factor.valuation, factor.unit), t),
+                   _times(ctx, inv, inv))
+    return PadicNumber(ctx, *_times(ctx, (0, params.a.unit), q)), PadicNumber(ctx, *slope)
 
 
 def eval_k(params: MapParams, x: PadicNumber) -> PadicNumber:
     ctx = params.ctx
-    pN = ctx.modulus
-    qv, qu, _, _ = _quotient(params, x.valuation, x.unit, params.b2.unit, 1)
-    if qv is None:
-        return ctx.zero()
-    root = params.a.unit * qu % pN
-    return PadicNumber(ctx, 2 * qv, root * root % pN)
+    q, _ = _quotient(params, (x.valuation, x.unit))
+    root = _times(ctx, (0, params.a.unit), q)
+    return PadicNumber(ctx, *_times(ctx, root, root))
 
 
 def eval_k_slope(params: MapParams, x: PadicNumber) -> tuple[PadicNumber, PadicNumber]:
@@ -175,12 +175,9 @@ def eval_k_slope(params: MapParams, x: PadicNumber) -> tuple[PadicNumber, PadicN
     k' = 2 root a(b^4 - 1)/(b^2 + x)^2.
     """
     ctx = params.ctx
-    pN = ctx.modulus
-    qv, qu, dv, inv = _quotient(params, x.valuation, x.unit, params.b2.unit, 1)
+    q, inv = _quotient(params, (x.valuation, x.unit))
     factor = params.slope_factor
-    if qv is None:
-        return ctx.zero(), ctx.zero()
-    root = params.a.unit * qu % pN
-    return (PadicNumber(ctx, 2 * qv, root * root % pN),
-            PadicNumber(ctx, qv + factor.valuation - 2 * dv,
-                        root * factor.unit * inv * inv % pN))
+    root = _times(ctx, (0, params.a.unit), q)
+    slope = _times(ctx, _times(ctx, root, (factor.valuation, factor.unit)),
+                   _times(ctx, inv, inv))
+    return PadicNumber(ctx, *_times(ctx, root, root)), PadicNumber(ctx, *slope)

@@ -70,19 +70,25 @@ def _inv_unit(u: int, ctx: PrimeContext) -> int:
     return z
 
 
-def _sum(ctx: PrimeContext, xv: int | None, xu: int,
-         yv: int | None, yu: int) -> tuple[int | None, int]:
-    """p^xv xu + p^yv yu as (valuation, unit), valuation None for zero: the one
-    addition rule, shared by PadicNumber.__add__, the map kernels and the
-    Gibbs weight kernels.
+# -- (valuation, unit) pairs -------------------------------------------------
+# A value p^v u as the pair (v, u) of ints, u a unit in [1, p^N) and v None
+# for zero.  The rules below are the package's one add, subtract, multiply and
+# divide: PadicNumber's operators, the map kernels of maps.py and the Gibbs
+# weight kernels of gibbs.py all call them.  Products and the unique inverse
+# mod p^N are exact; only a sum can lose digits, and _sum guards it.
 
-    A sum that cancels more than N - g leading digits raises
-    PrecisionExhausted; an exact zero mod p^N is zero.
-    """
+_ZERO, _ONE = (None, 0), (0, 1)
+
+
+def _sum(ctx: PrimeContext, x: tuple, y: tuple) -> tuple:
+    """x + y.  A sum that cancels more than N - g leading digits raises
+    PrecisionExhausted; an exact zero mod p^N is zero."""
+    xv, xu = x
+    yv, yu = y
     if xv is None:
-        return yv, yu
+        return y
     if yv is None:
-        return xv, xu
+        return x
     powers, N, pN = ctx._powers, ctx.precision, ctx.modulus
     if xv <= yv:
         v, s = xv, (xu + yu * powers[min(yv - xv, N)]) % pN
@@ -92,12 +98,35 @@ def _sum(ctx: PrimeContext, xv: int | None, xu: int,
     if s % p:
         return v, s
     if s == 0:
-        return None, 0
+        return _ZERO
     t = _vp(s, p)
     if t > N - ctx.guard:
         raise PrecisionExhausted(
             f"cancellation of {t} digits leaves fewer than {ctx.guard} significant digits")
     return v + t, s // powers[t]
+
+
+def _minus(ctx: PrimeContext, x: tuple, y: tuple) -> tuple:
+    """x - y, one _sum on y's negated unit."""
+    if y[0] is None:
+        return x
+    return _sum(ctx, x, (y[0], ctx.modulus - y[1]))
+
+
+def _times(ctx: PrimeContext, x: tuple, y: tuple) -> tuple:
+    """x y."""
+    if x[0] is None or y[0] is None:
+        return _ZERO
+    return x[0] + y[0], x[1] * y[1] % ctx.modulus
+
+
+def _divide(ctx: PrimeContext, x: tuple, y: tuple) -> tuple:
+    """x / y, with one _inv_unit of y's unit; a zero y raises DivisionByZero."""
+    if y[0] is None:
+        raise DivisionByZero("p-adic division by zero")
+    if x[0] is None:
+        return _ZERO
+    return x[0] - y[0], x[1] * _inv_unit(y[1], ctx) % ctx.modulus
 
 
 # largest p.bit_length() * N a context accepts: its powers p^0..p^N take
@@ -189,6 +218,24 @@ class PrimeContext:
         return PadicNumber(self, valuation, unit % self.modulus)
 
 
+def _operator(rule, reflected: bool = False):
+    """A PadicNumber operator: the pair rule on self and the coerced operand,
+    the operand first when reflected."""
+    def apply(self, other):
+        ctx = self.ctx
+        # most operands share self's context object: they need no _coerce call
+        if other.__class__ is PadicNumber and other.ctx is ctx:
+            y = other.valuation, other.unit
+        else:
+            y = self._coerce(other)
+            if y is None:
+                return NotImplemented
+        x = (self.valuation, self.unit)
+        v, u = rule(ctx, y, x) if reflected else rule(ctx, x, y)
+        return PadicNumber(ctx, v, u)
+    return apply
+
+
 class PadicNumber:
     """A p-adic value p^valuation * unit, normalized so p does not divide unit.
 
@@ -229,10 +276,7 @@ class PadicNumber:
 
     def norm(self) -> Fraction:
         """|x|_p as an exact rational; |0|_p = 0."""
-        if self.is_zero:
-            return Fraction(0)
-        v = self.valuation
-        return Fraction(1, self.ctx.p ** v) if v >= 0 else Fraction(self.ctx.p ** -v)
+        return norm_fraction(self.valuation, self.ctx.p)
 
     def digits(self, count: int | None = None) -> list[int]:
         n = self.ctx.precision if count is None else count
@@ -249,69 +293,31 @@ class PadicNumber:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other):
+    def _coerce(self, other) -> tuple | None:
+        """other as a (valuation, unit) pair in self's context, None for a
+        type the operators do not take."""
         if isinstance(other, PadicNumber):
             if not _same_ctx(other.ctx, self.ctx):
                 raise DomainError("mixed PrimeContext arithmetic")
-            return other
-        if isinstance(other, int):
-            return self.ctx.from_int(other)
-        if isinstance(other, Fraction):
-            return self.ctx.from_fraction(other)
-        return None
+        elif isinstance(other, int):
+            other = self.ctx.from_int(other)
+        elif isinstance(other, Fraction):
+            other = self.ctx.from_fraction(other)
+        else:
+            return None
+        return other.valuation, other.unit
 
-    def __add__(self, other):
-        y = self._coerce(other)
-        if y is None:
-            return NotImplemented
-        ctx = self.ctx
-        v, s = _sum(ctx, self.valuation, self.unit, y.valuation, y.unit)
-        return PadicNumber(ctx, v, s)
-
-    __radd__ = __add__
+    # every operator is one pair rule of the section above
+    __add__ = __radd__ = _operator(_sum)
+    __sub__ = _operator(_minus)
+    __rsub__ = _operator(_minus, reflected=True)
+    __mul__ = __rmul__ = _operator(_times)
+    __truediv__ = _operator(_divide)
+    __rtruediv__ = _operator(_divide, reflected=True)
 
     def __neg__(self):
-        if self.valuation is None:
-            return self
-        return PadicNumber(self.ctx, self.valuation, self.ctx.modulus - self.unit)
-
-    def __sub__(self, other):
-        y = self._coerce(other)
-        if y is None:
-            return NotImplemented
-        return self + (-y)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        y = self._coerce(other)
-        if y is None:
-            return NotImplemented
-        if self.valuation is None or y.valuation is None:
-            return self.ctx.zero()
-        return PadicNumber(self.ctx, self.valuation + y.valuation,
-                           self.unit * y.unit % self.ctx.modulus)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        y = self._coerce(other)
-        if y is None:
-            return NotImplemented
-        if y.valuation is None:
-            raise DivisionByZero("p-adic division by zero")
-        if self.valuation is None:
-            return self
         ctx = self.ctx
-        return PadicNumber(ctx, self.valuation - y.valuation,
-                           self.unit * _inv_unit(y.unit, ctx) % ctx.modulus)
-
-    def __rtruediv__(self, other):
-        y = self._coerce(other)
-        if y is None:
-            return NotImplemented
-        return y / self
+        return PadicNumber(ctx, *_minus(ctx, _ZERO, (self.valuation, self.unit)))
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -396,11 +402,7 @@ def converge(step: Callable[[PadicNumber], PadicNumber], start: PadicNumber,
 
 def norm_diff(x: PadicNumber, y: PadicNumber) -> Fraction:
     """|x - y|_p, with indistinguishable values reported as 0."""
-    dv = diff_valuation(x, y)
-    if dv is None:
-        return Fraction(0)
-    p = x.ctx.p
-    return Fraction(1, p ** dv) if dv >= 0 else Fraction(p ** -dv)
+    return norm_fraction(diff_valuation(x, y), x.ctx.p)
 
 
 def eq_to_precision(x: PadicNumber, y: PadicNumber, digits: int) -> bool:
@@ -633,3 +635,11 @@ def norm_str(order: int | None, p: int) -> str:
     if order == 0:
         return "1"
     return f"{p}^{-order}"
+
+
+def norm_fraction(order: int | None, p: int) -> Fraction:
+    """The norm p^-order of a value of ord_p `order` as an exact rational,
+    0 for zero (order None)."""
+    if order is None:
+        return Fraction(0)
+    return Fraction(1, p ** order) if order >= 0 else Fraction(p ** -order)

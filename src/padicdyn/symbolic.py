@@ -30,6 +30,7 @@ from .padic import (
     converge,
     diff_valuation,
     eq_to_precision,
+    norm_fraction,
     sqrt_both,
 )
 
@@ -394,7 +395,7 @@ class RepellerGeometry:
         p, tau = self.params.ctx.p, self.params.radius_exponent
         for n, (sa, sb) in enumerate(zip(word_a, word_b)):
             if sa != sb:
-                return Fraction(1, p ** (n * tau + self.kappa))
+                return norm_fraction(n * tau + self.kappa, p)
         return Fraction(0)
 
     def julia_cylinders(self, depth: int) -> list[tuple[Word, Ball]]:

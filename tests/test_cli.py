@@ -619,6 +619,20 @@ class TestDynamics:
         assert invoke(capsys, ["lemmas", *STRICT, "--samples", "5"])[0] == 0
         assert len(calls) == 1
 
+    def test_lemmas_after_fixed_points_analyzes_nothing(self, capsys, monkeypatch):
+        reports, analyze_anew = [], fixedpoints._analyze
+
+        def counted(params):
+            reports.append(params)
+            return analyze_anew(params)
+
+        monkeypatch.setattr(fixedpoints, "_analyze", counted)
+        code, body = invoke(capsys, ["fixed-points", *STRICT])
+        assert code == 0 and len(reports) == 1
+        code, lemmas = invoke(capsys, ["lemmas", *STRICT, "--samples", "5"])
+        assert code == 0 and len(reports) == 1
+        assert {key: lemmas[key] for key in body} == body
+
     def test_second_round_of_periodic_k_solves_nothing(self, capsys, monkeypatch):
         calls = []
 

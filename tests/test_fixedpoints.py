@@ -105,6 +105,32 @@ class TestX0Memo:
         fresh = fixedpoints._fixed_points(acceptance_params())
         assert (report.x0, report.delta, report.roots) == fresh
 
+    def test_analyze_keeps_its_report(self, monkeypatch):
+        params = acceptance_params()
+        reports, analyze_anew = [], fixedpoints._analyze
+
+        def counted(params):
+            reports.append(params)
+            return analyze_anew(params)
+
+        monkeypatch.setattr(fixedpoints, "_analyze", counted)
+        report = analyze(params)
+        assert analyze(params) is report and len(reports) == 1
+        assert report.to_json() == analyze_anew(acceptance_params()).to_json()
+
+    def test_a_report_that_raises_keeps_nothing(self, monkeypatch):
+        params = acceptance_params()
+
+        def refuse(params, x):
+            raise NotAFixedPoint("refused")
+
+        monkeypatch.setattr(fixedpoints, "classify", refuse)
+        for _ in range(2):
+            with pytest.raises(NotAFixedPoint, match="refused"):
+                analyze(params)
+        monkeypatch.undo()
+        assert analyze(params).to_json() == analyze(acceptance_params()).to_json()
+
     def test_equal_contexts_keep_values_of_their_own(self):
         first, second = acceptance_params(), acceptance_params()
         assert first.ctx is not second.ctx

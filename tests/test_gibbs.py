@@ -24,7 +24,6 @@ from padicdyn import (
     RepellerGeometry,
     ZeroPartitionFunction,
     check_compatibility,
-    configurations,
     diagonal_field_from_orbit,
     diff_valuation,
     eq_to_precision,
@@ -155,6 +154,12 @@ def composed_newton(P, M, u):
 
 
 # -- the brute-force oracle: pair lists and configuration weights --------------
+
+def configurations(vertices):
+    """All 2^|vertices| spin assignments, in check_compatibility's sigma order."""
+    for spins in product((-1, 1), repeat=len(vertices)):
+        yield dict(zip(vertices, spins))
+
 
 def edges(tree, n):
     """L_n: nearest-neighbor pairs (parent, child) inside V_n."""
@@ -801,7 +806,7 @@ class TestSolvedU:
             value, slope = horner(ctx, coeffs, u)
             calls.append(None)
             drift = ctx5.from_int(5 * len(calls))
-            return _sum(ctx, *value, drift.valuation, drift.unit), slope
+            return _sum(ctx, value, (drift.valuation, drift.unit)), slope
 
         c = couplings(ctx5, 5, 5)
         monkeypatch.setattr(gibbs, "_horner", drifting)
@@ -957,7 +962,7 @@ class TestNewtonForU:
             value, slope = horner(ctx, coeffs, u)
             calls.append(None)
             drift = ctx5.from_int(5 * len(calls))
-            return _sum(ctx, *value, drift.valuation, drift.unit), slope
+            return _sum(ctx, value, (drift.valuation, drift.unit)), slope
 
         monkeypatch.setattr(gibbs, "_horner", drifting)
         with pytest.raises(NoConvergence, match="^Newton iteration for u did not"):

@@ -29,7 +29,16 @@ from padicdyn import (
     sqrt_both,
     sqrt_exists,
 )
-from padicdyn.padic import PadicNumber, _inv_unit, converge
+from padicdyn.padic import (
+    _ZERO,
+    PadicNumber,
+    _divide,
+    _inv_unit,
+    _minus,
+    _times,
+    converge,
+    norm_fraction,
+)
 from conftest import random_padic, random_unit
 
 
@@ -350,6 +359,65 @@ class TestFractionOracle:
         n = q.numerator
         assert ctx.from_int(n) == ctx.from_rational(n, 1)
         assert _agrees(ctx.from_int(n), Fraction(n), ctx.precision)
+
+
+def pair(x: PadicNumber) -> tuple:
+    return x.valuation, x.unit
+
+
+class TestPairRules:
+    """padic's rules on (valuation, unit) pairs against fractions.Fraction:
+    _times, _minus and _divide, with zero operands and cancellation."""
+
+    RULES = {"mul": _times, "sub": _minus, "div": _divide}
+
+    @FRACTION_SETTINGS
+    @given(CONTEXTS, SCALED, SCALED, st.sampled_from(sorted(RULES)))
+    def test_against_fractions(self, pn, qa, qb, op):
+        ctx = PrimeContext(*pn)
+        x, y = pair(ctx.from_fraction(qa)), pair(ctx.from_fraction(qb))
+        rule = self.RULES[op]
+        try:
+            got = rule(ctx, x, y)
+        except PrecisionExhausted:
+            lead = min(vp_fraction(qa, ctx.p), vp_fraction(qb, ctx.p))
+            assert op == "sub"
+            assert vp_fraction(qa - qb, ctx.p) - lead > ctx.residual_digits
+        else:
+            assert TestFractionOracle.check(ctx, op, qa, qb, PadicNumber(ctx, *got))
+        # zero operands: a product or a quotient of zero is zero, a quotient
+        # by zero raises, a difference is the other operand or its negative
+        if op == "sub":
+            assert rule(ctx, x, _ZERO) == x
+            assert PadicNumber(ctx, *rule(ctx, _ZERO, y)) == -ctx.from_fraction(qb)
+            return
+        assert rule(ctx, _ZERO, y) == _ZERO
+        if op == "div":
+            with pytest.raises(DivisionByZero, match="division by zero"):
+                rule(ctx, x, _ZERO)
+        else:
+            assert rule(ctx, x, _ZERO) == _ZERO
+
+    @FRACTION_SETTINGS
+    @given(CONTEXTS, SCALED, RATIONALS, st.integers(0, 70))
+    def test_minus_cancellation(self, pn, qa, r, k):
+        # qa - qb = r * 195^k cancels about k leading digits
+        ctx = PrimeContext(*pn)
+        qb = qa - r * Fraction(3 * 5 * 13) ** k
+        assume(qb != 0)
+        x, y = pair(ctx.from_fraction(qa)), pair(ctx.from_fraction(qb))
+        lead = min(vp_fraction(qa, ctx.p), vp_fraction(qb, ctx.p))
+        cancelled = vp_fraction(qa - qb, ctx.p) - lead
+        if cancelled >= ctx.precision:
+            # indistinguishable mod p^N: the difference is exactly zero
+            assert _minus(ctx, x, y) == _ZERO
+        elif cancelled > ctx.residual_digits:
+            with pytest.raises(PrecisionExhausted, match=f"cancellation of {cancelled} "):
+                _minus(ctx, x, y)
+        else:
+            got = PadicNumber(ctx, *_minus(ctx, x, y))
+            assert TestFractionOracle.check(ctx, "sub", qa, qb, got)
+        assert _minus(ctx, x, x) == _ZERO
 
 
 class TestUnitInverse:

@@ -4,8 +4,9 @@ A module imports only names it uses, and every name `padicdyn/__init__.py`
 exports is used by some other module of the package, unless KEEP names the
 paper claim it serves; so is every public method and property of an
 exported class, unless KEEP_MEMBERS names its claim.  One function inverts
-a unit mod p^N, one writes JSON to stdout, and the open Ball alone tests
-ball membership.  The process-wide memos live in cli.py alone, and every
+a unit mod p^N, padic.py alone defines the arithmetic on (valuation, unit)
+pairs, one writes JSON to stdout, and the open Ball alone tests ball
+membership.  The process-wide memos live in cli.py alone, and every
 one is cleared before each test.
 Every CLI subcommand names one `_cmd_*` body, read from the built parser.
 """
@@ -149,6 +150,29 @@ def _found_in_package(matches) -> dict[str, list[str]]:
 
 def test_one_way_to_invert():
     assert _found_in_package(_is_inverse) == {"padic.py": ["_inv_unit"]}
+
+
+# padic's rules on (valuation, unit) pairs, which the operators of
+# PadicNumber, the map kernels and the Gibbs kernels share
+PAIR_RULES = {"_sum", "_times", "_minus", "_divide", "_ZERO", "_ONE"}
+
+
+def _defines(tree: ast.Module) -> set[str]:
+    """Names a module binds by def, class or assignment, at any depth."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def test_one_home_for_the_pair_rules():
+    defined = {name: sorted(_defines(tree) & PAIR_RULES)
+               for name, tree in _modules().items()}
+    assert {name: rules for name, rules in defined.items() if rules} == {
+        "padic.py": sorted(PAIR_RULES)}
 
 
 def _passes_closed(node: ast.AST) -> bool:
