@@ -31,18 +31,6 @@ from .fixedpoints import (
     repelling_roots,
     verify_lemma_3_4,
 )
-from .gibbs import (
-    CayleyTree,
-    CompatibilityReport,
-    Couplings,
-    GibbsField,
-    PlacementCandidate,
-    check_compatibility,
-    diagonal_field_from_orbit,
-    partition_fn,
-    periodic_field_from_orbit,
-    solve_7_11,
-)
 from .maps import MapParams, eval_f, eval_g, eval_k
 from .padic import (
     Ball,
@@ -71,3 +59,35 @@ from .symbolic import (
 )
 
 __version__ = "1.0.0"
+
+# the Gibbs layer is imported on first use (PEP 562), so a call that never
+# reaches it does not load gibbs.py
+_GIBBS_EXPORTS = (
+    "CayleyTree",
+    "CompatibilityReport",
+    "Couplings",
+    "GibbsField",
+    "PlacementCandidate",
+    "check_compatibility",
+    "diagonal_field_from_orbit",
+    "partition_fn",
+    "periodic_field_from_orbit",
+    "solve_7_11",
+)
+
+
+# the public names, as `import *` and dir() see them
+__all__ = [*(name for name in globals() if not name.startswith("_")), "gibbs",
+           *_GIBBS_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name == "gibbs" or name in _GIBBS_EXPORTS:
+        from importlib import import_module
+        gibbs = import_module(".gibbs", __name__)
+        return gibbs if name == "gibbs" else getattr(gibbs, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

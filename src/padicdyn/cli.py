@@ -8,11 +8,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import re
 import sys
 
-from . import fixedpoints, gibbs
+from . import fixedpoints
 from .errors import DomainError, NoValidPlacement, PadicError
 from .maps import MapParams, eval_f, eval_g, eval_k
 from .padic import (PrimeContext, diff_valuation, norm_str, parse_padic,
@@ -96,6 +95,7 @@ def _couplings(p: int, precision: int, guard: int,
     _pair keeps pairs: a later call reuses its exp_p values, edge units,
     solved u's and pair; a DomainError is raised again on every call, never
     stored."""
+    from . import gibbs  # the Gibbs layer loads on first use
     ctx = _context(p, precision, guard)
     return gibbs.Couplings(parse_padic(J, ctx), parse_padic(J1, ctx),
                            parse_padic(J0, ctx))
@@ -259,6 +259,7 @@ def _cmd_lemmas(args):
     report = fixedpoints.analyze(params)
     scaling = None
     if report.roots is not None and params.strict_regime:
+        import random
         geom = RepellerGeometry.build(params)
         rng = random.Random(args.seed)
         ctx = params.ctx
@@ -305,6 +306,7 @@ _ACTION_FLAGS = {"source": "verify", "word": "periodic", "diagonal": "periodic"}
 
 
 def _cmd_gibbs(args):
+    from . import gibbs
     for flag, action in _ACTION_FLAGS.items():
         if getattr(args, flag) is not None and args.action != action:
             raise DomainError(f"--{flag} is read by gibbs {action} only")

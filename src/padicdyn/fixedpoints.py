@@ -7,13 +7,12 @@ case both are repelling and lie outside E_p.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConsistencyError, NotAFixedPoint
 from .maps import MapParams, eval_g_slope
 from .padic import (
     Ball,
     PadicNumber,
+    _Immutable,
     converge,
     diff_valuation,
     eq_to_precision,
@@ -149,16 +148,20 @@ def verify_lemma_3_4(params: MapParams, x0: PadicNumber,
     return out
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(_Immutable):
     """All fixed points of g for one parameter pair, with lemma checks."""
 
-    params: MapParams
-    x0: PadicNumber
-    delta: PadicNumber
-    roots: tuple[PadicNumber, PadicNumber] | None
-    classifications: dict[str, str]
-    lemma34: dict[str, bool | None]
+    __slots__ = ("params", "x0", "delta", "roots", "classifications", "lemma34")
+
+    def __init__(self, params: MapParams, x0: PadicNumber, delta: PadicNumber,
+                 roots: tuple[PadicNumber, PadicNumber] | None,
+                 classifications: dict[str, str], lemma34: dict[str, bool | None]):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "classifications", classifications)
+        object.__setattr__(self, "lemma34", lemma34)
 
     def to_json(self) -> dict:
         ctx = self.params.ctx

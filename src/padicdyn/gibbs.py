@@ -10,7 +10,6 @@ level, against the same sums.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -27,6 +26,7 @@ from .maps import MapParams
 from .padic import (
     PadicNumber,
     PrimeContext,
+    _Immutable,
     _ONE,
     _ZERO,
     _divide,
@@ -53,15 +53,15 @@ SPINS = (-1, 1)
 PAIRS: tuple[SpinPair, ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-@dataclass(frozen=True)
-class CayleyTree:
+class CayleyTree(_Immutable):
     """Order-k Cayley tree rooted at (), vertices as coordinate tuples."""
 
-    k: int
+    __slots__ = ("k",)
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int):
+        if k < 1:
             raise DomainError("tree order k must be >= 1")
+        object.__setattr__(self, "k", k)
 
     def level(self, m: int) -> list[Vertex]:
         """W_m, the sphere of radius m around the root; |W_m| = k^m."""
@@ -79,20 +79,18 @@ class CayleyTree:
         return [x + (i,) for i in range(1, self.k + 1)]
 
 
-@dataclass(frozen=True)
-class Couplings:
+class Couplings(_Immutable):
     """Interaction constants with |J|_p <= 1/p so exp_p(H_n) always exists."""
 
-    J: PadicNumber
-    J1: PadicNumber
-    J0: PadicNumber
-
-    def __post_init__(self):
-        for name, c in (("J", self.J), ("J1", self.J1), ("J0", self.J0)):
+    def __init__(self, J: PadicNumber, J1: PadicNumber, J0: PadicNumber):
+        for name, c in (("J", J), ("J1", J1), ("J0", J0)):
             if not c.is_zero and c.valuation < 1:
                 raise DomainError(f"|{name}|_p must be <= 1/p")
-        if self.J.ctx != self.J1.ctx or self.J.ctx != self.J0.ctx:
+        if J.ctx != J1.ctx or J.ctx != J0.ctx:
             raise DomainError("couplings must share a PrimeContext")
+        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "J1", J1)
+        object.__setattr__(self, "J0", J0)
 
     @property
     def ctx(self) -> PrimeContext:
@@ -141,19 +139,22 @@ class Couplings:
         return {}
 
 
-@dataclass(frozen=True)
-class GibbsField:
-    """Boundary field: four unit components per edge, keyed by the child vertex."""
+class GibbsField(_Immutable):
+    """Boundary field: four unit components per edge, keyed by the child vertex.
 
-    assign: dict  # Vertex -> {SpinPair: PadicNumber}
+    assign maps each child vertex to its {SpinPair: PadicNumber} components.
+    """
 
-    def __post_init__(self):
-        for comp in self.assign.values():
+    __slots__ = ("assign",)
+
+    def __init__(self, assign: dict):
+        for comp in assign.values():
             for pair in PAIRS:
                 if pair not in comp:
                     raise DomainError(f"missing field component {pair}")
                 if not is_unit(comp[pair]):
                     raise DomainError("field components must be p-adic units")
+        object.__setattr__(self, "assign", assign)
 
     def with_component(self, child: Vertex, pair: SpinPair,
                        value: PadicNumber) -> "GibbsField":
@@ -322,13 +323,16 @@ def partition_fn(tree: CayleyTree, couplings: Couplings, field: GibbsField,
                                                                  field, n, 0)))
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    """Exhaustive check of the level-(n-1)/level-n projection identity."""
+class CompatibilityReport(_Immutable):
+    """Exhaustive check of the level-(n-1)/level-n projection identity, with
+    one residual per sigma on V_{n-1}, in a fixed order."""
 
-    ok: bool
-    max_residual: Fraction
-    residuals: tuple[Fraction, ...]  # one per sigma on V_{n-1}, fixed order
+    __slots__ = ("ok", "max_residual", "residuals")
+
+    def __init__(self, ok: bool, max_residual: Fraction, residuals: tuple[Fraction, ...]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "max_residual", max_residual)
+        object.__setattr__(self, "residuals", residuals)
 
     def to_json(self) -> dict:
         return {
@@ -538,11 +542,15 @@ def solve_7_11(tree: CayleyTree, couplings: Couplings, n: int = 2) -> GibbsField
 _SLOT = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}
 
 
-@dataclass(frozen=True)
-class PlacementCandidate:
-    placement: str
-    field: GibbsField
-    residual: Fraction
+class PlacementCandidate(_Immutable):
+    """A candidate field, its placement name and its field_equation_residual."""
+
+    __slots__ = ("placement", "field", "residual")
+
+    def __init__(self, placement: str, field: GibbsField, residual: Fraction):
+        object.__setattr__(self, "placement", placement)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "residual", residual)
 
 
 def _orbit_candidate(tree: CayleyTree, couplings: Couplings, placement: str,

@@ -9,7 +9,6 @@ conjugates f to g, and k(x^2) = g(x)^2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -18,6 +17,7 @@ from .padic import (
     Ball,
     PadicNumber,
     PrimeContext,
+    _Immutable,
     _ONE,
     _divide,
     _sum,
@@ -28,32 +28,34 @@ from .padic import (
 )
 
 
-@dataclass(frozen=True)
-class MapParams:
+class MapParams(_Immutable):
     """Parameter pair (a, b) with the derived radius r = |b - 1|_p.
 
     strict_regime records the standing assumption |a - 1|_p < |b - 1|_p
     under which the repeller geometry of the symbolic module is valid.
+    m = ord(b - 1) must leave a trusted digit: a pair with m > N - g, whose
+    slope factor 2a(b^4 - 1) cancels past the guard, is refused.
     """
 
-    a: PadicNumber
-    b: PadicNumber
-    radius_exponent: int = field(init=False)
-    strict_regime: bool = field(init=False)
-
-    def __post_init__(self):
-        if self.a.ctx != self.b.ctx:
+    def __init__(self, a: PadicNumber, b: PadicNumber):
+        if a.ctx != b.ctx:
             raise DomainError("a and b must share a PrimeContext")
-        if not in_Ep(self.a):
+        if not in_Ep(a):
             raise DomainError("a must lie in E_p")
-        if not in_Ep(self.b):
+        if not in_Ep(b):
             raise DomainError("b must lie in E_p")
-        m = diff_valuation(self.b, self.ctx.one())
+        ctx = a.ctx
+        m = diff_valuation(b, ctx.one())
         if m is None:
             raise DomainError("b = 1 at working precision")
+        if m > ctx.residual_digits:
+            raise DomainError(f"ord(b - 1) = {m} must be <= N - g = {ctx.residual_digits} "
+                              f"(precision {ctx.precision}, guard {ctx.guard})")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "radius_exponent", m)
         # a in the open ball of radius p^-m around 1
-        object.__setattr__(self, "strict_regime", Ball(self.ctx.one(), -m).contains(self.a))
+        object.__setattr__(self, "strict_regime", Ball(ctx.one(), -m).contains(a))
 
     @property
     def ctx(self) -> PrimeContext:

@@ -8,7 +8,6 @@ Zero is encoded with valuation None (conceptually +infinity).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -134,37 +133,63 @@ def _divide(ctx: PrimeContext, x: tuple, y: tuple) -> tuple:
 MAX_FIELD_BITS = 2 ** 14
 
 
-@dataclass(frozen=True)
-class PrimeContext:
+class _Immutable:
+    """Base of the package's value classes: __init__ sets each attribute
+    once, by object.__setattr__; assigning to or deleting an attribute
+    afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"cannot assign to field {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"cannot delete field {name!r}: {type(self).__name__} is immutable")
+
+
+class PrimeContext(_Immutable):
     """Working field Q_p truncated to `precision` significant digits.
 
     `guard` digits are sacrificial: results are trusted to
     precision - guard digits, and deeper cancellation raises
-    PrecisionExhausted instead of returning junk.
+    PrecisionExhausted instead of returning junk.  Contexts with equal
+    (p, precision, guard) are equal and interoperate.
     """
 
-    p: int
-    precision: int = 64
-    guard: int = 8
-    _powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    modulus: int = field(init=False, repr=False, compare=False)  # p^N
+    __slots__ = ("p", "precision", "guard", "_powers", "modulus")
 
-    def __post_init__(self):
-        if self.p == 2:
+    def __init__(self, p: int, precision: int = 64, guard: int = 8):
+        if p == 2:
             raise DomainError("p = 2 is not supported")
-        bits = self.p.bit_length() * self.precision
+        bits = p.bit_length() * precision
         if bits > MAX_FIELD_BITS:
             raise DomainError(f"p.bit_length() * precision must be <= {MAX_FIELD_BITS}, "
                               f"got {bits}")
-        if self.p < 3 or not _is_prime(self.p):
-            raise DomainError(f"p must be an odd prime >= 3, got {self.p}")
-        if not (self.precision > self.guard >= 1):
+        if p < 3 or not _is_prime(p):
+            raise DomainError(f"p must be an odd prime >= 3, got {p}")
+        if not (precision > guard >= 1):
             raise DomainError("need precision > guard >= 1")
         powers = [1]
-        for _ in range(self.precision):
-            powers.append(powers[-1] * self.p)
+        for _ in range(precision):
+            powers.append(powers[-1] * p)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "guard", guard)
         object.__setattr__(self, "_powers", tuple(powers))  # p^0 .. p^N
         object.__setattr__(self, "modulus", powers[-1])
+
+    def __eq__(self, other):
+        if other.__class__ is not PrimeContext:
+            return NotImplemented
+        return (self.p, self.precision, self.guard) == (other.p, other.precision, other.guard)
+
+    def __hash__(self):
+        return hash((self.p, self.precision, self.guard))
+
+    def __reduce__(self):
+        return PrimeContext, (self.p, self.precision, self.guard)
 
     @property
     def residual_digits(self) -> int:
@@ -236,7 +261,7 @@ def _operator(rule, reflected: bool = False):
     return apply
 
 
-class PadicNumber:
+class PadicNumber(_Immutable):
     """A p-adic value p^valuation * unit, normalized so p does not divide unit.
 
     Values are immutable: assigning to or deleting an attribute raises
@@ -251,12 +276,6 @@ class PadicNumber:
         _set_ctx(self, ctx)
         _set_valuation(self, valuation)
         _set_unit(self, unit)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: PadicNumber is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: PadicNumber is immutable")
 
     def __reduce__(self):
         return PadicNumber, (self.ctx, self.valuation, self.unit)
@@ -428,8 +447,7 @@ def in_Ep(x: PadicNumber) -> bool:
     return is_unit(x) and x.unit % x.ctx.p == 1
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(_Immutable):
     """Open ball {x : |x - center|_p < p^radius_exponent}.
 
     |.|_p takes values in p^Z, so the closed ball of radius p^e is the open
@@ -437,8 +455,11 @@ class Ball:
     indistinguishable from the centre at precision N lies inside.
     """
 
-    center: PadicNumber
-    radius_exponent: int
+    __slots__ = ("center", "radius_exponent")
+
+    def __init__(self, center: PadicNumber, radius_exponent: int):
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius_exponent", radius_exponent)
 
     def contains(self, x: PadicNumber) -> bool:
         dv = diff_valuation(self.center, x)

@@ -9,7 +9,6 @@ coding is an isometry for the word metric built from ord(b - 1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, product
 
@@ -27,6 +26,7 @@ from .maps import MapParams, eval_g, eval_k, eval_k_slope
 from .padic import (
     Ball,
     PadicNumber,
+    _Immutable,
     converge,
     diff_valuation,
     eq_to_precision,
@@ -67,13 +67,19 @@ def k_membership(params: MapParams, x: PadicNumber, x0: PadicNumber) -> bool:
     return Ball(minus_one, 1 - params.radius_exponent).contains(x * x)
 
 
-@dataclass(frozen=True)
-class BasinStatus:
-    """Outcome of iterating g: either some iterate left K, or none did."""
+class BasinStatus(_Immutable):
+    """Outcome of iterating g: either some iterate left K, or none did.
 
-    outcome: str  # "in_basin" | "stays_in_k"
-    steps: int
-    trail: tuple[int, ...]  # leading digit of each iterate seen inside K
+    outcome is "in_basin" or "stays_in_k"; trail holds the leading digit of
+    each iterate seen inside K.
+    """
+
+    __slots__ = ("outcome", "steps", "trail")
+
+    def __init__(self, outcome: str, steps: int, trail: tuple[int, ...]):
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "trail", trail)
 
 
 def basin_status(params: MapParams, x: PadicNumber, max_iter: int) -> BasinStatus:
@@ -121,36 +127,34 @@ class _Periodic:
         self.g_orbit: tuple[PadicNumber, ...] | None = None  # forward_g_orbit
 
 
-@dataclass(frozen=True)
-class RepellerGeometry:
+class RepellerGeometry(_Immutable):
     """The two-ball repeller of k and everything the coding needs.
 
     kappa is ord_p(x1^2 - x2^2) (the center separation exponent), and
     params.radius_exponent = ord_p(b - 1) is also the per-step digit gain of
     k, measured on the balls (|b^2 + x|_p = r there, so |k'|_p =
     |b^4 - 1|_p/r^2 = 1/r; squaring conjugates k to g isometrically within
-    each ball).
+    each ball).  balls_sq is (B_r(x1^2), B_r(x2^2)), the two balls of X.
     """
 
-    params: MapParams
-    x0: PadicNumber
-    x1: PadicNumber
-    x2: PadicNumber
-    alpha1: PadicNumber
-    alpha2: PadicNumber
-    x1sq: PadicNumber = field(repr=False)
-    x2sq: PadicNumber = field(repr=False)
-    # (B_r(x1^2), B_r(x2^2)), the two balls of X, built once per geometry
-    balls_sq: tuple[Ball, Ball] = field(repr=False)
-    kappa: int = 0
-    # [None, node of word (1,), node of word (2,)]; a node of word w is
-    # [center of w, node of 1.w, node of 2.w], grown by cylinder_center
-    _cylinder_tree: list = field(default_factory=lambda: [None, None, None],
-                                 init=False, repr=False, compare=False)
-    # word -> _Periodic: its k-periodic point, k^|w| of it and its g-orbit,
-    # grown by periodic_point_k, forward_k_ends and forward_g_orbit
-    _periodic_points: dict = field(default_factory=dict, init=False, repr=False,
-                                   compare=False)
+    __slots__ = ("params", "x0", "x1", "x2", "alpha1", "alpha2", "x1sq", "x2sq",
+                 "balls_sq", "kappa", "_cylinder_tree", "_periodic_points",
+                 "__weakref__")
+
+    def __init__(self, params: MapParams, x0: PadicNumber, x1: PadicNumber,
+                 x2: PadicNumber, alpha1: PadicNumber, alpha2: PadicNumber,
+                 x1sq: PadicNumber, x2sq: PadicNumber, balls_sq: tuple[Ball, Ball],
+                 kappa: int = 0):
+        for name, value in (("params", params), ("x0", x0), ("x1", x1), ("x2", x2),
+                            ("alpha1", alpha1), ("alpha2", alpha2), ("x1sq", x1sq),
+                            ("x2sq", x2sq), ("balls_sq", balls_sq), ("kappa", kappa)):
+            object.__setattr__(self, name, value)
+        # [None, node of word (1,), node of word (2,)]; a node of word w is
+        # [center of w, node of 1.w, node of 2.w], grown by cylinder_center
+        object.__setattr__(self, "_cylinder_tree", [None, None, None])
+        # word -> _Periodic: its k-periodic point, k^|w| of it and its g-orbit,
+        # grown by periodic_point_k, forward_k_ends and forward_g_orbit
+        object.__setattr__(self, "_periodic_points", {})
 
     @classmethod
     def build(cls, params: MapParams) -> "RepellerGeometry":

@@ -245,7 +245,8 @@ class TestPairMemo:
             assert run(argv) == 0
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1]
-        assert built[0] == built[1] and built[0] is not built[1]
+        assert (built[0].a, built[0].b) == (built[1].a, built[1].b)
+        assert built[0] is not built[1]
         assert cli._pair.cache_info().currsize == 2
 
     def test_another_precision_or_guard_gets_its_own_entry(self, capsys, built):
@@ -577,6 +578,20 @@ class TestValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"domain error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["fixed-points", "--a", "170", "--b", "170"],
+        ["classify", "--a", "170", "--b", "170", "--x", "3"],
+        ["orbit", "--a", "170", "--b", "170", "--x", "3", "--steps", "1"],
+        ["gibbs", "periodic", "--J", "25/1", "--J1", "25/1"],
+    ])
+    def test_pair_past_the_guard_exits_1(self, capsys, argv):
+        # ord(b - 1) = 2 > N - g = 1 is refused by MapParams; these exited 2
+        # (PrecisionExhausted), orbit 0, before the refusal
+        p = "5" if argv[0] == "gibbs" else "13"
+        assert run([*argv, "--p", p, "--precision", "6", "--guard", "5"]) == 1
+        assert capsys.readouterr() == ("", "domain error: ord(b - 1) = 2 must be "
+                                           "<= N - g = 1 (precision 6, guard 5)\n")
 
     def test_zero_steps_and_length_are_counts(self, capsys):
         code, body = invoke(capsys, ["orbit", *STRICT, "--x", "1/1", "--steps", "0"])

@@ -96,6 +96,12 @@ class TestMapParams:
         if ctx.p > 3:
             with pytest.raises(DomainError):
                 MapParams(ctx.from_int(2), one + ctx.from_int(ctx.p))
+        # ord(b - 1) = m must leave a trusted digit: m = N - g is the deepest
+        R = ctx.residual_digits
+        assert MapParams(one, ctx.from_int(1 + ctx.p ** R)).radius_exponent == R
+        with pytest.raises(DomainError, match=rf"ord\(b - 1\) = {R + 1} must be <= "
+                                              rf"N - g = {R} \(precision 64, guard 8\)"):
+            MapParams(one, ctx.from_int(1 + ctx.p ** (R + 1)))
 
     def test_radius_and_regime(self, ctx):
         p = ctx.p
@@ -344,9 +350,8 @@ class TestKernelsAgainstComposition:
         rng = random.Random(100 * p + precision)
         R = ctx.residual_digits
         pairs = [strict_params(ctx, rng, t=1), strict_params(ctx, rng, t=2),
-                 # b - 1 of order N - g + 1: the slope factor 2a(b^4 - 1)
-                 # cancels past the guard, so every slope raises
-                 MapParams(ctx.from_int(1 + p ** (R + 2)), ctx.from_int(1 + p ** (R + 1)))]
+                 # b - 1 of order N - g, the deepest MapParams accepts
+                 MapParams(ctx.from_int(1 + p ** (R + 1)), ctx.from_int(1 + p ** R))]
         seen = Counter()
         for params in pairs:
             for x in kernel_inputs(params, rng):

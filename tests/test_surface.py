@@ -1,13 +1,13 @@
 """The package's public surface, read from the source with `ast`.
 
 A module imports only names it uses, and every name `padicdyn/__init__.py`
-exports is used by some other module of the package, unless KEEP names the
-paper claim it serves; so is every public method and property of an
-exported class, unless KEEP_MEMBERS names its claim.  One function inverts
-a unit mod p^N, padic.py alone defines the arithmetic on (valuation, unit)
-pairs, one writes JSON to stdout, and the open Ball alone tests ball
-membership.  The process-wide memos live in cli.py alone, and every
-one is cleared before each test.
+exports, by import or served on first use, is used by some other module of
+the package, unless KEEP names the paper claim it serves; so is every public
+method and property of an exported class, unless KEEP_MEMBERS names its
+claim.  One function inverts a unit mod p^N, padic.py alone defines the
+arithmetic on (valuation, unit) pairs, one writes JSON to stdout, and the
+open Ball alone tests ball membership.  The process-wide memos live in
+cli.py alone, and every one is cleared before each test.
 Every CLI subcommand names one `_cmd_*` body, read from the built parser.
 """
 import argparse
@@ -26,7 +26,7 @@ KEEP = {
 }
 
 # public methods and properties of exported classes that no module calls,
-# each with the claim that needs it; dataclass fields are not members here
+# each with the claim that needs it; instance attributes are not members here
 KEEP_MEMBERS = {
     "RepellerGeometry.subshift_metric":
         "acceptance criterion 7: the shift coding is an isometry",
@@ -61,6 +61,18 @@ def _imported(tree: ast.Module) -> set[str]:
     return names
 
 
+def _exports(tree: ast.Module) -> set[str]:
+    """The names __init__.py exports: those its top-level `from .module
+    import` statements bind, and the Gibbs names its module __getattr__
+    serves on first use (_GIBBS_EXPORTS)."""
+    names = {alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level == 1
+             for alias in node.names}
+    lazy = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                and ast.unparse(node.targets[0]) == "_GIBBS_EXPORTS")
+    return names | set(ast.literal_eval(lazy))
+
+
 def _used(tree: ast.Module) -> set[str]:
     """Names read anywhere in the module, bare or as an attribute."""
     names = set()
@@ -82,7 +94,7 @@ def test_no_unused_imports():
 
 def test_every_export_has_a_caller_or_a_claim():
     modules = _modules()
-    exported = _imported(modules.pop("__init__.py"))
+    exported = _exports(modules.pop("__init__.py"))
     used = set().union(*(_used(tree) for tree in modules.values()))
     assert sorted(exported - used - set(KEEP)) == []
     # a kept name that gains a caller leaves KEEP
@@ -104,7 +116,7 @@ def _members(modules: dict[str, ast.Module], classes: set[str]) -> set[str]:
 
 def test_every_member_has_a_caller_or_a_claim():
     modules = _modules()
-    exported = _imported(modules.pop("__init__.py"))
+    exported = _exports(modules.pop("__init__.py"))
     members = _members(modules, exported)
     used = set().union(*(_used(tree) for tree in modules.values()))
     uncalled = {member for member in members if member.split(".")[1] not in used}
