@@ -153,15 +153,21 @@ class FixedPointReport(_Immutable):
 
     __slots__ = ("params", "x0", "delta", "roots", "classifications", "lemma34")
 
-    def __init__(self, params: MapParams, x0: PadicNumber, delta: PadicNumber,
-                 roots: tuple[PadicNumber, PadicNumber] | None,
-                 classifications: dict[str, str], lemma34: dict[str, bool | None]):
+    def __init__(self, params: MapParams):
+        """The report of params, made anew: read it from analyze
+        (params.fixed_point_report), which keeps it on the pair."""
+        x0, delta, roots = params.fixed_points
+        quadratic_coeffs(params, x0)  # runs the consistency check
+        labels = {"x0": classify(params, x0)}
+        if roots is not None:
+            labels["x1"] = classify(params, roots[0])
+            labels["x2"] = classify(params, roots[1])
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "classifications", classifications)
-        object.__setattr__(self, "lemma34", lemma34)
+        object.__setattr__(self, "classifications", labels)
+        object.__setattr__(self, "lemma34", verify_lemma_3_4(params, x0, roots, delta))
 
     def to_json(self) -> dict:
         ctx = self.params.ctx
@@ -188,15 +194,3 @@ def analyze(params: MapParams) -> FixedPointReport:
     """
     return params.fixed_point_report
 
-
-def _analyze(params: MapParams) -> FixedPointReport:
-    """The report of analyze, made anew: read it from
-    params.fixed_point_report, which keeps it on the pair."""
-    x0, delta, roots = params.fixed_points
-    quadratic_coeffs(params, x0)  # runs the consistency check
-    labels = {"x0": classify(params, x0)}
-    if roots is not None:
-        labels["x1"] = classify(params, roots[0])
-        labels["x2"] = classify(params, roots[1])
-    lemma = verify_lemma_3_4(params, x0, roots, delta)
-    return FixedPointReport(params, x0, delta, roots, labels, lemma)

@@ -99,14 +99,14 @@ class MapParams(_Immutable):
     def fixed_point_report(self) -> "FixedPointReport":
         """Every fixed point located, classified and lemma-checked:
         fixedpoints.analyze."""
-        from .fixedpoints import _analyze
-        return _analyze(self)
+        from .fixedpoints import FixedPointReport
+        return FixedPointReport(self)
 
     @cached_property
     def geometry(self) -> "RepellerGeometry":
         """The repeller geometry: symbolic.RepellerGeometry.build."""
-        from .symbolic import _geometry
-        return _geometry(self)
+        from .symbolic import RepellerGeometry
+        return RepellerGeometry(self)
 
 
 def _quotient(params: MapParams, t: tuple) -> tuple[tuple, tuple]:

@@ -115,18 +115,6 @@ def basin_status(params: MapParams, x: PadicNumber, max_iter: int) -> BasinStatu
     return BasinStatus("stays_in_k", max_iter, tuple(trail))
 
 
-class _Periodic:
-    """What a geometry keeps of one word: its k-periodic point, and what its
-    forward passes gave once run and verified (None until then)."""
-
-    __slots__ = ("point", "k_image", "g_orbit")
-
-    def __init__(self, point: PadicNumber):
-        self.point = point
-        self.k_image: PadicNumber | None = None  # k^n(point), n = |w|
-        self.g_orbit: tuple[PadicNumber, ...] | None = None  # forward_g_orbit
-
-
 class RepellerGeometry(_Immutable):
     """The two-ball repeller of k and everything the coding needs.
 
@@ -139,22 +127,51 @@ class RepellerGeometry(_Immutable):
 
     __slots__ = ("params", "x0", "x1", "x2", "alpha1", "alpha2", "x1sq", "x2sq",
                  "balls_sq", "kappa", "_cylinder_tree", "_periodic_points",
-                 "__weakref__")
+                 "_g_orbits", "__weakref__")
 
-    def __init__(self, params: MapParams, x0: PadicNumber, x1: PadicNumber,
-                 x2: PadicNumber, alpha1: PadicNumber, alpha2: PadicNumber,
-                 x1sq: PadicNumber, x2sq: PadicNumber, balls_sq: tuple[Ball, Ball],
-                 kappa: int = 0):
-        for name, value in (("params", params), ("x0", x0), ("x1", x1), ("x2", x2),
-                            ("alpha1", alpha1), ("alpha2", alpha2), ("x1sq", x1sq),
-                            ("x2sq", x2sq), ("balls_sq", balls_sq), ("kappa", kappa)):
-            object.__setattr__(self, name, value)
+    def __init__(self, params: MapParams):
+        """The geometry of params, built anew: read it from build
+        (params.geometry), which keeps it on the pair."""
+        ctx = params.ctx
+        if ctx.p % 4 != 1:
+            raise DomainError("repeller geometry needs p = 1 (mod 4)")
+        if not params.strict_regime:
+            raise DomainError("repeller geometry assumes |a - 1|_p < |b - 1|_p")
+        x0, _, roots = params.fixed_points
+        assert roots is not None
+        x1, x2 = roots
+        i_root, i_other = sqrt_both(ctx.from_int(-1))
+        m = params.radius_exponent
+        # alpha_i is the square root of -1 within r = p^-m of x_i, i.e. in the
+        # open ball of radius p^(1-m) around x_i
+        if Ball(x1, 1 - m).contains(i_root):
+            alpha1, alpha2 = i_root, i_other
+        else:
+            alpha1, alpha2 = i_other, i_root
+        for alpha, xi in ((alpha1, x1), (alpha2, x2)):
+            if not Ball(xi, 1 - m).contains(alpha):
+                raise DomainError("square roots of -1 do not pair with x1, x2")
+        x1sq, x2sq = x1 * x1, x2 * x2
+        kappa = diff_valuation(x1sq, x2sq)
+        if kappa is None:
+            raise DomainError("x1^2 and x2^2 coincide at working precision")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "x2", x2)
+        object.__setattr__(self, "alpha1", alpha1)
+        object.__setattr__(self, "alpha2", alpha2)
+        object.__setattr__(self, "x1sq", x1sq)
+        object.__setattr__(self, "x2sq", x2sq)
+        object.__setattr__(self, "balls_sq", (Ball(x1sq, -m), Ball(x2sq, -m)))
+        object.__setattr__(self, "kappa", kappa)
         # [None, node of word (1,), node of word (2,)]; a node of word w is
         # [center of w, node of 1.w, node of 2.w], grown by cylinder_center
         object.__setattr__(self, "_cylinder_tree", [None, None, None])
-        # word -> _Periodic: its k-periodic point, k^|w| of it and its g-orbit,
-        # grown by periodic_point_k, forward_k_ends and forward_g_orbit
+        # word -> its k-periodic point, grown by periodic_point_k, and word ->
+        # its checked forward g-orbit, grown by forward_g_orbit
         object.__setattr__(self, "_periodic_points", {})
+        object.__setattr__(self, "_g_orbits", {})
 
     @classmethod
     def build(cls, params: MapParams) -> "RepellerGeometry":
@@ -267,13 +284,13 @@ class RepellerGeometry(_Immutable):
         trusted digit, so the pass itself is iterated instead: it contracts
         by p^(-nm) and settles the N - g digits in one step.  The geometry
         keeps the point of every word shorter than MAX_CYLINDER_DEPTH, whose
-        Newton start its tree keeps too, and later what the word's forward
-        passes give (forward_k_ends, forward_g_orbit); a longer word is solved
-        on every call, and so is a word whose solve raised.
+        Newton start its tree keeps too, and later its checked forward g-orbit
+        (forward_g_orbit); a longer word is solved on every call, and so is a
+        word whose solve raised.
         """
         word = check_word(word)
         if word in self._periodic_points:
-            return self._periodic_points[word].point
+            return self._periodic_points[word]
         params, ctx = self.params, self.params.ctx
 
         def one_pass(y: PadicNumber) -> PadicNumber:
@@ -295,29 +312,24 @@ class RepellerGeometry(_Immutable):
             point = converge(newton, self.cylinder_center(word + word[:1]),
                              "Newton iteration for k^n(x) = x")
         if len(word) < MAX_CYLINDER_DEPTH:
-            self._periodic_points[word] = _Periodic(point)
+            self._periodic_points[word] = point
         return point
-
-    def _record(self, word: Word) -> _Periodic:
-        """The kept record of a checked word; for a word too long to keep, a
-        new record of its point alone."""
-        point = self.periodic_point_k(word)
-        record = self._periodic_points.get(word)
-        return _Periodic(point) if record is None else record
 
     def forward_k_ends(self, word: Word) -> tuple[PadicNumber, PadicNumber]:
         """(x, k^n(x)) for the k-periodic point x of word, n = |w|: the ends
-        of x's forward orbit, whose distance is the period residual.  A kept
-        word keeps k^n(x), so the n steps of k run once per geometry.
+        of x's forward orbit, whose distance is the period residual.
+
+        k(s^2) = g(s)^2, so k^n(x) is the square of the last point of the
+        word's forward g-orbit, which a square root s of x starts.  The square
+        is exact: sqrt_both's s squares back to x in every digit, and eval_g(s)
+        runs the quotient eval_k runs on s^2.  So the word's n steps of g,
+        run and checked once per kept word, serve both maps, and this raises
+        what forward_g_orbit raises.
         """
         word = check_word(word)
-        record = self._record(word)
-        if record.k_image is None:
-            image = record.point
-            for _ in word:
-                image = eval_k(self.params, image)
-            record.k_image = image
-        return record.point, record.k_image
+        point = self.periodic_point_k(word)
+        end = self._forward_g(word, point)[-1]
+        return point, end * end
 
     def forward_g_orbit(self, word: Word) -> tuple[PadicNumber, ...]:
         """(y, g(y), ..., g^n(y)) for the g-periodic point y of word, n = |w|.
@@ -333,32 +345,35 @@ class RepellerGeometry(_Immutable):
         point included, and solved and checked again on the next call.
         """
         word = check_word(word)
-        record = self._record(word)
-        if record.g_orbit is None:
-            try:
-                record.g_orbit = self._checked_g_orbit(word, record.point)
-            except PadicError:
-                self._periodic_points.pop(word, None)
-                raise
-        return record.g_orbit
+        return self._forward_g(word, self.periodic_point_k(word))
 
-    def _checked_g_orbit(self, word: Word,
-                         point: PadicNumber) -> tuple[PadicNumber, ...]:
-        """forward_g_orbit from the word's k-periodic point, run and checked."""
-        ball = self.ball_g(word[0])
-        hits = [s for s in sqrt_both(point) if ball.contains(s)]
-        if len(hits) != 1:
-            raise BranchError("square root of the periodic point missed both balls")
-        s = hits[0]
-        orbit = [-s if word[-1] != word[0] else s]
-        z = s
-        for _ in word:
-            z = eval_g(self.params, z)
-            orbit.append(z)
-        digits = self._orbit_digits(len(word))
-        if digits > 0 and not eq_to_precision(z, orbit[0], digits):
-            raise VerificationError("g-orbit verification of the periodic point failed")
-        return tuple(orbit)
+    def _forward_g(self, word: Word, point: PadicNumber) -> tuple[PadicNumber, ...]:
+        """forward_g_orbit of word from its k-periodic point: the kept orbit,
+        or one run and checked, kept if the word's point is."""
+        orbit = self._g_orbits.get(word)
+        if orbit is not None:
+            return orbit
+        try:
+            ball = self.ball_g(word[0])
+            hits = [s for s in sqrt_both(point) if ball.contains(s)]
+            if len(hits) != 1:
+                raise BranchError("square root of the periodic point missed both balls")
+            s = hits[0]
+            orbit = [-s if word[-1] != word[0] else s]
+            z = s
+            for _ in word:
+                z = eval_g(self.params, z)
+                orbit.append(z)
+            digits = self._orbit_digits(len(word))
+            if digits > 0 and not eq_to_precision(z, orbit[0], digits):
+                raise VerificationError("g-orbit verification of the periodic point failed")
+        except PadicError:
+            self._periodic_points.pop(word, None)
+            raise
+        orbit = tuple(orbit)
+        if word in self._periodic_points:
+            self._g_orbits[word] = orbit
+        return orbit
 
     def g_orbit(self, word: Word) -> list[PadicNumber]:
         """[h_0, ..., h_{m-1}] with h_i = g(h_{i+1 mod m}), h_0 the word's point."""
@@ -416,35 +431,4 @@ class RepellerGeometry(_Immutable):
         radius_exp = -depth * self.params.radius_exponent
         return [(word, Ball(self.cylinder_center(word), radius_exp))
                 for word in all_words(depth)]
-
-
-def _geometry(params: MapParams) -> RepellerGeometry:
-    """A new geometry of params: read it from params.geometry, which keeps
-    it on the pair."""
-    ctx = params.ctx
-    if ctx.p % 4 != 1:
-        raise DomainError("repeller geometry needs p = 1 (mod 4)")
-    if not params.strict_regime:
-        raise DomainError("repeller geometry assumes |a - 1|_p < |b - 1|_p")
-    x0, _, roots = params.fixed_points
-    assert roots is not None
-    x1, x2 = roots
-    i_root, i_other = sqrt_both(ctx.from_int(-1))
-    m = params.radius_exponent
-    # alpha_i is the square root of -1 within r = p^-m of x_i, i.e. in the
-    # open ball of radius p^(1-m) around x_i
-    if Ball(x1, 1 - m).contains(i_root):
-        alpha1, alpha2 = i_root, i_other
-    else:
-        alpha1, alpha2 = i_other, i_root
-    for alpha, xi in ((alpha1, x1), (alpha2, x2)):
-        if not Ball(xi, 1 - m).contains(alpha):
-            raise DomainError("square roots of -1 do not pair with x1, x2")
-    x1sq, x2sq = x1 * x1, x2 * x2
-    kappa = diff_valuation(x1sq, x2sq)
-    if kappa is None:
-        raise DomainError("x1^2 and x2^2 coincide at working precision")
-    balls_sq = (Ball(x1sq, -m), Ball(x2sq, -m))
-    return RepellerGeometry(params, x0, x1, x2, alpha1, alpha2, x1sq, x2sq,
-                            balls_sq, kappa)
 

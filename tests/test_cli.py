@@ -8,8 +8,11 @@ from padicdyn import (
     MapParams,
     PrimeContext,
     RepellerGeometry,
+    diff_valuation,
     eval_g,
+    eval_k,
     fixedpoints,
+    norm_str,
     sqrt_both,
     symbolic,
     to_json,
@@ -227,12 +230,12 @@ class TestPairMemo:
     def test_a_repeated_call_builds_one_pair_and_one_geometry(self, capsys,
                                                                monkeypatch, built):
         work = []
-        self.counted(monkeypatch, symbolic, "_geometry", work)
+        self.counted(monkeypatch, RepellerGeometry, "__init__", work)
         # the Newton steps of x0 and of the periodic point
         self.counted(monkeypatch, fixedpoints, "eval_g_slope", work)
         self.counted(monkeypatch, symbolic, "eval_k_slope", work)
         first = invoke(capsys, self.PERIODIC)
-        assert first[0] == 0 and work.count("_geometry") == 1
+        assert first[0] == 0 and work.count("__init__") == 1
         del work[:]
         assert invoke(capsys, self.PERIODIC) == first
         assert work == []
@@ -635,13 +638,13 @@ class TestDynamics:
         assert len(calls) == 1
 
     def test_lemmas_after_fixed_points_analyzes_nothing(self, capsys, monkeypatch):
-        reports, analyze_anew = [], fixedpoints._analyze
+        reports, report_init = [], fixedpoints.FixedPointReport.__init__
 
-        def counted(params):
+        def counted(report, params):
             reports.append(params)
-            return analyze_anew(params)
+            report_init(report, params)
 
-        monkeypatch.setattr(fixedpoints, "_analyze", counted)
+        monkeypatch.setattr(fixedpoints.FixedPointReport, "__init__", counted)
         code, body = invoke(capsys, ["fixed-points", *STRICT])
         assert code == 0 and len(reports) == 1
         code, lemmas = invoke(capsys, ["lemmas", *STRICT, "--samples", "5"])
@@ -725,20 +728,34 @@ class TestDynamics:
         assert captured.err.startswith("domain error: depth must be <= 12")
 
     def test_periodic_g_runs_one_forward_orbit(self, capsys, monkeypatch):
+        # the sign check and the residuals of both maps read one g-orbit: a
+        # kept word runs its 5 g-steps once and no k forward pass at all
+        word = (1, 2, 2, 1, 2)
         argv = ["periodic", *STRICT, "--word", "1,2,2,1,2"]
-        assert invoke(capsys, [*argv, "--map", "k"])[0] == 0
-        calls = []
+        geom = cli._pair(13, 64, 8, "170/1", "14/1").geometry
+        point = geom.periodic_point_k(word)  # the solve, which steps k
+        g_steps, k_steps = [], []
 
-        def counted(*args):
-            calls.append(args)
-            return eval_g(*args)
+        def counted(steps, step):
+            def counting(*args):
+                steps.append(args)
+                return step(*args)
+            return counting
 
-        # the sign check, and the residual the CLI prints, read one orbit
-        monkeypatch.setattr(symbolic, "eval_g", counted)
-        monkeypatch.setattr(cli, "eval_g", counted)
+        for module in (symbolic, cli):
+            monkeypatch.setattr(module, "eval_g", counted(g_steps, eval_g))
+            monkeypatch.setattr(module, "eval_k", counted(k_steps, eval_k))
+        code, body = invoke(capsys, [*argv, "--map", "k"])
+        assert code == 0 and body["point"] == to_json(point)
+        assert len(g_steps) == 5 and k_steps == []
+        # the n steps of k, kept here as the oracle of k^n(x)
+        image = point
+        for _ in word:
+            image = eval_k(geom.params, image)
+        assert body["period_residual"] == norm_str(diff_valuation(image, point), 13)
         code, body = invoke(capsys, [*argv, "--map", "g"])
         assert code == 0 and body["map"] == "g"
-        assert len(calls) == 5
+        assert len(g_steps) == 5 and k_steps == []
 
     def test_periodic_prints_the_same_cold_and_warm(self, capsys):
         # the second run of each reads the point and orbits its geometry kept

@@ -107,16 +107,17 @@ class TestX0Memo:
 
     def test_analyze_keeps_its_report(self, monkeypatch):
         params = acceptance_params()
-        reports, analyze_anew = [], fixedpoints._analyze
+        reports, report_init = [], fixedpoints.FixedPointReport.__init__
 
-        def counted(params):
+        def counted(report, params):
             reports.append(params)
-            return analyze_anew(params)
+            report_init(report, params)
 
-        monkeypatch.setattr(fixedpoints, "_analyze", counted)
+        monkeypatch.setattr(fixedpoints.FixedPointReport, "__init__", counted)
         report = analyze(params)
         assert analyze(params) is report and len(reports) == 1
-        assert report.to_json() == analyze_anew(acceptance_params()).to_json()
+        fresh = fixedpoints.FixedPointReport(acceptance_params())
+        assert report.to_json() == fresh.to_json()
 
     def test_a_report_that_raises_keeps_nothing(self, monkeypatch):
         params = acceptance_params()

@@ -35,7 +35,9 @@ from padicdyn.padic import converge
 from conftest import acceptance_params, random_Ep, random_unit, strict_params
 
 
-@pytest.fixture(params=[(13, 170, 14), (5, 26, 6), (13, 2198, 170)])
+# (17, 290, 18) is a pair whose alpha1 is sqrt_both's canonical root of -1;
+# the others take the other root
+@pytest.fixture(params=[(13, 170, 14), (5, 26, 6), (13, 2198, 170), (17, 290, 18)])
 def geom(request):
     p, a, b = request.param
     ctx = PrimeContext(p)
@@ -164,7 +166,7 @@ class TestGeometryMemo:
         cold = RepellerGeometry.build(params)
         warm = RepellerGeometry.build(params)
         assert warm is cold is params.geometry
-        assert parts(warm) == parts(symbolic._geometry(acceptance_params()))
+        assert parts(warm) == parts(RepellerGeometry(acceptance_params()))
 
     def test_equal_contexts_keep_geometries_of_their_own(self):
         first, second = acceptance_params(), acceptance_params()
@@ -183,17 +185,17 @@ class TestGeometryMemo:
         params = acceptance_params(precision, guard)
         got = RepellerGeometry.build(params)
         assert got.params is params and got.x1.ctx is params.ctx
-        assert parts(got) == parts(symbolic._geometry(params))  # a fresh solve
+        assert parts(got) == parts(RepellerGeometry(params))  # a fresh solve
 
     def test_domain_error_is_raised_on_every_call(self, rng, monkeypatch):
         ctx = PrimeContext(13)
-        built, build = [], symbolic._geometry
+        built, geometry_init = [], RepellerGeometry.__init__
 
-        def counted(params):
+        def counted(geom, params):
             built.append(params)
-            return build(params)
+            geometry_init(geom, params)
 
-        monkeypatch.setattr(symbolic, "_geometry", counted)
+        monkeypatch.setattr(RepellerGeometry, "__init__", counted)
         for params in (strict_params(PrimeContext(7), rng),
                        MapParams(ctx.from_int(14), ctx.from_int(14))):
             for _ in range(2):
@@ -468,7 +470,7 @@ class TestNewtonAgainstInverseBranches:
 def fresh_geometry(params):
     """A new geometry of params, not the one params keeps: no centre and no
     periodic point kept."""
-    return symbolic._geometry(params)
+    return RepellerGeometry(params)
 
 
 class TestPeriodicMemo:
@@ -599,58 +601,59 @@ class TestPeriodicPointGSign:
             s = [r for r in (point, -point) if low.ball_g(word[0]).contains(r)][0]
             assert (point == -s) == (word[-1] != word[0])
 
-    @pytest.mark.parametrize("precision", [16, 64])
+    @pytest.mark.parametrize("precision", [12, 16, 20, 64])
     def test_one_forward_orbit_per_word(self, precision, monkeypatch):
-        # at N = 16 the length-7 word keeps no trusted digit and the check is
-        # skipped; each orbit is still run once per geometry, |w| steps
+        # below N = 64 the length-7 word keeps no trusted digit and the g-check
+        # is skipped; at each N a kept word runs its |w| g-steps once per
+        # geometry, and k^n(x) is the square of their end: no k pass runs
         geom = self.geom_at(precision)
         word = (1, 2, 2, 1, 1, 2, 1)
+        assert (geom._orbit_digits(len(word)) > 0) is (precision == 64)
         point = geom.periodic_point_k(word)
         g_steps = count_calls(monkeypatch, "eval_g")
         k_steps = count_calls(monkeypatch, "eval_k")
+        ends = geom.forward_k_ends(word)
         forward = geom.forward_g_orbit(word)
         assert len(g_steps) == len(word) and len(forward) == len(word) + 1
+        assert k_steps == []
         for x, image in zip(forward, forward[1:]):
             assert eval_g(geom.params, x) == image
-        del g_steps[:]
-        assert geom.forward_g_orbit(word) is forward
-        assert geom.g_orbit(word) == [forward[0], *forward[-2:0:-1]]
-        assert g_steps == []
-        ends = geom.forward_k_ends(word)
-        assert len(k_steps) == len(word)
+        # the n steps of k, kept here as the oracle of k^n(x)
         image = point
         for _ in word:
             image = eval_k(geom.params, image)
-        assert ends == (point, image)
-        del k_steps[:]
-        assert geom.forward_k_ends(word)[1] is ends[1]
-        assert k_steps == [] and g_steps == []
-        # a 12-symbol word is not kept: it is solved, and both orbits run, on
-        # every call.  Each solve steps k in the inverse branches' round
-        # trips, the same number of times once the tree holds its centres
+        assert ends == (point, image) == (point, forward[-1] * forward[-1])
+        del g_steps[:]
+        assert geom.forward_g_orbit(word) is forward
+        assert geom.forward_k_ends(word) == ends
+        assert geom.g_orbit(word) == [forward[0], *forward[-2:0:-1]]
+        assert g_steps == [] and k_steps == []
+        # a 12-symbol word is not kept: it is solved, and its g-orbit run, on
+        # every call.  Each solve steps k in the inverse branches' round trips
+        # only, the same number of times once the tree holds its centres
         long_word = (2, 1) * 6
         assert len(long_word) == symbolic.MAX_CYLINDER_DEPTH
         geom.forward_k_ends(long_word)
         del k_steps[:]
         geom.periodic_point_k(long_word)
         solve = len(k_steps)
-        for _ in range(2):
+        for forward_pass in (geom.forward_k_ends, geom.forward_g_orbit) * 2:
             del k_steps[:], g_steps[:]
-            geom.forward_k_ends(long_word)
-            geom.forward_g_orbit(long_word)
-            assert len(k_steps) == 2 * solve + len(long_word)
-            assert len(g_steps) == len(long_word)
-        assert list(geom._periodic_points) == [word]
+            forward_pass(long_word)
+            assert len(k_steps) == solve and len(g_steps) == len(long_word)
+        assert list(geom._periodic_points) == list(geom._g_orbits) == [word]
 
     def test_forward_check_kept_where_digits_remain(self, geom, monkeypatch):
         # an orbit that returns to the other sign fails the check, on every
-        # call: the word is dropped, point included, and nothing is kept
+        # call and for both maps: the word is dropped, point included, and
+        # nothing is kept
         word = (1, 2, 2)
         monkeypatch.setattr(symbolic, "eval_g", lambda params, x: -eval_g(params, x))
-        for forward in (geom.forward_g_orbit, geom.forward_g_orbit, geom.g_orbit):
+        for forward in (geom.forward_g_orbit, geom.forward_g_orbit, geom.g_orbit,
+                        geom.forward_k_ends):
             with pytest.raises(VerificationError):
                 forward(word)
-            assert geom._periodic_points == {}
+            assert geom._periodic_points == geom._g_orbits == {}
         monkeypatch.undo()
         assert geom.forward_g_orbit(word) == \
             fresh_geometry(geom.params).forward_g_orbit(word)
