@@ -13,6 +13,9 @@ from .padic import (
     Ball,
     PadicNumber,
     _Immutable,
+    _ONE,
+    _ZERO,
+    _newton_step,
     converge,
     diff_valuation,
     eq_to_precision,
@@ -83,11 +86,10 @@ def _fixed_points(params: MapParams) -> tuple[
     a, b and x0 lie in E_p, so Delta = -4 (mod p) is a unit, a square
     exactly when p = 1 (mod 4): the roots add no error to find_x0.
     """
-    def newton(u: PadicNumber) -> PadicNumber:
-        value, slope = eval_g_slope(params, u)
-        return (value - u * slope) / (1 - slope)
-
-    x0 = converge(newton, params.ctx.one(), "Newton iteration for x0")
+    # g = P/M, P = a + ab^2 u^2 and M = b^2 + u^2: the Newton step of solve_7_11
+    ctx, a, b2 = params.ctx, params.a.unit, params.b2.unit
+    P, M = [(0, a), _ZERO, (0, a * b2 % ctx.modulus)], [(0, b2), _ZERO, _ONE]
+    x0 = converge(lambda u: _newton_step(ctx, P, M, u), ctx.one(), "Newton iteration for x0")
     delta = discriminant(params, x0)
     return x0, delta, repelling_roots(params, x0, delta)
 

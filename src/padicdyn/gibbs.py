@@ -19,7 +19,6 @@ from .errors import (
     DomainError,
     NoConvergence,
     NoValidPlacement,
-    PrecisionExhausted,
     ZeroPartitionFunction,
 )
 from .maps import MapParams
@@ -31,7 +30,7 @@ from .padic import (
     _ZERO,
     _divide,
     _inv_unit,
-    _minus,
+    _newton_step,
     _same_ctx,
     _sum,
     _times,
@@ -454,31 +453,6 @@ def _field_polynomials(couplings: Couplings, k: int) -> tuple[list, list]:
     return coeffs(edge[1, 1], edge[-1, -1]), coeffs(edge[1, -1], edge[-1, 1])
 
 
-def _horner(ctx: PrimeContext, coeffs: list, u: tuple) -> tuple[tuple, tuple]:
-    """(f(u), f'(u)) for f = sum_i coeffs[i] u^i, in one Horner pass on pairs."""
-    value, slope = coeffs[-1], _ZERO
-    for coeff in reversed(coeffs[:-1]):
-        slope = _sum(ctx, _times(ctx, slope, u), value)
-        value = _sum(ctx, _times(ctx, value, u), coeff)
-    return value, slope
-
-
-def _newton_step(ctx: PrimeContext, P: list, M: list, u: PadicNumber) -> PadicNumber:
-    """u -> (PM - uW) / (M^2 - W) with W = P'M - PM', at u (see solve_7_11)."""
-    x = (u.valuation, u.unit)
-    p_u, dp_u = _horner(ctx, P, x)
-    m_u, dm_u = _horner(ctx, M, x)
-    try:
-        w = _minus(ctx, _times(ctx, dp_u, m_u), _times(ctx, p_u, dm_u))
-    except PrecisionExhausted:
-        # |W|_p is below the precision floor, e.g. ord(J1) > N - g: as 0,
-        # it moves the step in no trusted digit
-        w = _ZERO
-    step = _divide(ctx, _minus(ctx, _times(ctx, p_u, m_u), _times(ctx, x, w)),
-                   _minus(ctx, _times(ctx, m_u, m_u), w))
-    return PadicNumber(ctx, *step)
-
-
 def solve_7_11(tree: CayleyTree, couplings: Couplings, n: int = 2) -> GibbsField:
     """Translation-invariant field h_{++} = h_{--} = u, h_{+-} = h_{-+} = 1.
 
@@ -499,9 +473,9 @@ def solve_7_11(tree: CayleyTree, couplings: Couplings, n: int = 2) -> GibbsField
     settles ord(J1) digits per step.  Off E_p no such bound holds: for
     u = -1 (mod p) at J0 = 0, M is divisible by p.
 
-    The step is written as a fixed-point map, u -> (F - uF') / (1 - F'), i.e.
-    (PM - uW) / (M^2 - W) with W = P'M - PM', as the x0 solve writes its
-    step.  Numerator and denominator are units, so the step never cancels;
+    The step, padic._newton_step, which solves x0 too, is a fixed-point map,
+    u -> (F - uF') / (1 - F'), i.e. (PM - uW) / (M^2 - W) with W = P'M - PM'.
+    Numerator and denominator are units, so the step never cancels;
     u - G/G' with G = P - uM would subtract a G(u) that is almost zero near
     the root and cancel most digits on the last steps.  The plain step
     u -> S(+, +) / S(+, -), by sibling sums, is kept as an independent check:

@@ -57,15 +57,12 @@ def _inv_unit(u: int, ctx: PrimeContext) -> int:
     """u^-1 mod p^N for an integer u prime to p, Newton-lifted from mod p.
 
     If z = u^-1 mod p^k, then z(2 - uz) = u^-1 mod p^(2k): the digits double
-    each step, and the last modulus is p^N itself.  The inverse mod p^N is
-    unique, so this is pow(u, -1, p^N) at a few multiplications' cost.
+    each step, over the context's lift moduli up to p^N.  The inverse mod p^N
+    is unique, so this is pow(u, -1, p^N) at a few multiplications' cost.
     """
-    p, N, powers = ctx.p, ctx.precision, ctx._powers
-    z = pow(u % p, -1, p)
-    k = 1
-    while k < N:
-        k = min(2 * k, N)
-        z = z * (2 - u * z) % powers[k]
+    z = pow(u % ctx.p, -1, ctx.p)
+    for mod in ctx._lifts:
+        z = z * (2 - u * z) % mod
     return z
 
 
@@ -158,7 +155,7 @@ class PrimeContext(_Immutable):
     (p, precision, guard) are equal and interoperate.
     """
 
-    __slots__ = ("p", "precision", "guard", "_powers", "modulus")
+    __slots__ = ("p", "precision", "guard", "_powers", "modulus", "_lifts")
 
     def __init__(self, p: int, precision: int = 64, guard: int = 8):
         if p == 2:
@@ -174,11 +171,16 @@ class PrimeContext(_Immutable):
         powers = [1]
         for _ in range(precision):
             powers.append(powers[-1] * p)
+        lifts, k = [], 1
+        while k < precision:
+            k = min(2 * k, precision)
+            lifts.append(powers[k])
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "guard", guard)
         object.__setattr__(self, "_powers", tuple(powers))  # p^0 .. p^N
         object.__setattr__(self, "modulus", powers[-1])
+        object.__setattr__(self, "_lifts", tuple(lifts))  # p^2, p^4, ..., p^N
 
     def __eq__(self, other):
         if other.__class__ is not PrimeContext:
@@ -419,6 +421,31 @@ def converge(step: Callable[[PadicNumber], PadicNumber], start: PadicNumber,
     raise NoConvergence(f"{what} did not converge; digits settled per step {settled}")
 
 
+def _horner(ctx: PrimeContext, coeffs: list, u: tuple) -> tuple[tuple, tuple]:
+    """(f(u), f'(u)) for f = sum_i coeffs[i] u^i, in one Horner pass on pairs."""
+    value, slope = coeffs[-1], _ZERO
+    for coeff in reversed(coeffs[:-1]):
+        slope = _sum(ctx, _times(ctx, slope, u), value)
+        value = _sum(ctx, _times(ctx, value, u), coeff)
+    return value, slope
+
+
+def _newton_step(ctx: PrimeContext, P: list, M: list, u: PadicNumber) -> PadicNumber:
+    """Newton's step to the fixed point of F = P/M as a fixed-point map, P and M
+    by coefficient pairs: u -> (PM - uW) / (M^2 - W), W = P'M - PM'."""
+    x = (u.valuation, u.unit)
+    p_u, dp_u = _horner(ctx, P, x)
+    m_u, dm_u = _horner(ctx, M, x)
+    try:
+        w = _minus(ctx, _times(ctx, dp_u, m_u), _times(ctx, p_u, dm_u))
+    except PrecisionExhausted:
+        # |W|_p is below the precision floor, e.g. ord(J1) > N - g: 0 moves no trusted digit
+        w = _ZERO
+    step = _divide(ctx, _minus(ctx, _times(ctx, p_u, m_u), _times(ctx, x, w)),
+                   _minus(ctx, _times(ctx, m_u, m_u), w))
+    return PadicNumber(ctx, *step)
+
+
 def norm_diff(x: PadicNumber, y: PadicNumber) -> Fraction:
     """|x - y|_p, with indistinguishable values reported as 0."""
     return norm_fraction(diff_valuation(x, y), x.ctx.p)
@@ -601,22 +628,19 @@ def sqrt_both(x: PadicNumber) -> tuple[PadicNumber, PadicNumber]:
     """Both square roots; the first is the canonical branch.
 
     With u the unit of x, Newton lifts the inverse square root z of u from
-    mod p, z <- z(3 - uz^2)/2 mod p^(2k), with /2 the product by
-    (p^(2k) + 1)/2; each step doubles the digits that are right, and no
-    division is needed past mod p.  The root is uz mod p^N.  The canonical
-    branch is the one whose leading digit lies in {1, ..., (p-1)/2}.
+    mod p over the context's lift moduli, z <- z(3 - uz^2)/2 mod p^(2k), with
+    /2 the product by (p^(2k) + 1)/2; each step doubles the digits that are
+    right, and no division is needed past mod p.  The root is uz mod p^N.  The
+    canonical branch is the one whose leading digit lies in {1, ..., (p-1)/2}.
     """
     if x.is_zero:
         raise ZeroInput("sqrt(0) excluded: zero carries no branch information")
     if not sqrt_exists(x):
         raise NotASquare("operand has no square root in Q_p")
     ctx = x.ctx
-    p, N, powers, u = ctx.p, ctx.precision, ctx._powers, x.unit
+    p, u = ctx.p, x.unit
     z = pow(_sqrt_mod_p(u, p), p - 2, p)  # Fermat: the inverse mod p
-    k = 1
-    while k < N:
-        k = min(2 * k, N)
-        mod = powers[k]
+    for mod in ctx._lifts:
         z = z * (3 - u * z * z) * ((mod + 1) >> 1) % mod
     y = u * z % ctx.modulus
     if y % p > (p - 1) // 2:

@@ -9,12 +9,15 @@ subcommand: the number of calls, how many exited with each code, and one
 SHA-256 over every call's argv, stdout, stderr and exit code.  Two checkouts
 print the same lines exactly when every call printed and exited the same.
 
-The grid: `periodic --map k|g` for every word of up to 7 symbols at
-N = 64, 128, 20 and 12, on the three acceptance pairs and (17, 290, 18);
+The grid, on the three acceptance pairs and (17, 290, 18) at N = 64, 128, 20
+and 12: `fixed-points`; `classify`, `basin` and `orbit --map f|g|k` at the
+fixed points x0, x1 and x2 that call printed and at a few points that are not
+fixed; `lemmas`; `periodic --map k|g` for every word of up to 7 symbols;
 `itinerary` from the periodic points of the short words and from a few other
-points; `cylinders` at depths 0 to 7 and 13; `gibbs periodic` at p = 5, with
-and without --diagonal.  The name does not start with test_, so pytest does
-not collect it.
+points; `cylinders` at depths 0 to 7 and 13.  Then at p = 5: `gibbs solve`
+and `gibbs verify --source solve|unit` at k, n <= 3, J0 = 0 and J0 != 0, at
+the same four N, and `gibbs periodic`, with and without --diagonal.  The name
+does not start with test_, so pytest does not collect it.
 """
 from __future__ import annotations
 
@@ -32,10 +35,19 @@ PRECISIONS = (64, 128, 20, 12)
 MAX_WORD = 7
 ITINERARY_WORD = 3               # itineraries from the points of words this short
 ITINERARY_STARTS = ("0", "1/1", "-1/1", "2/3")
+POINT_STARTS = ("0", "1/1", "2/3")   # classify, basin and orbit beside x0, x1, x2
+ORBIT_STEPS = ("10", "40")
 CYLINDER_DEPTHS = (0, 1, 2, 3, 4, 5, 6, 7, 13)
 GIBBS_PRECISIONS = (64, 20)
 GIBBS_COUPLINGS = (("25/1", "5/1"), ("125/1", "5/1"))
 GIBBS_WORDS = ("x0", "1", "2", "1,2", "2,1", "1,1,2")
+GIBBS_J0 = ("0", "125/1")
+GIBBS_ORDERS = (1, 2, 3)             # the tree order k and the depth n
+
+
+def literal(point: dict) -> str:
+    """The digit literal of a padic.to_json form."""
+    return f"{point['valuation']};" + ",".join(map(str, point["digits"]))
 
 
 def words(longest: int) -> list[str]:
@@ -51,12 +63,23 @@ def call(run, argv: list[str]) -> tuple[int, str, str]:
 
 
 def grid(last: dict):
-    """(subcommand, argv) for every call, in order.  The itinerary starts are
-    the points the periodic calls before them printed: the caller puts each
-    call's exit code and stdout in last before it asks for the next call."""
+    """(subcommand, argv) for every call, in order.  The classify, basin and
+    orbit starts include the fixed points the fixed-points call printed, and
+    the itinerary starts are the points the periodic calls before them
+    printed: the caller puts each call's exit code and stdout in last before
+    it asks for the next call."""
     for (p, a, b), precision in product(PAIRS, PRECISIONS):
         pair = ["--p", str(p), "--a", f"{a}/1", "--b", f"{b}/1",
                 "--precision", str(precision)]
+        yield "fixed-points", ["fixed-points", *pair]
+        fixed = json.loads(last["out"]) if last["code"] == 0 else {}
+        starts = [literal(fixed[name]) for name in ("x0", "x1", "x2") if name in fixed]
+        for x in [*starts, *POINT_STARTS]:
+            yield "classify", ["classify", *pair, "--x", x]
+            yield "basin", ["basin", *pair, "--x", x]
+            for kind, steps in product(("f", "g", "k"), ORBIT_STEPS):
+                yield "orbit", ["orbit", *pair, "--x", x, "--map", kind, "--steps", steps]
+        yield "lemmas", ["lemmas", *pair]
         points = []
         for word in words(MAX_WORD):
             for kind in ("k", "g"):
@@ -64,9 +87,7 @@ def grid(last: dict):
                 yield "periodic", argv
                 n = word.count(",") + 1
                 if kind == "k" and n <= ITINERARY_WORD and last["code"] == 0:
-                    point = json.loads(last["out"])["point"]
-                    points.append((n, f"{point['valuation']};"
-                                      + ",".join(map(str, point["digits"]))))
+                    points.append((n, literal(json.loads(last["out"])["point"])))
         points += [(2, x) for x in ITINERARY_STARTS]
         for n, x in points:
             for length in (2 * n, 40):
@@ -74,6 +95,13 @@ def grid(last: dict):
                                     "--length", str(length)]
         for depth in CYLINDER_DEPTHS:
             yield "cylinders", ["cylinders", *pair, "--depth", str(depth)]
+    for precision, (J, J1), J0, k, n in product(
+            PRECISIONS, GIBBS_COUPLINGS, GIBBS_J0, GIBBS_ORDERS, GIBBS_ORDERS):
+        head = ["gibbs", "--p", "5", "--precision", str(precision)]
+        couplings = ["--J", J, "--J1", J1, "--J0", J0, "--k", str(k), "--n", str(n)]
+        yield "gibbs solve", [*head, "solve", *couplings]
+        for source in ("solve", "unit"):
+            yield "gibbs verify", [*head, "verify", *couplings, "--source", source]
     for precision, (J, J1), n, word, diagonal in product(
             GIBBS_PRECISIONS, GIBBS_COUPLINGS, (2, 3), GIBBS_WORDS, (False, True)):
         yield "gibbs periodic", ["gibbs", "--p", "5", "--precision", str(precision),

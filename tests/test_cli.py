@@ -19,7 +19,7 @@ from padicdyn import (
 )
 from padicdyn import cli
 from padicdyn.cli import build_parser, run
-from padicdyn.maps import eval_g_slope, eval_k_slope
+from padicdyn.maps import eval_k_slope
 from conftest import acceptance_params
 
 STRICT = ["--p", "13", "--a", "170/1", "--b", "14/1"]
@@ -232,10 +232,11 @@ class TestPairMemo:
         work = []
         self.counted(monkeypatch, RepellerGeometry, "__init__", work)
         # the Newton steps of x0 and of the periodic point
-        self.counted(monkeypatch, fixedpoints, "eval_g_slope", work)
+        self.counted(monkeypatch, fixedpoints, "_newton_step", work)
         self.counted(monkeypatch, symbolic, "eval_k_slope", work)
         first = invoke(capsys, self.PERIODIC)
         assert first[0] == 0 and work.count("__init__") == 1
+        assert work.count("_newton_step") > 0 and work.count("eval_k_slope") > 0
         del work[:]
         assert invoke(capsys, self.PERIODIC) == first
         assert work == []
@@ -610,15 +611,15 @@ class TestValidation:
 
 class TestDynamics:
     def test_second_basin_call_reuses_x0(self, capsys, monkeypatch):
-        calls = []
+        calls, newton_step = [], fixedpoints._newton_step
 
         def counted(*args):
             calls.append(args)
-            return eval_g_slope(*args)
+            return newton_step(*args)
 
-        # find_x0 reads fixedpoints.eval_g_slope; basin_status iterates
+        # find_x0 runs fixedpoints._newton_step; basin_status iterates
         # symbolic.eval_g
-        monkeypatch.setattr(fixedpoints, "eval_g_slope", counted)
+        monkeypatch.setattr(fixedpoints, "_newton_step", counted)
         argv = ["basin", *STRICT, "--x", "1/1"]
         first = invoke(capsys, argv)
         cold = len(calls)

@@ -4,6 +4,7 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -28,7 +29,6 @@ from padicdyn import (
     verify_lemma_3_4,
 )
 from padicdyn import fixedpoints
-from padicdyn.maps import eval_g_slope
 from padicdyn.padic import converge
 from test_maps import deriv_g
 from conftest import acceptance_params, strict_params
@@ -58,17 +58,31 @@ class TestX0:
         oracle = converge(lambda u: eval_g(params, u), ctx.one(), "iteration of g")
         assert find_x0(params) == oracle
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 29])
+    def test_newton_matches_iteration_of_g_on_seeded_pairs(self, p):
+        # every (N, g) of the grid, strict and non-strict pairs, m <= N - g
+        rng = random.Random(p)
+        for N, g in product((12, 20, 64, 128), (1, 2, 5, 8)):
+            ctx = PrimeContext(p, N, g)
+            for _ in range(5):
+                a = 1 + p ** rng.randint(1, 3) * rng.randrange(1, p ** 4)
+                b = 1 + p ** rng.randint(1, min(3, N - g)) * rng.randrange(1, p ** 4)
+                params = MapParams(ctx.from_int(a), ctx.from_int(b))
+                oracle = converge(lambda u: eval_g(params, u), ctx.one(), "iteration of g")
+                assert find_x0(params) == oracle, (N, g, a, b)
+
     def test_newton_steps_are_few(self, monkeypatch):
-        # the linear iteration of g takes 63 steps here
+        # the linear iteration of g takes 63 steps here; x0 runs padic's
+        # P/M Newton step, the one solve_7_11 runs for u
         ctx = PrimeContext(13)
         params = MapParams(ctx.from_int(170), ctx.from_int(14))
-        calls = []
+        calls, newton_step = [], fixedpoints._newton_step
 
         def counted(*args):
             calls.append(args)
-            return eval_g_slope(*args)
+            return newton_step(*args)
 
-        monkeypatch.setattr(fixedpoints, "eval_g_slope", counted)
+        monkeypatch.setattr(fixedpoints, "_newton_step", counted)
         find_x0(params)
         assert 0 < len(calls) <= 10
 

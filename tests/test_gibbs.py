@@ -37,6 +37,7 @@ from padicdyn import (
     solve_7_11,
     to_json,
 )
+from padicdyn import padic
 from padicdyn.cli import run
 from padicdyn.gibbs import PAIRS, field_equation_residual
 from padicdyn.padic import _sum, converge
@@ -731,12 +732,20 @@ class TestSolve:
             assert in_Ep(field.assign[(1,)][pair])
 
     def test_u_component_equals_squared_fixed_point(self, ctx5, tree):
-        # the diagonal product solves u = F(u)^2 whose E_p root is (x0/a)^2
-        c = couplings(ctx5, 5, 5, 0)
-        field = solve_7_11(tree, c, 2)
-        u = field.assign[(1,)][1, 1] * field.assign[(1,)][-1, 1]
-        x0 = find_x0(MapParams(c.a, c.b))
-        assert eq_to_precision(u, (x0 / c.a) ** 2, ctx5.residual_digits)
+        # the diagonal product solves u = F(u)^2 whose E_p root is (x0/a)^2;
+        # both are exact roots mod p^N, so every digit agrees, at every
+        # (p, N, g) of the grid and on seeded couplings
+        cases = [couplings(ctx5, 5, 5, 0)]
+        for p in (3, 5, 7, 13, 17, 29):
+            rng = random.Random(p)
+            for N, g in product((12, 20, 64, 128), (1, 2, 5, 8)):
+                ctx = PrimeContext(p, N, g)
+                cases += [draw_couplings(ctx, rng, ord_J1, False) for ord_J1 in (1, 2)]
+        for c in cases:
+            field = solve_7_11(tree, c, 2)
+            u = field.assign[(1,)][1, 1] * field.assign[(1,)][-1, 1]
+            x0 = find_x0(MapParams(c.a, c.b))
+            assert u == (x0 / c.a) ** 2, (c.ctx.p, c.ctx.precision, c.ctx.guard)
 
     def test_k1_and_k3_orders(self, ctx5):
         # the compatibility equivalence is not k = 2 specific
@@ -793,13 +802,15 @@ class TestSolvedU:
             assert u.digits() == fresh.assign[(1,)][1, 1].digits()
         # a later solve at a kept order, at any depth, runs no Newton step
         steps = len(newton_steps)
+        assert steps > 0
         for k in (2, 3):
             field = solve_7_11(CayleyTree(k), c, 2)
             assert {comp[1, 1] for comp in field.assign.values()} == {kept[k]}
         assert len(newton_steps) == steps
 
     def test_a_solve_that_raises_keeps_nothing(self, ctx5, tree, monkeypatch):
-        horner, calls = gibbs._horner, []
+        # padic._newton_step, which solve_7_11 runs, reads padic._horner
+        horner, calls = padic._horner, []
 
         def drifting(ctx, coeffs, u):
             # P(u) + 5 * (the number of calls so far), on pairs
@@ -809,11 +820,12 @@ class TestSolvedU:
             return _sum(ctx, value, (drift.valuation, drift.unit)), slope
 
         c = couplings(ctx5, 5, 5)
-        monkeypatch.setattr(gibbs, "_horner", drifting)
+        monkeypatch.setattr(padic, "_horner", drifting)
         for _ in range(2):
+            drifted = len(calls)
             with pytest.raises(NoConvergence, match="^Newton iteration for u did not"):
                 solve_7_11(tree, c, 2)
-            assert c._solved_u == {}
+            assert c._solved_u == {} and len(calls) > drifted
         monkeypatch.undo()
         u = solve_7_11(tree, c, 2).assign[(1,)][1, 1]
         assert c._solved_u == {2: u}
@@ -955,7 +967,8 @@ class TestNewtonForU:
         assert max(steps for _, steps in runs) <= ceil(log2(N)) + 2
 
     def test_newton_that_never_settles_raises(self, ctx5, tree, monkeypatch, capsys):
-        horner, calls = gibbs._horner, []
+        # padic._newton_step, which solve_7_11 runs, reads padic._horner
+        horner, calls = padic._horner, []
 
         def drifting(ctx, coeffs, u):
             # P(u) + 5 * (the number of calls so far), on pairs
@@ -964,10 +977,13 @@ class TestNewtonForU:
             drift = ctx5.from_int(5 * len(calls))
             return _sum(ctx, value, (drift.valuation, drift.unit)), slope
 
-        monkeypatch.setattr(gibbs, "_horner", drifting)
+        monkeypatch.setattr(padic, "_horner", drifting)
         with pytest.raises(NoConvergence, match="^Newton iteration for u did not"):
             solve_7_11(tree, couplings(ctx5, 5, 5), 2)
+        drifted = len(calls)
+        assert drifted > 0
         assert run(["gibbs", "--p", "5", "solve", "--J", "5/1", "--J1", "5/1"]) == 2
+        assert len(calls) > drifted
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(

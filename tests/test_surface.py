@@ -5,7 +5,8 @@ exports, by import or served on first use, is used by some other module of
 the package, unless KEEP names the paper claim it serves; so is every public
 method and property of an exported class, unless KEEP_MEMBERS names its
 claim.  One function inverts a unit mod p^N, padic.py alone defines the
-arithmetic on (valuation, unit) pairs, one writes JSON to stdout, and the
+arithmetic on (valuation, unit) pairs, the Newton step of x0 and of the
+Gibbs field u, and the Hensel lift moduli, one writes JSON to stdout, and the
 open Ball alone tests ball membership.  The process-wide memos live in
 cli.py alone, and every one is cleared before each test.
 Every CLI subcommand names one `_cmd_*` body, read from the built parser.
@@ -141,15 +142,20 @@ def _is_inverse(node: ast.AST) -> bool:
 
 
 def _enclosing(tree: ast.Module, matches) -> list[str]:
-    """The innermost function around each node for which matches(node) holds."""
+    """The innermost function around each node for which matches(node) holds,
+    a method as Class.method."""
     found = []
 
-    def visit(node: ast.AST, where: str) -> None:
+    def visit(node: ast.AST, where: str, cls: str = "") -> None:
         for child in ast.iter_child_nodes(node):
             if matches(child):
                 found.append(where)
-            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if inner else where)
+            if isinstance(child, ast.ClassDef):
+                visit(child, where, f"{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls + child.name)
+            else:
+                visit(child, where, cls)
 
     visit(tree, "<module>")
     return found
@@ -185,6 +191,53 @@ def test_one_home_for_the_pair_rules():
                for name, tree in _modules().items()}
     assert {name: rules for name, rules in defined.items() if rules} == {
         "padic.py": sorted(PAIR_RULES)}
+
+
+# padic's Newton step to the fixed point of a quotient P/M of polynomials,
+# which solves both x0 of g (fixedpoints) and the Gibbs field u (gibbs), and
+# the Horner pass it runs
+NEWTON_STEP = {"_horner", "_newton_step"}
+
+
+def _doubles_in_a_loop(node: ast.AST) -> bool:
+    """A while or for loop that doubles a name: k = 2 * k, also inside a call
+    such as min(2 * k, N), k = k * 2, k = k << 1, k *= 2 or k <<= 1."""
+    if not isinstance(node, (ast.While, ast.For)):
+        return False
+
+    def doubled(expr: ast.AST, name: str) -> bool:
+        return any(isinstance(n, ast.BinOp) and (
+            isinstance(n.op, ast.Mult)
+            and sorted([ast.unparse(n.left), ast.unparse(n.right)]) == sorted(["2", name])
+            or isinstance(n.op, ast.LShift)
+            and [ast.unparse(n.left), ast.unparse(n.right)] == [name, "1"])
+            for n in ast.walk(expr))
+
+    for stmt in ast.walk(node):
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and doubled(stmt.value, t.id) for t in stmt.targets):
+            return True
+        if isinstance(stmt, ast.AugAssign) and isinstance(stmt.target, ast.Name) and (
+                (type(stmt.op), ast.unparse(stmt.value)) in ((ast.Mult, "2"), (ast.LShift, "1"))):
+            return True
+    return False
+
+
+def test_one_newton_step_and_one_lift_schedule():
+    defined = {name: sorted(_defines(tree) & NEWTON_STEP)
+               for name, tree in _modules().items()}
+    assert {name: found for name, found in defined.items() if found} == {
+        "padic.py": sorted(NEWTON_STEP)}
+    # no other Newton step of a fixed point: fixedpoints solves x0 with
+    # padic's; the Newton on k^n(x) = x of symbolic is out of its reach, since
+    # k^n is no quotient of fixed-degree polynomials
+    steps = {name: sorted(n for n in _defines(tree) if "newton" in n.lower())
+             for name, tree in _modules().items()}
+    assert {name: found for name, found in steps.items() if found} == {
+        "padic.py": ["_newton_step"], "symbolic.py": ["newton"]}
+    # the doubling moduli p^2, p^4, ..., p^N of a Hensel lift are built once,
+    # per context, and _inv_unit and sqrt_both loop over them
+    assert _found_in_package(_doubles_in_a_loop) == {"padic.py": ["PrimeContext.__init__"]}
 
 
 def _passes_closed(node: ast.AST) -> bool:
