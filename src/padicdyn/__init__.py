@@ -49,44 +49,47 @@ from .padic import (
     sqrt_exists,
     to_json,
 )
-from .symbolic import (
-    BasinStatus,
-    RepellerGeometry,
-    all_words,
-    basin_status,
-    check_word,
-    k_membership,
-)
-
 __version__ = "1.0.0"
 
-# the Gibbs layer is imported on first use (PEP 562), so a call that never
-# reaches it does not load gibbs.py
-_GIBBS_EXPORTS = (
-    "CayleyTree",
-    "CompatibilityReport",
-    "Couplings",
-    "GibbsField",
-    "PlacementCandidate",
-    "check_compatibility",
-    "diagonal_field_from_orbit",
-    "partition_fn",
-    "periodic_field_from_orbit",
-    "solve_7_11",
-)
+# the Gibbs and symbolic layers are imported on first use (PEP 562), so a call
+# that never reaches one does not load its module
+_ON_FIRST_USE = {
+    "gibbs": (
+        "CayleyTree",
+        "CompatibilityReport",
+        "Couplings",
+        "GibbsField",
+        "PlacementCandidate",
+        "check_compatibility",
+        "diagonal_field_from_orbit",
+        "partition_fn",
+        "periodic_field_from_orbit",
+        "solve_7_11",
+    ),
+    "symbolic": (
+        "BasinStatus",
+        "RepellerGeometry",
+        "all_words",
+        "basin_status",
+        "check_word",
+        "k_membership",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _ON_FIRST_USE.items()
+              for name in (module, *names)}
 
 
 # the public names, as `import *` and dir() see them
-__all__ = [*(name for name in globals() if not name.startswith("_")), "gibbs",
-           *_GIBBS_EXPORTS]
+__all__ = [*(name for name in globals() if not name.startswith("_")), *_MODULE_OF]
 
 
 def __getattr__(name: str):
-    if name == "gibbs" or name in _GIBBS_EXPORTS:
-        from importlib import import_module
-        gibbs = import_module(".gibbs", __name__)
-        return gibbs if name == "gibbs" else getattr(gibbs, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    loaded = import_module(f".{module}", __name__)
+    return loaded if name == module else getattr(loaded, name)
 
 
 def __dir__() -> list[str]:

@@ -16,7 +16,6 @@ from .errors import DomainError, NoValidPlacement, PadicError
 from .maps import MapParams, eval_f, eval_g, eval_k
 from .padic import (PrimeContext, diff_valuation, norm_str, parse_padic,
                     to_json)
-from .symbolic import RepellerGeometry, basin_status, check_word
 
 _ERROR_KIND = {1: "domain", 2: "precision", 3: "verification"}
 
@@ -102,6 +101,7 @@ def _couplings(p: int, precision: int, guard: int,
 
 
 def _word(text: str):
+    from .symbolic import check_word  # the symbolic layer loads on first use
     return check_word(tuple(int(s) for s in text.replace(",", " ").split()))
 
 
@@ -113,8 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser and each subcommand's own parser, by name."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser],
+                        dict[str, tuple]]:
+    """The full parser, and each subcommand's own parser and its _table, by
+    name."""
     context = argparse.ArgumentParser(add_help=False)
     context.add_argument("--p", type=int, required=True)
     context.add_argument("--precision", type=int, default=64)
@@ -171,7 +173,74 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
                    help="periodic: 'x0' or comma-separated symbols in {1,2}")
     s.add_argument("--diagonal", action="store_true", default=None,
                    help="periodic: also try the two-component diagonal placement")
-    return parser, subs.choices
+    return parser, subs.choices, {name: _table(sub) for name, sub in subs.choices.items()}
+
+
+def _table(command: argparse.ArgumentParser) -> tuple:
+    """What _table_parse reads of a subcommand's parser, from its argparse
+    actions: each flag by its full spelling, the positionals in order, the
+    defaults (a string one through its flag's type, as argparse converts it
+    when the flag is not given; then those of set_defaults) and the required
+    dests.  -h sets no attribute (default SUPPRESS), so argparse keeps it."""
+    flags, positionals, defaults = {}, [], {}
+    for action in command._actions:
+        if action.default == argparse.SUPPRESS:
+            continue
+        flags.update(dict.fromkeys(action.option_strings, action))
+        if not action.option_strings:
+            positionals.append(action)
+        default = action.default
+        if action.type is not None and isinstance(default, str):
+            default = action.type(default)
+        defaults[action.dest] = default
+    for dest, default in command._defaults.items():
+        defaults.setdefault(dest, default)
+    required = {action.dest for action in command._actions if action.required}
+    return flags, positionals, defaults, required
+
+
+def _table_parse(table: tuple, args: list[str]) -> argparse.Namespace | None:
+    """The Namespace the subcommand's parse_args(args) returns, read in one
+    walk over args from its _table; None wherever argparse could answer
+    otherwise: a flag not spelled in full (an abbreviation, -h, --, a negative
+    number), `--flag=` on a flag that takes no value, a missing value or one
+    that starts with "-", a value its type or choices refuse, one positional
+    too many, a required flag left out.  argparse then parses args itself,
+    with every usage line, error and help text its own."""
+    flags, positionals, defaults, required = table
+    values, given, position = dict(defaults), set(), 0
+    rest = iter(args)
+    for arg in rest:
+        if arg.startswith("-"):
+            flag, equals, value = arg.partition("=")
+            action = flags.get(flag)
+            if action is None:
+                return None
+            if action.nargs == 0:
+                if equals:
+                    return None
+                value = action.const
+            elif not equals:
+                value = next(rest, None)
+                if value is None or value.startswith("-"):
+                    return None
+        elif position < len(positionals):
+            action, value = positionals[position], arg
+            position += 1
+        else:
+            return None
+        if action.nargs != 0:
+            try:
+                value = value if action.type is None else action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        values[action.dest] = value
+        given.add(action.dest)
+    if not required <= given:
+        return None
+    return argparse.Namespace(**values)
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -206,6 +275,7 @@ def _cmd_orbit(args):
 
 
 def _cmd_basin(args):
+    from .symbolic import basin_status
     params = _params(args)
     x = parse_padic(args.x, params.ctx)
     status = basin_status(params, x, args.max_iter)
@@ -217,6 +287,7 @@ def _cmd_basin(args):
 
 
 def _cmd_itinerary(args):
+    from .symbolic import RepellerGeometry
     params = _params(args)
     geom = RepellerGeometry.build(params)
     word = geom.itinerary(parse_padic(args.x, params.ctx), args.length)
@@ -224,6 +295,7 @@ def _cmd_itinerary(args):
 
 
 def _cmd_periodic(args):
+    from .symbolic import RepellerGeometry
     params = _params(args)
     geom = RepellerGeometry.build(params)
     word = _word(args.word)
@@ -239,6 +311,7 @@ def _cmd_periodic(args):
 
 
 def _cmd_cylinders(args):
+    from .symbolic import RepellerGeometry
     params = _params(args)
     geom = RepellerGeometry.build(params)
     return {
@@ -260,6 +333,7 @@ def _cmd_lemmas(args):
     scaling = None
     if report.roots is not None and params.strict_regime:
         import random
+        from .symbolic import RepellerGeometry
         geom = RepellerGeometry.build(params)
         rng = random.Random(args.seed)
         ctx = params.ctx
@@ -334,6 +408,7 @@ def _cmd_gibbs(args):
     if args.word in (None, "x0"):
         orbit = [fixedpoints.find_x0(params)]
     else:
+        from .symbolic import RepellerGeometry
         orbit = RepellerGeometry.build(params).g_orbit(_word(args.word))
     body = {"orbit": [to_json(h) for h in orbit]}
     try:
@@ -369,14 +444,16 @@ def _emit(body) -> None:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse argv in one argparse pass: a leading subcommand name sends the
-    rest straight to that subcommand's parser.  The full parser takes the
-    other inputs: no argv, -h, an unknown command, flags before the command."""
-    parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
+    """Parse argv: a leading subcommand name sends the rest to that
+    subcommand's table (_table_parse), and to its parser where the table
+    declines.  The full parser takes the other inputs: no argv, -h, an
+    unknown command, flags before the command."""
+    parser, commands, tables = _parsers()
+    name = argv[0] if argv else None
+    if name not in commands:
         return parser.parse_args(argv)
-    return command.parse_args(argv[1:])
+    args = _table_parse(tables[name], argv[1:])
+    return commands[name].parse_args(argv[1:]) if args is None else args
 
 
 def run(argv=None) -> int:

@@ -101,10 +101,19 @@ def classify(params: MapParams, x: PadicNumber) -> str:
 def classify_with_slope(params: MapParams, x: PadicNumber) -> tuple[str, PadicNumber]:
     """The label of the fixed point x and its multiplier g'(x), from one
     eval_g_slope: attracting, indifferent or repelling as |g'(x)|_p is below,
-    at or above 1."""
-    value, slope = eval_g_slope(params, x)
-    if not eq_to_precision(value, x, params.ctx.residual_digits):
+    at or above 1.
+
+    x is a fixed point when c(x) = x M(x) - P(x) = x^3 - ab^2 x^2 + b^2 x - a,
+    the cubic whose roots are the fixed points of g = P/M, vanishes to N - g
+    digits.  g(x) - x = -c(x)/M(x) is not read: it loses ord M(x) = m digits
+    at x1 and x2, so every pair with m > g was refused.  A root is a unit
+    (below, c(x) has order 3 ord x < 0; above, c(x) = -a mod p), so c is
+    read on x's unit mod p^N by Horner's rule, where no sum cancels digits.
+    """
+    ctx, a, b2, u = params.ctx, params.a.unit, params.b2.unit, x.unit
+    if x.valuation != 0 or (((u - a * b2) * u + b2) * u - a) % ctx.p ** ctx.residual_digits:
         raise NotAFixedPoint("|g(x) - x|_p exceeds the precision floor")
+    slope = eval_g_slope(params, x)[1]
     order = slope.valuation  # None for g'(x) = 0
     if order is None or order > 0:
         return ATTRACTING, slope

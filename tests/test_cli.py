@@ -1,7 +1,11 @@
 """CLI subcommands: JSON output, determinism, and exit codes."""
+import argparse
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import padicdyn
 from padicdyn import (
@@ -20,6 +24,7 @@ from padicdyn import (
 from padicdyn import cli
 from padicdyn.cli import build_parser, run
 from padicdyn.maps import eval_k_slope
+import output_grid
 from conftest import acceptance_params
 
 STRICT = ["--p", "13", "--a", "170/1", "--b", "14/1"]
@@ -81,21 +86,90 @@ class TestParserReuse:
             "x0": "attracting", "x1": "repelling", "x2": "repelling"}
 
 
-def full_parser_outcome(capsys, argv):
-    """Exit code, stdout and stderr of the full parser alone on argv, as run()
-    reports an argparse exit."""
-    try:
-        build_parser().parse_args(cli._glue_negative_literals(argv))
-        code = None
-    except SystemExit as exc:
-        code = 1 if exc.code else 0
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def synthetic_parser() -> argparse.ArgumentParser:
+    """A parser with what the subcommands' flags do not use yet: a string
+    default that argparse passes through its flag's type, an int positional
+    with choices, a store-true flag that defaults to False."""
+    parser = argparse.ArgumentParser(prog="synthetic")
+    parser.add_argument("level", type=int, choices=(1, 2, 3))
+    parser.add_argument("--count", type=int, default="7")
+    parser.add_argument("--name", required=True)
+    parser.add_argument("--quiet", action="store_true")
+    parser.set_defaults(run=print)
+    return parser
+
+
+# what generated argv draw values from: ints good and bad, p-adic literals with
+# and without a sign, choices of the subcommands and text that is none, empty
+# text and text with a space
+VALUES = st.sampled_from([
+    "13", "5", "0", "007", " 7", "-3", "1.5", "x", "", "170/1", "-3/7", "0;1,2",
+    "-1;3", "1,2", "k", "g", "f", "q", "solve", "verify", "periodic", "unit", "x0",
+    "1 2"])
+# tokens that are no flag's value: the end of options, a bare dash, help, an
+# unknown flag
+STRAY = st.sampled_from(["--", "-", "-h", "--help", "--no-such-flag"])
+
+
+def good_value(action: argparse.Action):
+    if action.choices is not None:
+        return st.sampled_from(sorted(map(str, action.choices)))
+    if action.type is int:
+        return st.integers(-3, 200).map(str)
+    return st.sampled_from(["170/1", "14/1", "-3/7", "0;1,2", "1,2", "x0"])
+
+
+@st.composite
+def argvs(draw, parser: argparse.ArgumentParser) -> list[str]:
+    """argv for parser, shuffled: its required flags and positionals (each
+    left out one time in ten) and a few more flags, with good values, each
+    as `--flag value` or `--flag=value`; then up to two faults: a flag
+    abbreviated, with `=` where it takes no value, with no value or a bad
+    one, or a stray positional or token."""
+    actions = [action for action in parser._actions if action.default != argparse.SUPPRESS]
+
+    def piece(action, fault=None):
+        value = draw(VALUES if fault == "bad" else good_value(action))
+        if not action.option_strings:
+            return [value]
+        flag = action.option_strings[0]
+        if fault == "abbreviated":
+            flag = draw(st.sampled_from([flag[:end] for end in range(3, len(flag))] or [flag]))
+        if action.nargs == 0:
+            return [f"{flag}={value}"] if fault in ("equals", "bad") else [flag]
+        if fault == "bare":
+            return [flag]
+        return draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+
+    pieces = [piece(action) for action in actions
+              if action.required and draw(st.integers(0, 9))]
+    pieces += [piece(draw(st.sampled_from(actions))) for _ in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["abbreviated", "equals", "bare", "bad", "stray"]))
+        if fault == "stray":
+            pieces.append([draw(st.one_of(STRAY, VALUES))])
+        else:
+            pieces.append(piece(draw(st.sampled_from(actions)), fault))
+    return [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+def argparse_outcome(parser: argparse.ArgumentParser, args: list[str]):
+    """parser.parse_args(args) alone: its Namespace, or None with the exit
+    code run() reports for it, and its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return parser.parse_args(args), None, "", ""
+        except SystemExit as exc:
+            code = 1 if exc.code else 0
+    return None, code, out.getvalue(), err.getvalue()
 
 
 class TestDispatch:
-    """A leading subcommand name is parsed by that subcommand's parser alone;
-    every other argv still goes through the full parser."""
+    """A leading subcommand name sends the rest of argv to that subcommand's
+    table, which builds the Namespace its parser would or declines, and then
+    to that parser alone; every other argv still goes through the full
+    parser."""
 
     GIBBS = ["gibbs", "--p", "5"]
 
@@ -131,13 +205,15 @@ class TestDispatch:
         ["fixed-points", "--p", "13", "--a", "170/1"],
         ["orbit", *STRICT, "--x", "1/1", "--map", "q"],
         ["periodic", "-h"],
+        ["lemmas", *STRICT, "--s", "5"],
     ], ids=["empty", "help", "unknown", "flags-first", "missing-b", "bad-map",
-            "command-help"])
+            "command-help", "ambiguous"])
     def test_argparse_exits_unchanged(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
         code = run(argv)
         captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == full_parser_outcome(capsys, argv)
+        _, *expected = argparse_outcome(build_parser(), cli._glue_negative_literals(argv))
+        assert [code, captured.out, captured.err] == expected
         assert code == (0 if "-h" in argv else 1)
 
     def test_unrecognized_argument_prints_the_subcommand_usage(self, capsys,
@@ -151,6 +227,48 @@ class TestDispatch:
             "[--guard GUARD]\n"
             "                         --a A --b B --word WORD [--map {g,k}]\n"
             "padicdyn periodic: error: unrecognized arguments: extra\n")
+
+    class LastCall(dict):
+        """The grid's `last`: a call runs only when the grid reads its exit
+        code or stdout, to put the points it prints into later argv."""
+
+        def __missing__(self, key):
+            code, out, _ = output_grid.call(run, self.pop("argv"))
+            self.update(code=code, out=out)
+            return self[key]
+
+    def test_the_table_takes_every_grid_argv_as_argparse_parses_it(self):
+        _, commands, tables = cli._parsers()
+        last = self.LastCall()
+        for _, argv in output_grid.grid(last):
+            argv = cli._glue_negative_literals(argv)
+            taken = cli._table_parse(tables[argv[0]], argv[1:])
+            assert taken == commands[argv[0]].parse_args(argv[1:]), argv
+            last.clear()
+            last["argv"] = argv
+
+    @pytest.mark.parametrize("name", [*sorted(cli._parsers()[1]), "synthetic"])
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_the_table_agrees_with_argparse(self, name, data):
+        """Where the table takes an argv, its Namespace is argparse's; where
+        argparse exits, run() prints and exits as argparse alone does."""
+        if name == "synthetic":
+            parser = synthetic_parser()
+            table = cli._table(parser)
+        else:
+            _, commands, tables = cli._parsers()
+            parser, table = commands[name], tables[name]
+        argv = cli._glue_negative_literals([name, *data.draw(argvs(parser))])
+        expected, code, out, err = argparse_outcome(parser, argv[1:])
+        taken = cli._table_parse(table, argv[1:])
+        if taken is not None:
+            assert (taken, code) == (expected, None)
+        if code is not None and name != "synthetic":
+            got_out, got_err = io.StringIO(), io.StringIO()
+            with redirect_stdout(got_out), redirect_stderr(got_err):
+                got = run(argv)
+            assert (got, got_out.getvalue(), got_err.getvalue()) == (code, out, err)
 
 
 class TestContextMemo:

@@ -1,5 +1,6 @@
 """Fixed-point location, classification, and the norm identities behind them."""
 import gc
+import json
 import random
 import weakref
 from collections import Counter
@@ -29,6 +30,7 @@ from padicdyn import (
     verify_lemma_3_4,
 )
 from padicdyn import fixedpoints
+from padicdyn.cli import run
 from padicdyn.padic import converge
 from test_maps import deriv_g
 from conftest import acceptance_params, strict_params
@@ -238,6 +240,36 @@ class TestClassification:
         params = strict_params(ctx, rng)
         with pytest.raises(NotAFixedPoint):
             classify(params, ctx.from_int(3 if ctx.p != 3 else 5))
+
+    LABELS = {"x0": ATTRACTING, "x1": REPELLING, "x2": REPELLING}
+
+    @pytest.mark.parametrize("command", ["fixed-points", "lemmas"])
+    def test_a_pair_with_m_above_the_guard_is_answered(self, capsys, command):
+        # a = 1 + 13^10, b = 1 + 13^9: m = ord(b - 1) = 9 > g = 8 at N = 64,
+        # where |g(x1) - x1|_p reaches only p^-(N - m)
+        assert run([command, "--p", "13", "--a", "137858491850",
+                    "--b", "10604499374"]) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert (body["radius"], body["classifications"]) == ("13^-9", self.LABELS)
+
+    @pytest.mark.parametrize("p", [5, 13, 17])
+    def test_every_m_up_to_the_precision_floor(self, p):
+        """Seeded pairs at every m = ord(b - 1) = 1..N - g, N = 20: each is
+        answered, and x0, x1 and x2 satisfy Vieta's identities to N - g digits."""
+        ctx, rng = PrimeContext(p, 20), random.Random(p)
+        d = ctx.residual_digits
+        for m in range(1, d + 1):
+            for _ in range(4):
+                a = ctx.from_int(1 + p * rng.randrange(1, p ** 6))
+                b = ctx.from_int(1 + p ** m * (rng.randrange(1, p) + p * rng.randrange(p ** 4)))
+                params = MapParams(a, b)
+                report = analyze(params)
+                assert params.radius_exponent == m
+                assert report.classifications == self.LABELS
+                x0, (x1, x2) = report.x0, report.roots
+                assert eq_to_precision(x0 + x1 + x2, a * b * b, d)
+                assert eq_to_precision(x0 * x1 + x0 * x2 + x1 * x2, b * b, d)
+                assert eq_to_precision(x0 * x1 * x2, a, d)
 
 
 class TestLemma34:

@@ -2,9 +2,9 @@
 subcommand needs.
 
 No value class generates its methods at import (`dataclasses`, and the
-`inspect` it pulls in), and the Gibbs layer loads on first use.  Each check
-runs in a fresh interpreter without `site`, so only padicdyn's own imports
-are seen.
+`inspect` it pulls in), and the Gibbs and symbolic layers load on first use.
+Each check runs in a fresh interpreter without `site`, so only padicdyn's own
+imports are seen.
 """
 import json
 import os
@@ -16,7 +16,7 @@ import padicdyn
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# every public name of the package before the Gibbs layer loaded on first use
+# every public name of the package, the Gibbs and symbolic ones served on first use
 EXPORTS = (
     "ATTRACTING", "Ball", "BasinStatus", "BranchError", "CayleyTree",
     "CompatibilityReport", "ConsistencyError", "Couplings", "DivisionByZero",
@@ -72,17 +72,37 @@ print(json.dumps(seen))
     assert loaded == [[0, []], [0, []], [0, ["padicdyn.gibbs"]]]
 
 
+def test_the_symbolic_layer_loads_on_the_first_call_that_runs_it():
+    loaded = fresh("""
+import contextlib, io, json, sys
+from padicdyn import cli
+pair = ["--p", "13", "--a", "170", "--b", "14"]
+seen = []
+def call(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.run(list(argv))
+    seen.append([code, "padicdyn.symbolic" in sys.modules])
+    return out.getvalue()
+x0 = json.loads(call("fixed-points", *pair))["x0"]
+call("classify", *pair, "--x", f"{x0['valuation']};" + ",".join(map(str, x0["digits"])))
+call("orbit", *pair, "--x", "2/3")
+call("basin", *pair, "--x", "2/3")
+print(json.dumps(seen))
+""")
+    assert loaded == [[0, False], [0, False], [0, False], [0, True]]
+
+
 def test_every_export_resolves_and_is_listed():
     listed, missing, loaded = fresh(f"""
 import json, sys
 import padicdyn
 listed = sorted(set({EXPORTS!r}) - set(dir(padicdyn)))
-loaded = "padicdyn.gibbs" in sys.modules
+loaded = [m for m in ("padicdyn.gibbs", "padicdyn.symbolic") if m in sys.modules]
 names, star = {{}}, {{}}
 exec("from padicdyn import " + ", ".join({EXPORTS!r}), names)
 exec("from padicdyn import *", star)
 print(json.dumps([listed, sorted(set({EXPORTS!r}) - (set(names) & set(star))), loaded]))
 """)
-    # dir lists the Gibbs names before the layer loads
-    assert (listed, missing, loaded) == ([], [], False)
+    # dir lists the Gibbs and symbolic names before either layer loads
+    assert (listed, missing, loaded) == ([], [], [])
     assert not hasattr(padicdyn, "no_such_name")

@@ -64,14 +64,14 @@ def _imported(tree: ast.Module) -> set[str]:
 
 def _exports(tree: ast.Module) -> set[str]:
     """The names __init__.py exports: those its top-level `from .module
-    import` statements bind, and the Gibbs names its module __getattr__
-    serves on first use (_GIBBS_EXPORTS)."""
+    import` statements bind, and the Gibbs and symbolic names its module
+    __getattr__ serves on first use (_ON_FIRST_USE)."""
     names = {alias.asname or alias.name for node in tree.body
              if isinstance(node, ast.ImportFrom) and node.level == 1
              for alias in node.names}
     lazy = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                and ast.unparse(node.targets[0]) == "_GIBBS_EXPORTS")
-    return names | set(ast.literal_eval(lazy))
+                and ast.unparse(node.targets[0]) == "_ON_FIRST_USE")
+    return names.union(*ast.literal_eval(lazy).values())
 
 
 def _used(tree: ast.Module) -> set[str]:
