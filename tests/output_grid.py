@@ -12,9 +12,12 @@ print the same lines exactly when every call printed and exited the same.
 The grid, on the three acceptance pairs and (17, 290, 18) at N = 64, 128, 20
 and 12: `fixed-points`; `classify`, `basin` and `orbit --map f|g|k` at the
 fixed points x0, x1 and x2 that call printed and at a few points that are not
-fixed; `lemmas`; `periodic --map k|g` for every word of up to 7 symbols;
-`itinerary` from the periodic points of the short words and from a few other
-points; `cylinders` at depths 0 to 7 and 13.  Then at p = 5: `gibbs solve`
+fixed; `classify` and `orbit` at the first two of those fixed points spelled
+oddly (spaces, a trailing comma, a leading 0 digit, a digit p), so that both
+of `parse_padic`'s ways to read a digit literal are compared; `lemmas`;
+`periodic --map k|g` for every word of up to 7 symbols; `itinerary` from
+the periodic points of the short words and from a few other points;
+`cylinders` at depths 0 to 7 and 13.  Then at p = 5: `gibbs solve`
 and `gibbs verify --source solve|unit` at k, n <= 3, J0 = 0 and J0 != 0, at
 the same four N, and `gibbs periodic`, with and without --diagonal.  The name
 does not start with test_, so pytest does not collect it.
@@ -50,6 +53,16 @@ def literal(point: dict) -> str:
     return f"{point['valuation']};" + ",".join(map(str, point["digits"]))
 
 
+def odd_spellings(text: str, p: int) -> list[str]:
+    """The digit literal `text` with a space after each comma, with a
+    trailing comma, with a leading 0 digit and with the digit p second: the
+    first two read as `text`, the last two are refused."""
+    head, tail = text.split(";", 1)
+    first, _, rest = tail.partition(",")
+    return [f"{head};" + tail.replace(",", ", "), f"{text},", f"{head};0,{tail}",
+            f"{head};{first},{p},{rest}"]
+
+
 def words(longest: int) -> list[str]:
     return [",".join(map(str, w)) for n in range(1, longest + 1)
             for w in product((1, 2), repeat=n)]
@@ -79,6 +92,11 @@ def grid(last: dict):
             yield "basin", ["basin", *pair, "--x", x]
             for kind, steps in product(("f", "g", "k"), ORBIT_STEPS):
                 yield "orbit", ["orbit", *pair, "--x", x, "--map", kind, "--steps", steps]
+        for x in [odd for start in starts[:2] for odd in odd_spellings(start, p)]:
+            yield "classify", ["classify", *pair, "--x", x]
+            for kind in ("f", "g", "k"):
+                yield "orbit", ["orbit", *pair, "--x", x, "--map", kind,
+                                "--steps", ORBIT_STEPS[0]]
         yield "lemmas", ["lemmas", *pair]
         points = []
         for word in words(MAX_WORD):

@@ -35,11 +35,39 @@ from padicdyn.padic import (
     _divide,
     _inv_unit,
     _minus,
+    _order,
+    _sum,
     _times,
     converge,
     norm_fraction,
 )
 from conftest import random_padic, random_unit
+
+PRIMES_TO_37 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+def digit_loop(u: int, p: int, count: int) -> list[int]:
+    """The lowest `count` base-p digits of u, one divmod per digit."""
+    out = []
+    for _ in range(count):
+        u, d = divmod(u, p)
+        out.append(d)
+    return out
+
+
+def parse_by_entry(text: str, ctx: PrimeContext) -> PadicNumber:
+    """A 'v;d0,d1,...' literal read one int() per entry, skipping blank
+    entries, then from_digits: parse_padic's general path."""
+    head, tail = text.strip().split(";", 1)
+    return ctx.from_digits(int(head), [int(d) for d in tail.split(",") if d.strip() != ""])
+
+
+def parse_outcome(parse, text: str, ctx: PrimeContext):
+    """The value parse returns, or the type and text of what it raises."""
+    try:
+        return parse(text, ctx)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def vp_fraction(q: Fraction, p: int) -> int:
@@ -183,6 +211,61 @@ class TestDigitsAndParsing:
             assert diff_valuation(parse_padic(literal, ctx), x) is None
         assert diff_valuation(parse_padic("3/7", ctx),
                               ctx.from_rational(3, 7)) is None
+
+    # p^c <= 256 < p^(c+1): c runs from 5 (p = 3) down to 1 (17 <= p <= 251)
+    # and 0 (p > 256); for c <= 1 digits() reads one digit per divmod
+    CHUNK_PRIMES = {3: 5, 5: 3, 7: 2, 13: 2, 17: 1, 31: 1, 37: 1, 251: 1, 257: 0, 65537: 0}
+
+    @pytest.mark.parametrize("p", sorted(CHUNK_PRIMES))
+    @pytest.mark.parametrize("precision", [2, 3, 12, 64, 128])
+    def test_digits_match_the_digit_loop(self, p, precision, rng):
+        # precision 1 is refused (precision > guard >= 1), so 2 is the least
+        ctx, c = PrimeContext(p, precision, 1), self.CHUNK_PRIMES[p]
+        units = [1, ctx.modulus - 1, *(random_unit(ctx, rng).unit for _ in range(20))]
+        values = [ctx.zero()] + [PadicNumber(ctx, 0, u) for u in units]
+        for x in values:
+            assert x.digits() == digit_loop(x.unit, p, precision)
+            for count in (0, 1, c - 1, c, c + 1, precision, precision + 5):
+                assert x.digits(count) == digit_loop(x.unit, p, count)
+            assert x.digits(-1) == x.digits(-c - 1) == []
+
+    def test_digit_literals_take_one_int_below_p_37(self, monkeypatch):
+        # seeded round trips at every p <= 37: a literal of canonical digits
+        # never reaches from_digits at p <= 36, the same literal spaced out
+        # takes the general path, and both give from_digits' value
+        rng, literals = random.Random(33), []
+        for p in PRIMES_TO_37:
+            ctx = PrimeContext(p, 24, 4)
+            for _ in range(30):
+                x = random_padic(ctx, rng)
+                digits = x.digits()[:rng.randrange(1, 30)]
+                if rng.random() < 0.2:
+                    digits += [0] * rng.randrange(1, 4)  # zero digits on top
+                text = f"{x.valuation};" + ",".join(map(str, digits))
+                literals.append((ctx, text, ctx.from_digits(x.valuation, digits)))
+        for ctx, text, want in literals:
+            assert parse_padic(text.replace(",", ", "), ctx) == want
+
+        def general_only(self, valuation, digits):
+            assert self.p > 36, "a canonical literal reached from_digits"
+            return from_digits(self, valuation, digits)
+
+        from_digits = PrimeContext.from_digits
+        monkeypatch.setattr(PrimeContext, "from_digits", general_only)
+        for ctx, text, want in literals:
+            assert parse_padic(text, ctx) == want
+
+    @pytest.mark.parametrize("p", [3, 5, 13, 31, 37, 101])
+    def test_odd_digit_literals_parse_as_before(self, p):
+        ctx = PrimeContext(p, 12, 2)
+        texts = ["0; 3", " 0;3 ", "0;3,,1", "0;3,1,", "0;03,1", "0;+1,2", "0;1_0,1",
+                 "0;-1,2", f"0;1,{p}", f"0;{p - 1},{p + 1}", "0;0,1", "0;0,0", "0;",
+                 "0;0", "-2;1,1", "x;1", "0;a", "0;1.0", "0;3,٣",
+                 "1;" + ",".join(["1"] * 20),  # more than N digits
+                 "0;" + ",".join([str(p - 1)] * 5000)]  # past int()'s 4300-digit limit
+        for text in texts:
+            assert parse_outcome(parse_padic, text, ctx) == parse_outcome(
+                parse_by_entry, text, ctx), text
 
     def test_membership_predicates(self, ctx):
         assert is_unit(ctx.from_int(ctx.p + 1))
@@ -418,6 +501,39 @@ class TestPairRules:
             got = PadicNumber(ctx, *_minus(ctx, x, y))
             assert TestFractionOracle.check(ctx, "sub", qa, qb, got)
         assert _minus(ctx, x, x) == _ZERO
+
+
+class TestGallopingOrder:
+    """The order of a residue 0 < s < p^N, found by stripping p to order 3,
+    then p^2, p^4, ... and halving, against _vp's one division per power."""
+
+    @pytest.mark.parametrize("p", [3, 13, 257])
+    # precision 1 is refused (precision > guard >= 1); 3, 4 and 5 border the
+    # orders stripped one p at a time, 20 a last lift modulus below 2^5
+    @pytest.mark.parametrize("precision", [2, 3, 4, 5, 20, 64, 128])
+    def test_every_order_matches_vp(self, p, precision):
+        ctx = PrimeContext(p, precision, 1)
+        pN, rng = ctx.modulus, random.Random(p * 1000 + precision)
+        for t in range(precision):
+            for _ in range(4):
+                s = p ** t * rng.randrange(1, p ** (precision - t))
+                while _vp(s, p) != t:
+                    s = p ** t * rng.randrange(1, p ** (precision - t))
+                if t:
+                    assert _order(ctx, s) == t
+                u = rng.randrange(1, pN)
+                while u % p in (0, s % p):  # u and u - s both units
+                    u = rng.randrange(1, pN)
+                x, y = PadicNumber(ctx, 2, u), PadicNumber(ctx, 2, (u - s) % pN)
+                assert diff_valuation(x, y) == diff_valuation(y, x) == 2 + t
+                # u + (s - u) = s: the sum cancels t digits
+                z = (0, (s - u) % pN)
+                if t > precision - ctx.guard:
+                    with pytest.raises(PrecisionExhausted, match=f"cancellation of {t} "):
+                        _sum(ctx, (0, u), z)
+                else:
+                    assert _sum(ctx, (0, u), z) == (t, s // p ** t)
+        assert diff_valuation(ctx.one(), ctx.one()) is None
 
 
 class TestUnitInverse:

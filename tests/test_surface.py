@@ -7,8 +7,10 @@ method and property of an exported class, unless KEEP_MEMBERS names its
 claim.  One function inverts a unit mod p^N, padic.py alone defines the
 arithmetic on (valuation, unit) pairs, the Newton step of x0 and of the
 Gibbs field u, and the Hensel lift moduli, one writes JSON to stdout, and the
-open Ball alone tests ball membership.  The process-wide memos live in
-cli.py alone, and every one is cleared before each test.
+open Ball alone tests ball membership.  Sums and comparisons find the order
+of a residue below p^N by galloping, never by one division per power of p.
+The process-wide memos live in cli.py alone, and every one is cleared before
+each test.
 Every CLI subcommand names one `_cmd_*` body, read from the built parser.
 """
 import argparse
@@ -238,6 +240,21 @@ def test_one_newton_step_and_one_lift_schedule():
     # the doubling moduli p^2, p^4, ..., p^N of a Hensel lift are built once,
     # per context, and _inv_unit and sqrt_both loop over them
     assert _found_in_package(_doubles_in_a_loop) == {"padic.py": ["PrimeContext.__init__"]}
+
+
+def _calls(name: str):
+    """A matcher for a call of the bare name `name`."""
+    return lambda node: (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                         and node.func.id == name)
+
+
+def test_orders_below_p_to_the_n_are_galloped():
+    # _sum and diff_valuation take the order of a residue below p^N from
+    # _order; _vp, one division per power of p, is left to the unbounded
+    # ints of from_rational
+    assert _found_in_package(_calls("_order")) == {"padic.py": ["_sum", "diff_valuation"]}
+    assert _found_in_package(_calls("_vp")) == {
+        "padic.py": ["PrimeContext.from_rational", "PrimeContext.from_rational"]}
 
 
 def _passes_closed(node: ast.AST) -> bool:
