@@ -27,7 +27,6 @@ from .fixedpoints import (
     classify,
     discriminant,
     find_x0,
-    quadratic_coeffs,
     repelling_roots,
     verify_lemma_3_4,
 )

@@ -18,7 +18,6 @@ from .padic import (
     _newton_step,
     converge,
     diff_valuation,
-    eq_to_precision,
     norm_str,
     sqrt_both,
     sqrt_exists,
@@ -42,22 +41,9 @@ def find_x0(params: MapParams) -> PadicNumber:
     return params.fixed_points[0]
 
 
-def quadratic_coeffs(params: MapParams, x0: PadicNumber) -> tuple[PadicNumber, PadicNumber]:
-    """Coefficients (B, C) of x^2 + Bx + C = 0 for the non-E_p fixed points."""
-    a, b, ctx = params.a, params.b, params.ctx
-    B = x0 - a * b * b
-    C = a / x0
-    # factoring identity: a/x0 = x0^2 - a b^2 x0 + b^2
-    alt = x0 * x0 - a * b * b * x0 + b * b
-    if not eq_to_precision(C, alt, ctx.residual_digits):
-        raise ConsistencyError("cubic factorization identity failed")
-    return B, C
-
-
 def discriminant(params: MapParams, x0: PadicNumber) -> PadicNumber:
     """Delta = -3 x0^2 + 2 a b^2 x0 - 4 b^2 + a^2 b^4."""
-    a, b = params.a, params.b
-    b2 = b * b
+    a, b2 = params.a, params.b2
     return -(x0 * x0 * 3) + a * b2 * x0 * 2 - b2 * 4 + a * a * b2 * b2
 
 
@@ -72,9 +58,8 @@ def repelling_roots(params: MapParams, x0: PadicNumber,
             raise ConsistencyError("discriminant is a square although p = 3 (mod 4)")
         return None
     rt, _ = sqrt_both(delta)
-    a, b = params.a, params.b
     half = params.ctx.from_rational(1, 2)
-    base = a * b * b - x0
+    base = params.a * params.b2 - x0
     return (base + rt) * half, (base - rt) * half
 
 
@@ -106,12 +91,12 @@ def classify_with_slope(params: MapParams, x: PadicNumber) -> tuple[str, PadicNu
     x is a fixed point when c(x) = x M(x) - P(x) = x^3 - ab^2 x^2 + b^2 x - a,
     the cubic whose roots are the fixed points of g = P/M, vanishes to N - g
     digits.  g(x) - x = -c(x)/M(x) is not read: it loses ord M(x) = m digits
-    at x1 and x2, so every pair with m > g was refused.  A root is a unit
-    (below, c(x) has order 3 ord x < 0; above, c(x) = -a mod p), so c is
-    read on x's unit mod p^N by Horner's rule, where no sum cancels digits.
+    at x1 and x2.  A root is a unit (below, c(x) has order 3 ord x < 0;
+    above, c(x) = -a mod p), so c is read on x's unit mod p^N by Horner's
+    rule, where no sum cancels digits.
     """
     ctx, a, b2, u = params.ctx, params.a.unit, params.b2.unit, x.unit
-    if x.valuation != 0 or (((u - a * b2) * u + b2) * u - a) % ctx.p ** ctx.residual_digits:
+    if x.valuation != 0 or (((u - a * b2) * u + b2) * u - a) % ctx._powers[ctx.residual_digits]:
         raise NotAFixedPoint("|g(x) - x|_p exceeds the precision floor")
     slope = eval_g_slope(params, x)[1]
     order = slope.valuation  # None for g'(x) = 0
@@ -132,10 +117,9 @@ def verify_lemma_3_4(params: MapParams, x0: PadicNumber,
     Clauses involving x1, x2 are reported as None when the roots are absent;
     (vi) and (vii) are None outside the strict regime they assume.
     """
-    a, b, ctx = params.a, params.b, params.ctx
+    a, b2, ctx = params.a, params.b2, params.ctx
     one = ctx.one()
     m = params.radius_exponent
-    b2 = b * b
     out: dict[str, bool | None] = dict.fromkeys(LEMMA_3_4_CLAUSES)
 
     def orders(x: PadicNumber) -> tuple[int | None, int | None]:
@@ -168,7 +152,6 @@ class FixedPointReport(_Immutable):
         """The report of params, made anew: read it from analyze
         (params.fixed_point_report), which keeps it on the pair."""
         x0, delta, roots = params.fixed_points
-        quadratic_coeffs(params, x0)  # runs the consistency check
         labels = {"x0": classify(params, x0)}
         if roots is not None:
             labels["x1"] = classify(params, roots[0])

@@ -39,7 +39,6 @@ from .padic import (
     eq_to_precision,
     exp_p,
     is_unit,
-    norm_diff,
     norm_fraction,
     to_json,
 )
@@ -380,7 +379,7 @@ def check_compatibility(tree: CayleyTree, couplings: Couplings,
         # one order per sigma gives its residual and eq_to_precision's verdict
         dv = diff_valuation(lhs, rhs)
         if dv not in norms:
-            norms[dv] = norm_diff(lhs, rhs)
+            norms[dv] = norm_fraction(dv, ctx.p)
         residuals.append(norms[dv])
         if dv is not None and (lhs.is_zero or rhs.is_zero
                                or dv < min(lhs.valuation, rhs.valuation) + R):
@@ -405,10 +404,13 @@ def field_equation_residual(tree: CayleyTree, couplings: Couplings,
     prod_x S_x(+, +) h_x(-, -) = prod_x S_x(-, -) h_x(+, +).
     """
     ctx = couplings.ctx
-    worst = Fraction(0)
+    least = None  # the least order of a residual, None while all are 0
 
-    def residual(x: tuple, y: tuple) -> Fraction:
-        return norm_diff(PadicNumber(ctx, *x), PadicNumber(ctx, *y))
+    def residual(x: tuple, y: tuple) -> None:
+        nonlocal least
+        dv = diff_valuation(PadicNumber(ctx, *x), PadicNumber(ctx, *y))
+        if dv is not None and (least is None or dv < least):
+            least = dv
 
     for m in range(2, n + 1):
         below = _subtree_sums(tree, couplings, field, m, m - 1)[m - 1]
@@ -419,12 +421,12 @@ def field_equation_residual(tree: CayleyTree, couplings: Couplings,
                 h = {pair: (value.valuation, value.unit)
                      for pair, value in _components(field, ctx, x).items()}
                 for s in SPINS:
-                    worst = max(worst, residual(sums[s, s], _times(
-                        ctx, _times(ctx, sums[s, -s], h[s, 1]), h[s, -1])))
+                    residual(sums[s, s], _times(
+                        ctx, _times(ctx, sums[s, -s], h[s, 1]), h[s, -1]))
                 plus = _times(ctx, _times(ctx, plus, sums[1, 1]), h[-1, -1])
                 minus = _times(ctx, _times(ctx, minus, sums[-1, -1]), h[1, 1])
-            worst = max(worst, residual(plus, minus))
-    return worst
+            residual(plus, minus)
+    return norm_fraction(least, ctx.p)
 
 
 def _solves_equations(couplings: Couplings, residual: Fraction) -> bool:

@@ -17,7 +17,6 @@ from .errors import (
     DomainError,
     EscapeError,
     LengthMismatch,
-    PadicError,
     PrecisionExhausted,
     VerificationError,
 )
@@ -126,8 +125,8 @@ class RepellerGeometry(_Immutable):
     """
 
     __slots__ = ("params", "x0", "x1", "x2", "alpha1", "alpha2", "x1sq", "x2sq",
-                 "balls_sq", "kappa", "_cylinder_tree", "_periodic_points",
-                 "_g_orbits", "__weakref__")
+                 "balls_sq", "kappa", "_cylinder_tree", "_periodic_words",
+                 "__weakref__")
 
     def __init__(self, params: MapParams):
         """The geometry of params, built anew: read it from build
@@ -168,16 +167,15 @@ class RepellerGeometry(_Immutable):
         # [None, node of word (1,), node of word (2,)]; a node of word w is
         # [center of w, node of 1.w, node of 2.w], grown by cylinder_center
         object.__setattr__(self, "_cylinder_tree", [None, None, None])
-        # word -> its k-periodic point, grown by periodic_point_k, and word ->
-        # its checked forward g-orbit, grown by forward_g_orbit
-        object.__setattr__(self, "_periodic_points", {})
-        object.__setattr__(self, "_g_orbits", {})
+        # word -> (its k-periodic point, its checked forward g-orbit), grown
+        # by _periodic
+        object.__setattr__(self, "_periodic_words", {})
 
     @classmethod
     def build(cls, params: MapParams) -> "RepellerGeometry":
         """The geometry of params, built once per pair and kept on it
-        (params.geometry), with the centres, periodic points and orbits it
-        keeps; a DomainError is raised again on every call, never stored.
+        (params.geometry), with the centres and periodic records it keeps; a
+        DomainError is raised again on every call, never stored.
         """
         return params.geometry
 
@@ -239,9 +237,9 @@ class RepellerGeometry(_Immutable):
         psi_j is the inverse branch into ball j and c_j the centre of ball j.
         The centres of words up to MAX_CYLINDER_DEPTH symbols are kept in a
         tree on the geometry, read from the last symbol, so each is composed
-        once per geometry: julia_cylinders and the Newton start of
-        periodic_point_k share it.  Deeper centres are composed on top of the
-        deepest kept suffix and not kept.
+        once per geometry: julia_cylinders and the Newton start of a
+        periodic word (_periodic) share it.  Deeper centres are composed on
+        top of the deepest kept suffix and not kept.
         """
         node = self._cylinder_tree
         symbols = reversed(check_word(word))
@@ -274,6 +272,37 @@ class RepellerGeometry(_Immutable):
     def periodic_point_k(self, word: Word) -> PadicNumber:
         """The unique point of X with k-itinerary word, word, word, ...
 
+        It is the first value of the word's record (_periodic), so it is
+        returned only once its forward g-orbit has passed its check.
+        """
+        return self._periodic(word)[0]
+
+    def forward_k_ends(self, word: Word) -> tuple[PadicNumber, PadicNumber]:
+        """(x, k^n(x)) for the k-periodic point x of word, n = |w|: the ends
+        of x's forward orbit, whose distance is the period residual.
+
+        k(s^2) = g(s)^2, so k^n(x) is the square of the last point of the
+        word's forward g-orbit, which a square root s of x starts.  The square
+        is exact: sqrt_both's s squares back to x in every digit, and eval_g(s)
+        runs the quotient eval_k runs on s^2.  So the word's n steps of g
+        serve both maps.
+        """
+        point, orbit = self._periodic(word)
+        return point, orbit[-1] * orbit[-1]
+
+    def forward_g_orbit(self, word: Word) -> tuple[PadicNumber, ...]:
+        """(y, g(y), ..., g^n(y)) for the g-periodic point y of word, n = |w|."""
+        return self._periodic(word)[1]
+
+    def g_orbit(self, word: Word) -> list[PadicNumber]:
+        """[h_0, ..., h_{m-1}] with h_i = g(h_{i+1 mod m}), h_0 the word's point."""
+        forward = self.forward_g_orbit(word)
+        return [forward[0], *forward[-2:0:-1]]
+
+    def _periodic(self, word: Word) -> tuple[PadicNumber, tuple[PadicNumber, ...]]:
+        """The word's record: its k-periodic point x and the checked forward
+        g-orbit of its g-periodic point.
+
         Newton's method on k^n(x) - x (n = |w|) starts from the centre of
         the cylinder of w w_1, one pass of inverse branches from the centre
         of ball w_1, which lies in the word's depth-|w| cylinder.  It is read
@@ -282,15 +311,22 @@ class RepellerGeometry(_Immutable):
         forward orbit; |(k^n)'|_p = p^(nm), so the denominator (k^n)' - 1
         never cancels.  When n * m >= N - g the forward orbit keeps no
         trusted digit, so the pass itself is iterated instead: it contracts
-        by p^(-nm) and settles the N - g digits in one step.  The geometry
-        keeps the point of every word shorter than MAX_CYLINDER_DEPTH, whose
-        Newton start its tree keeps too, and later its checked forward g-orbit
-        (forward_g_orbit); a longer word is solved on every call, and so is a
-        word whose solve raised.
+        by p^(-nm) and settles the N - g digits in one step.
+
+        The square root s of x is taken in B_r(x_{w1}).  Because g is even,
+        the forward orbit returns to +s or to -s, the latter exactly when the
+        word's last symbol differs from its first; that sign is the periodic
+        point y, and g(y) = g(s) exactly, so the n steps from s are y's
+        forward orbit.  g^n(y) = y is checked wherever the orbit keeps a
+        trusted digit, min(N - g, N - |w|m - 2).  The geometry keeps the
+        record of every word shorter than MAX_CYLINDER_DEPTH, whose Newton
+        start its tree keeps too, once every check has passed; a longer word
+        is solved and checked on every call, and so is a word that raised.
         """
         word = check_word(word)
-        if word in self._periodic_points:
-            return self._periodic_points[word]
+        record = self._periodic_words.get(word)
+        if record is not None:
+            return record
         params, ctx = self.params, self.params.ctx
 
         def one_pass(y: PadicNumber) -> PadicNumber:
@@ -311,74 +347,23 @@ class RepellerGeometry(_Immutable):
         else:
             point = converge(newton, self.cylinder_center(word + word[:1]),
                              "Newton iteration for k^n(x) = x")
+        ball = self.ball_g(word[0])
+        hits = [s for s in sqrt_both(point) if ball.contains(s)]
+        if len(hits) != 1:
+            raise BranchError("square root of the periodic point missed both balls")
+        s = hits[0]
+        orbit = [-s if word[-1] != word[0] else s]
+        z = s
+        for _ in word:
+            z = eval_g(params, z)
+            orbit.append(z)
+        digits = self._orbit_digits(len(word))
+        if digits > 0 and not eq_to_precision(z, orbit[0], digits):
+            raise VerificationError("g-orbit verification of the periodic point failed")
+        record = point, tuple(orbit)
         if len(word) < MAX_CYLINDER_DEPTH:
-            self._periodic_points[word] = point
-        return point
-
-    def forward_k_ends(self, word: Word) -> tuple[PadicNumber, PadicNumber]:
-        """(x, k^n(x)) for the k-periodic point x of word, n = |w|: the ends
-        of x's forward orbit, whose distance is the period residual.
-
-        k(s^2) = g(s)^2, so k^n(x) is the square of the last point of the
-        word's forward g-orbit, which a square root s of x starts.  The square
-        is exact: sqrt_both's s squares back to x in every digit, and eval_g(s)
-        runs the quotient eval_k runs on s^2.  So the word's n steps of g,
-        run and checked once per kept word, serve both maps, and this raises
-        what forward_g_orbit raises.
-        """
-        word = check_word(word)
-        point = self.periodic_point_k(word)
-        end = self._forward_g(word, point)[-1]
-        return point, end * end
-
-    def forward_g_orbit(self, word: Word) -> tuple[PadicNumber, ...]:
-        """(y, g(y), ..., g^n(y)) for the g-periodic point y of word, n = |w|.
-
-        The square root s of the k-periodic point is taken in B_r(x_{w1}).
-        Because g is even, the forward orbit returns to +s or to -s, the
-        latter exactly when the word's last symbol differs from its first;
-        that sign is the periodic point y, and g(y) = g(s) exactly, so the n
-        steps from s are y's forward orbit.  g^n(y) = y is checked wherever
-        the orbit keeps a trusted digit, min(N - g, N - |w|m - 2).  A kept
-        word keeps its orbit once the check has passed, so the orbit is run
-        and checked once per geometry; a word whose orbit raised is dropped,
-        point included, and solved and checked again on the next call.
-        """
-        word = check_word(word)
-        return self._forward_g(word, self.periodic_point_k(word))
-
-    def _forward_g(self, word: Word, point: PadicNumber) -> tuple[PadicNumber, ...]:
-        """forward_g_orbit of word from its k-periodic point: the kept orbit,
-        or one run and checked, kept if the word's point is."""
-        orbit = self._g_orbits.get(word)
-        if orbit is not None:
-            return orbit
-        try:
-            ball = self.ball_g(word[0])
-            hits = [s for s in sqrt_both(point) if ball.contains(s)]
-            if len(hits) != 1:
-                raise BranchError("square root of the periodic point missed both balls")
-            s = hits[0]
-            orbit = [-s if word[-1] != word[0] else s]
-            z = s
-            for _ in word:
-                z = eval_g(self.params, z)
-                orbit.append(z)
-            digits = self._orbit_digits(len(word))
-            if digits > 0 and not eq_to_precision(z, orbit[0], digits):
-                raise VerificationError("g-orbit verification of the periodic point failed")
-        except PadicError:
-            self._periodic_points.pop(word, None)
-            raise
-        orbit = tuple(orbit)
-        if word in self._periodic_points:
-            self._g_orbits[word] = orbit
-        return orbit
-
-    def g_orbit(self, word: Word) -> list[PadicNumber]:
-        """[h_0, ..., h_{m-1}] with h_i = g(h_{i+1 mod m}), h_0 the word's point."""
-        forward = self.forward_g_orbit(word)
-        return [forward[0], *forward[-2:0:-1]]
+            self._periodic_words[word] = record
+        return record
 
     # -- coding -------------------------------------------------------------
 

@@ -56,7 +56,8 @@ def cold_memos():
 
     The CLI keeps its PrimeContext per (p, N, g), its MapParams per (a, b)
     text, with the fixed points and the repeller geometry (cylinder centres,
-    k-periodic points, forward g-orbits) each pair keeps, and its
+    one record per periodic word: its k-periodic point and checked forward
+    g-orbit) each pair keeps, and its
     Couplings per (J, J1, J0) text, with the exp_p values, edge units, solved
     u's and pair each keeps, per process; a test that counts or
     monkeypatches solver or map calls must see the cold path.

@@ -15,8 +15,10 @@ fixed points x0, x1 and x2 that call printed and at a few points that are not
 fixed; `classify` and `orbit` at the first two of those fixed points spelled
 oddly (spaces, a trailing comma, a leading 0 digit, a digit p), so that both
 of `parse_padic`'s ways to read a digit literal are compared; `lemmas`;
-`periodic --map k|g` for every word of up to 7 symbols; `itinerary` from
-the periodic points of the short words and from a few other points;
+`periodic --map k|g` for every word of up to 7 symbols, and, digested apart
+as `periodic long`, for four words of each length 10 to 13, on both sides of
+the bound on the words the repeller geometry keeps; `itinerary` from the
+periodic points of the short words and from a few other points;
 `cylinders` at depths 0 to 7 and 13.  Then at p = 5: `gibbs solve`
 and `gibbs verify --source solve|unit` at k, n <= 3, J0 = 0 and J0 != 0, at
 the same four N, and `gibbs periodic`, with and without --diagonal.  The name
@@ -27,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -36,6 +39,7 @@ from pathlib import Path
 PAIRS = ((13, 170, 14), (5, 26, 6), (13, 2198, 170), (17, 290, 18))
 PRECISIONS = (64, 128, 20, 12)
 MAX_WORD = 7
+LONG_WORDS = tuple(range(10, 14))    # lengths of the periodic long words
 ITINERARY_WORD = 3               # itineraries from the points of words this short
 ITINERARY_STARTS = ("0", "1/1", "-1/1", "2/3")
 POINT_STARTS = ("0", "1/1", "2/3")   # classify, basin and orbit beside x0, x1, x2
@@ -66,6 +70,18 @@ def odd_spellings(text: str, p: int) -> list[str]:
 def words(longest: int) -> list[str]:
     return [",".join(map(str, w)) for n in range(1, longest + 1)
             for w in product((1, 2), repeat=n)]
+
+
+def long_words() -> list[str]:
+    """Four words of each length in LONG_WORDS: alternating, all 2 but a last
+    1, and two drawn by a generator seeded with the length."""
+    out = []
+    for n in LONG_WORDS:
+        rng = random.Random(n)
+        drawn = [[rng.choice((1, 2)) for _ in range(n)] for _ in range(2)]
+        for w in [((1, 2) * n)[:n], (2,) * (n - 1) + (1,), *drawn]:
+            out.append(",".join(map(str, w)))
+    return out
 
 
 def call(run, argv: list[str]) -> tuple[int, str, str]:
@@ -106,6 +122,8 @@ def grid(last: dict):
                 n = word.count(",") + 1
                 if kind == "k" and n <= ITINERARY_WORD and last["code"] == 0:
                     points.append((n, literal(json.loads(last["out"])["point"])))
+        for word, kind in product(long_words(), ("k", "g")):
+            yield "periodic long", ["periodic", *pair, "--word", word, "--map", kind]
         points += [(2, x) for x in ITINERARY_STARTS]
         for n, x in points:
             for length in (2 * n, 40):

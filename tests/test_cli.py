@@ -848,11 +848,11 @@ class TestDynamics:
 
     def test_periodic_g_runs_one_forward_orbit(self, capsys, monkeypatch):
         # the sign check and the residuals of both maps read one g-orbit: a
-        # kept word runs its 5 g-steps once and no k forward pass at all
+        # kept word runs its 5 g-steps once, at its solve, and no k forward
+        # pass at all
         word = (1, 2, 2, 1, 2)
         argv = ["periodic", *STRICT, "--word", "1,2,2,1,2"]
         geom = cli._pair(13, 64, 8, "170/1", "14/1").geometry
-        point = geom.periodic_point_k(word)  # the solve, which steps k
         g_steps, k_steps = [], []
 
         def counted(steps, step):
@@ -864,6 +864,9 @@ class TestDynamics:
         for module in (symbolic, cli):
             monkeypatch.setattr(module, "eval_g", counted(g_steps, eval_g))
             monkeypatch.setattr(module, "eval_k", counted(k_steps, eval_k))
+        point = geom.periodic_point_k(word)  # the solve, which steps k
+        assert len(g_steps) == 5
+        del k_steps[:]
         code, body = invoke(capsys, [*argv, "--map", "k"])
         assert code == 0 and body["point"] == to_json(point)
         assert len(g_steps) == 5 and k_steps == []

@@ -23,7 +23,6 @@ from padicdyn import (
     find_x0,
     in_Ep,
     norm_diff,
-    quadratic_coeffs,
     repelling_roots,
     sqrt_both,
     sqrt_exists,
@@ -34,6 +33,16 @@ from padicdyn.cli import run
 from padicdyn.padic import converge
 from test_maps import deriv_g
 from conftest import acceptance_params, strict_params
+
+
+def quadratic_coeffs(params, x0):
+    """(B, C) of x^2 + Bx + C = 0, the non-E_p fixed points: B = x0 - ab^2
+    and C = a/x0, which the factoring identity a/x0 = x0^2 - ab^2 x0 + b^2
+    ties to x0."""
+    a, b2 = params.a, params.b2
+    B, C = x0 - a * b2, a / x0
+    assert eq_to_precision(C, x0 * x0 - a * b2 * x0 + b2, params.ctx.residual_digits)
+    return B, C
 
 
 class TestX0:

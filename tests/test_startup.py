@@ -30,8 +30,7 @@ EXPORTS = (
     "diff_valuation", "discriminant", "eq_to_precision", "errors", "eval_f",
     "eval_g", "eval_k", "exp_p", "find_x0", "fixedpoints", "gibbs", "in_Ep",
     "is_unit", "k_membership", "log_p", "maps", "norm_diff", "norm_str", "padic",
-    "parse_padic", "partition_fn", "periodic_field_from_orbit", "quadratic_coeffs",
-    "repelling_roots", "solve_7_11", "sqrt_both", "sqrt_exists", "symbolic",
+    "parse_padic", "partition_fn", "periodic_field_from_orbit", "repelling_roots", "solve_7_11", "sqrt_both", "sqrt_exists", "symbolic",
     "to_json", "verify_lemma_3_4",
 )
 

@@ -26,6 +26,8 @@ CONFTEST = Path(__file__).resolve().parent / "conftest.py"
 KEEP = {
     "log_p": "acceptance criterion 1: exp_p and log_p are mutually inverse",
     "partition_fn": "Z_n normalises mu_h^(n), and ROADMAP item 4 reads ord_p Z_n",
+    "norm_diff": "acceptance criteria 6 and 7: k scales |x - y|_p by 1/r on the "
+                 "repeller balls, and the coding is an isometry",
 }
 
 # public methods and properties of exported classes that no module calls,
@@ -33,6 +35,8 @@ KEEP = {
 KEEP_MEMBERS = {
     "RepellerGeometry.subshift_metric":
         "acceptance criterion 7: the shift coding is an isometry",
+    "RepellerGeometry.periodic_point_k":
+        "acceptance criterion 7: each word codes one k-periodic point",
     "RepellerGeometry.incidence_matrix":
         "the repeller is coded by the full 2-shift (ROADMAP item 8)",
     "GibbsField.with_component":

@@ -459,9 +459,9 @@ class TestNewtonAgainstInverseBranches:
 
         monkeypatch.setattr(RepellerGeometry, "inverse_branch", counted_branch)
         monkeypatch.setattr(symbolic, "eval_k_slope", counted_k)
-        assert geom._periodic_points == {}  # the cold solve
+        assert geom._periodic_words == {}  # the cold solve
         point = geom.periodic_point_k((1, 2, 2, 1, 2))
-        assert list(geom._periodic_points) == [(1, 2, 2, 1, 2)]
+        assert list(geom._periodic_words) == [(1, 2, 2, 1, 2)]
         assert geom.periodic_point_k((1, 2, 2, 1, 2)) is point
         assert branches == [2, 1, 2, 2, 1]
         assert 0 < len(k_steps) <= 50
@@ -474,15 +474,15 @@ def fresh_geometry(params):
 
 
 class TestPeriodicMemo:
-    """The geometry keeps the k-periodic point of each word it solved, and
-    the forward orbits run from it."""
+    """The geometry keeps one record per word it solved: the k-periodic
+    point and the checked forward g-orbit run from it."""
 
     def test_cold_warm_and_uncached_agree(self, geom):
         word = (1, 2, 2)
         cold = geom.periodic_point_k(word)
         warm = geom.periodic_point_k(word)
         assert warm is cold
-        assert list(geom._periodic_points) == [word]
+        assert list(geom._periodic_words) == [word]
         uncached = fresh_geometry(geom.params).periodic_point_k(word)
         precision = geom.params.ctx.precision
         assert cold.valuation == uncached.valuation
@@ -515,7 +515,7 @@ class TestPeriodicMemo:
 
     def test_list_and_tuple_share_an_entry(self, geom):
         assert geom.periodic_point_k([1, 2]) is geom.periodic_point_k((1, 2))
-        assert list(geom._periodic_points) == [(1, 2)]
+        assert list(geom._periodic_words) == [(1, 2)]
 
     def test_errors_are_raised_on_every_call(self, geom, monkeypatch):
         for word in ((), (1, 3), [0]):
@@ -531,7 +531,7 @@ class TestPeriodicMemo:
         for _ in range(2):
             with pytest.raises(NoConvergence):
                 geom.periodic_point_k((1, 2))
-        assert geom._periodic_points == {}
+        assert geom._periodic_words == {}
         monkeypatch.undo()
         assert geom.periodic_point_k((1, 2)) == \
             fresh_geometry(geom.params).periodic_point_k((1, 2))
@@ -546,7 +546,7 @@ class TestPeriodicMemo:
         high = RepellerGeometry.build(acceptance_params(128))
         x_low, x_high = low.periodic_point_k((1, 2)), high.periodic_point_k((1, 2))
         assert low is not high
-        assert list(low._periodic_points) == list(high._periodic_points) == [(1, 2)]
+        assert list(low._periodic_words) == list(high._periodic_words) == [(1, 2)]
         assert low.periodic_point_k((1, 2)) is x_low
         assert high.periodic_point_k((1, 2)) is x_high
         assert x_high.ctx.precision == 128
@@ -574,13 +574,13 @@ class TestPeriodicMemo:
         del k_steps[:]
         assert geom.periodic_point_k(long_word) == solved
         assert k_steps
-        assert list(geom._periodic_points) == [kept]
+        assert list(geom._periodic_words) == [kept]
         monkeypatch.undo()
         assert solved == fresh_geometry(geom.params).periodic_point_k(long_word)
         # the points live and die with their geometry, which its pair keeps:
         # an equal pair built apart starts over
         rebuilt = RepellerGeometry.build(acceptance_params())
-        assert rebuilt is not geom and rebuilt._periodic_points == {}
+        assert rebuilt is not geom and rebuilt._periodic_words == {}
 
 
 class TestPeriodicPointGSign:
@@ -605,17 +605,20 @@ class TestPeriodicPointGSign:
     def test_one_forward_orbit_per_word(self, precision, monkeypatch):
         # below N = 64 the length-7 word keeps no trusted digit and the g-check
         # is skipped; at each N a kept word runs its |w| g-steps once per
-        # geometry, and k^n(x) is the square of their end: no k pass runs
+        # geometry, at the first reader, and k^n(x) is the square of their
+        # end: no k pass runs
         geom = self.geom_at(precision)
         word = (1, 2, 2, 1, 1, 2, 1)
         assert (geom._orbit_digits(len(word)) > 0) is (precision == 64)
-        point = geom.periodic_point_k(word)
         g_steps = count_calls(monkeypatch, "eval_g")
+        point = geom.periodic_point_k(word)  # the solve runs the g-steps
+        assert len(g_steps) == len(word)
+        del g_steps[:]
         k_steps = count_calls(monkeypatch, "eval_k")
         ends = geom.forward_k_ends(word)
         forward = geom.forward_g_orbit(word)
-        assert len(g_steps) == len(word) and len(forward) == len(word) + 1
-        assert k_steps == []
+        assert len(forward) == len(word) + 1
+        assert g_steps == [] and k_steps == []
         for x, image in zip(forward, forward[1:]):
             assert eval_g(geom.params, x) == image
         # the n steps of k, kept here as the oracle of k^n(x)
@@ -629,34 +632,38 @@ class TestPeriodicPointGSign:
         assert geom.g_orbit(word) == [forward[0], *forward[-2:0:-1]]
         assert g_steps == [] and k_steps == []
         # a 12-symbol word is not kept: it is solved, and its g-orbit run, on
-        # every call.  Each solve steps k in the inverse branches' round trips
-        # only, the same number of times once the tree holds its centres
+        # every call of every reader.  Each solve steps k in the inverse
+        # branches' round trips only, the same number of times once the tree
+        # holds its centres
         long_word = (2, 1) * 6
         assert len(long_word) == symbolic.MAX_CYLINDER_DEPTH
         geom.forward_k_ends(long_word)
         del k_steps[:]
-        geom.periodic_point_k(long_word)
+        geom.forward_k_ends(long_word)
         solve = len(k_steps)
-        for forward_pass in (geom.forward_k_ends, geom.forward_g_orbit) * 2:
+        for reader in (geom.periodic_point_k, geom.forward_k_ends,
+                       geom.forward_g_orbit) * 2:
             del k_steps[:], g_steps[:]
-            forward_pass(long_word)
+            reader(long_word)
             assert len(k_steps) == solve and len(g_steps) == len(long_word)
-        assert list(geom._periodic_points) == list(geom._g_orbits) == [word]
+        assert list(geom._periodic_words) == [word]
 
     def test_forward_check_kept_where_digits_remain(self, geom, monkeypatch):
         # an orbit that returns to the other sign fails the check, on every
-        # call and for both maps: the word is dropped, point included, and
-        # nothing is kept
+        # call and for every reader, the point alone included: nothing is
+        # kept, and once the check passes the next call solves again
         word = (1, 2, 2)
         monkeypatch.setattr(symbolic, "eval_g", lambda params, x: -eval_g(params, x))
-        for forward in (geom.forward_g_orbit, geom.forward_g_orbit, geom.g_orbit,
-                        geom.forward_k_ends):
+        for reader in (geom.periodic_point_k, geom.periodic_point_k,
+                       geom.forward_g_orbit, geom.g_orbit, geom.forward_k_ends):
             with pytest.raises(VerificationError):
-                forward(word)
-            assert geom._periodic_points == geom._g_orbits == {}
+                reader(word)
+            assert geom._periodic_words == {}
         monkeypatch.undo()
-        assert geom.forward_g_orbit(word) == \
-            fresh_geometry(geom.params).forward_g_orbit(word)
+        k_steps = count_calls(monkeypatch, "eval_k_slope")
+        forward = geom.forward_g_orbit(word)
+        assert k_steps and list(geom._periodic_words) == [word]
+        assert forward == fresh_geometry(geom.params).forward_g_orbit(word)
 
 
 def count_calls(monkeypatch, name):
@@ -844,11 +851,11 @@ class TestCylinderTree:
     def test_cylinders_hold_every_newton_start(self, geom, monkeypatch):
         geom.julia_cylinders(6)
         calls = count_branches(monkeypatch)
-        assert geom._periodic_points == {}  # every word is solved below
+        assert geom._periodic_words == {}  # every word is solved below
         for length in range(1, 6):
             for word in all_words(length):
                 geom.periodic_point_k(word)
-        assert len(geom._periodic_points) == 2 ** 6 - 2
+        assert len(geom._periodic_words) == 2 ** 6 - 2
         assert calls == []
 
     def test_cylinders_compose_only_the_missing_centres(self, geom, monkeypatch):
