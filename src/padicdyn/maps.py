@@ -183,3 +183,27 @@ def eval_k_slope(params: MapParams, x: PadicNumber) -> tuple[PadicNumber, PadicN
     slope = _times(ctx, _times(ctx, root, (factor.valuation, factor.unit)),
                    _times(ctx, inv, inv))
     return PadicNumber(ctx, *_times(ctx, root, root)), PadicNumber(ctx, *slope)
+
+
+def _k_ratio_step(params: MapParams, X: int, Z: int) -> tuple[int, int]:
+    """k on the repeller balls in homogeneous coordinates, as plain integers:
+    x = X/Z with X, Z units mod p^N goes to k(x) = X'/Z', again units, with
+
+        X' = (a (b^2 X + Z) / p^m)^2,  Z' = ((b^2 Z + X) / p^m)^2  mod p^N,
+
+    m = ord(b - 1).  On B_r(x_j^2) both b^2 + x and b^2 x + 1 have order
+    exactly m (Lemma 3.4 (iii), |x_j^2 + b^2|_p = r, and g(x_j) = x_j), so
+    k(x) is a quotient of two units and no inverse is taken.  Each step
+    keeps m fewer digits of the quotient, as eval_k's does.  A sum that p^m
+    does not divide exactly, or that p^(m+1) divides, raises
+    PrecisionExhausted: x is then off the balls at the digits kept.
+    """
+    ctx, m = params.ctx, params.radius_exponent
+    pN, pm, b2 = ctx.modulus, ctx._powers[m], params.b2.unit
+    num, num_rest = divmod((b2 * X + Z) % pN, pm)
+    den, den_rest = divmod((b2 * Z + X) % pN, pm)
+    if num_rest or den_rest or not num % ctx.p or not den % ctx.p:
+        raise PrecisionExhausted(f"b^2 + x or b^2 x + 1 is not of order m = {m}: "
+                                 "x is off the repeller balls at the digits kept")
+    root = params.a.unit * num % pN
+    return root * root % pN, den * den % pN

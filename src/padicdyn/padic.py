@@ -553,6 +553,22 @@ class Ball(_Immutable):
         # |x - c|_p = p^-dv against radius p^re
         return dv is None or dv > -self.radius_exponent
 
+    def contains_ratio(self, X: int, Z: int) -> bool:
+        """Whether x = X/Z lies inside, X and Z integers mod p^N, Z prime to p.
+
+        x - c = (X - cZ)/Z and Z is a unit, so x is inside exactly when
+        ord(X - cZ) > -radius_exponent, read on the residue mod p^N without
+        dividing by Z.
+        """
+        center, digits = self.center, 1 - self.radius_exponent
+        ctx, v = center.ctx, center.valuation
+        if v is not None and v < 0:  # ord(X - cZ) = v
+            return v >= digits
+        if digits <= 0:
+            return True
+        rest = X if v is None else X - center.unit * ctx._powers[min(v, ctx.precision)] * Z
+        return not rest % ctx._powers[min(digits, ctx.precision)]
+
     def to_json(self) -> dict:
         return {
             "center": to_json(self.center),

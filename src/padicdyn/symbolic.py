@@ -21,7 +21,7 @@ from .errors import (
     VerificationError,
 )
 from .fixedpoints import find_x0
-from .maps import MapParams, eval_g, eval_k, eval_k_slope
+from .maps import MapParams, _k_ratio_step, eval_g, eval_k, eval_k_slope
 from .padic import (
     Ball,
     PadicNumber,
@@ -370,25 +370,35 @@ class RepellerGeometry(_Immutable):
     def itinerary(self, x: PadicNumber, length: int) -> Word:
         """The first `length` k-symbols of x.
 
-        Each k-step spends m of the N - g trusted digits, so the symbols of
-        steps 0..T, T = params.trusted_steps, are decided and no later one
-        is: asking for step T + 1 raises PrecisionExhausted, whether or not
-        that iterate lies in X, unless the orbit escaped X before it.
+        The symbol of step j is the ball of X that holds k^j(x), read on its
+        first m + 1 digits, m = ord(b - 1).  Each k-step spends m digits:
+        k^j(x) keeps N - jm of x's N, and at most T = params.trusted_steps
+        steps fit in the N - g trusted digits.  So step j is decided when
+        j <= T and N - jm >= m + 1, and no later one is: asking for the
+        first step past that raises PrecisionExhausted, whether or not that
+        iterate lies in X, unless the orbit escaped X before it.
+
+        Past step 0 the orbit runs as a fraction X/Z of two units
+        (maps._k_ratio_step), so no step takes an inverse.
         """
         if length < 0:
             raise DomainError("length must be >= 0")
-        out, current = [], x
-        budget = self.params.trusted_steps
+        params = self.params
+        m = params.radius_exponent
+        budget = min(params.trusted_steps, (params.ctx.precision - m - 1) // m)
+        ball1, ball2 = self.balls_sq
+        out, j, X, Z = [], self.in_X(x), x.unit, 1
         for step in range(length):
             if step > budget:
                 raise PrecisionExhausted(
                     f"step {step} is past the digit budget of {budget} steps")
-            j = self.in_X(current)
+            if step:
+                X, Z = _k_ratio_step(params, X, Z)
+                j = (1 if ball1.contains_ratio(X, Z) else
+                     2 if ball2.contains_ratio(X, Z) else None)
             if j is None:
                 raise EscapeError(step)
             out.append(j)
-            if step + 1 < length:
-                current = eval_k(self.params, current)
         return tuple(out)
 
     def subshift_metric(self, word_a: Word, word_b: Word) -> Fraction:

@@ -2,6 +2,7 @@
 import argparse
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import padicdyn
 from padicdyn import (
+    DomainError,
     MapParams,
     PrimeContext,
     RepellerGeometry,
@@ -827,6 +829,19 @@ class TestDynamics:
         assert code == 2
         assert capsys.readouterr().err.startswith("precision error: ")
 
+    def test_itinerary_step_without_its_symbol_digits_exits_2(self, capsys):
+        # m = 8 = g: step (N - g) // m = 7 keeps 8 digits of k^7(x), one fewer
+        # than its symbol reads; at N = 128 and 256 the orbit escapes there
+        argv = ["itinerary", "--p", "13", "--a", "3138931814409/1", "--b", "8157307211/1",
+                "--x", "0;12,12,12,12,12,12,12,12,3,9,10,10,3,9,10,10,4,9,12,7,5,11,8,9,"
+                "6,11,11,7,3,12,12,2,0,10,11,7,3,6,1,8,2,3,3,12,3,6,3,0,8,3,12,12,"
+                "10,8,8,5,6,8,5,3,5,3,2,8", "--length", "8"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("precision error: step 7 ")
+        for precision in ("128", "256"):
+            assert run([*argv, "--precision", precision]) == 1
+            assert capsys.readouterr().err == "domain error: orbit escaped at step 7\n"
+
     def test_periodic_non_strict_exits_1(self, capsys):
         code = run(["periodic", "--p", "13", "--a", "14/1", "--b", "14/1",
                     "--word", "1"])
@@ -900,6 +915,49 @@ class TestDynamics:
         code, body = invoke(capsys, ["lemmas", *STRICT, "--samples", "20"])
         assert code == 0
         assert body["scaling_identity"]["all_hold"]
+
+    @pytest.mark.parametrize("precision", [12, 20, 64, 128])
+    @pytest.mark.parametrize("p, a, b", [(13, 170, 14), (5, 26, 6), (13, 2198, 170),
+                                         (17, 290, 18), (13, 1 + 296 * 13 ** 9, 1 + 10 * 13 ** 8)])
+    def test_lemmas_scaling_against_oracle(self, capsys, p, a, b, precision):
+        # the sample reads k on fractions of units; the oracle reads it by
+        # eval_k, with the same seeded points
+        argv = ["lemmas", "--p", str(p), "--a", f"{a}/1", "--b", f"{b}/1",
+                "--precision", str(precision), "--samples", "60"]
+        ctx = PrimeContext(p, precision)
+        try:
+            params = MapParams(ctx.from_int(a), ctx.from_int(b))
+        except DomainError:  # m > N - g: the m = 8 pair at N = 12
+            params = None
+        for seed in (0, 7, 11):
+            code, body = invoke(capsys, [*argv, "--seed", str(seed)])
+            if params is None:
+                assert code == 1
+            else:
+                assert code == 0
+                assert body["scaling_identity"] == oracle_scaling(params, 60, seed)
+
+
+def oracle_scaling(params, samples, seed):
+    """lemmas' scaling sample with k by eval_k, one inverse and one
+    PadicNumber per image (the loop the CLI ran before its steps became
+    fractions of units), kept as its oracle."""
+    geom = RepellerGeometry.build(params)
+    rng, ctx, m = random.Random(seed), params.ctx, params.radius_exponent
+
+    def in_ball_point(center):
+        t = rng.randrange(1, ctx.p ** 6)
+        j = m + 1 + rng.randrange(3)
+        return center + ctx.from_int(t * ctx.p ** j)
+
+    holds = 0
+    for _ in range(samples):
+        center = geom.center_sq(rng.choice((1, 2)))
+        x, y = in_ball_point(center), in_ball_point(center)
+        image = diff_valuation(eval_k(params, x), eval_k(params, y))
+        if (None if image is None else image + m) == diff_valuation(x, y):
+            holds += 1
+    return {"samples": samples, "holds": holds, "all_hold": holds == samples}
 
 
 class TestGibbs:

@@ -8,6 +8,7 @@ import pytest
 from padicdyn import (
     DomainError,
     MapParams,
+    PadicNumber,
     PoleError,
     PrecisionExhausted,
     PrimeContext,
@@ -20,7 +21,7 @@ from padicdyn import (
     sqrt_both,
     sqrt_exists,
 )
-from padicdyn.maps import eval_g_slope, eval_k_slope
+from padicdyn.maps import _k_ratio_step, eval_g_slope, eval_k_slope
 from conftest import random_padic, strict_params
 
 
@@ -361,3 +362,101 @@ class TestKernelsAgainstComposition:
                     seen[kind(want)] += 1
         assert set(seen) == {"value", "zero", (PoleError, None),
                              (PoleError, PrecisionExhausted), (PrecisionExhausted, None)}
+
+
+# the four pairs of tests/output_grid.py and one with m = ord(b - 1) = 8
+RATIO_PAIRS = [(13, 170, 14), (5, 26, 6), (13, 2198, 170), (17, 290, 18),
+               (13, 1 + 296 * 13 ** 9, 1 + 10 * 13 ** 8)]
+
+
+def ratio_cases():
+    """(params, rng) for each pair at N = 12, 20, 64 and 128, where
+    MapParams accepts it."""
+    for p, a, b in RATIO_PAIRS:
+        for precision in (12, 20, 64, 128):
+            ctx = PrimeContext(p, precision)
+            try:
+                params = MapParams(ctx.from_int(a), ctx.from_int(b))
+            except DomainError:  # m > N - g
+                continue
+            yield params, random.Random(precision * 1000 + a % 997)
+
+
+def ball_points(params, rng, count):
+    """Seeded points of the two repeller balls B_r(x_j^2), r = p^-m, some
+    within p^-e of each other for e up to N + 1."""
+    ctx, m = params.ctx, params.radius_exponent
+    _, _, (x1, x2) = params.fixed_points
+    out = []
+    for _ in range(count):
+        center = rng.choice((x1, x2))
+        x = center * center + ctx.from_int(rng.randrange(1, ctx.modulus)) * ctx.p ** (
+            m + 1 + rng.randrange(m + 2))
+        near = ctx.from_int(rng.randrange(1, ctx.p)) * ctx.p ** rng.randrange(m + 1, ctx.precision + 2)
+        out.append((x, x + near))
+    return out
+
+
+class TestKRatioStep:
+    """maps._k_ratio_step, k on the repeller balls as a fraction of two units,
+    against eval_k, which takes one inverse and builds a PadicNumber."""
+
+    def test_one_step_is_eval_k_digit_for_digit(self):
+        cases = 0
+        for params, rng in ratio_cases():
+            M = params.ctx.modulus
+            for x, y in ball_points(params, rng, 40):
+                for point in (x, y):
+                    X, Z = _k_ratio_step(params, point.unit, 1)
+                    image = eval_k(params, point)
+                    assert image.valuation == 0 and X % params.ctx.p and Z % params.ctx.p
+                    assert X == image.unit * Z % M
+                    cases += 1
+        assert cases == 2 * 40 * 19  # the m = 8 pair is refused at N = 12
+
+    def test_iterates_keep_n_minus_jm_digits(self):
+        # from x = X/1 the j-th fraction agrees with the j-th eval_k iterate
+        # in the N - jm digits both keep, for as long as the orbit stays on
+        # the balls: periodic points stay for every step, ball points escape
+        steps = Counter()
+        for params, rng in ratio_cases():
+            ctx, m, geom = params.ctx, params.radius_exponent, params.geometry
+            starts = [geom.periodic_point_k(word) for word in ((1, 2), (2, 2, 1))]
+            starts += [x for x, _ in ball_points(params, rng, 10)]
+            for x in starts:
+                X, Z, image = x.unit, 1, x
+                for j in range(1, (ctx.precision - 1) // m):
+                    X, Z = _k_ratio_step(params, X, Z)
+                    image = eval_k(params, image)
+                    assert eq_to_precision(ctx.from_int(X) / ctx.from_int(Z), image,
+                                           ctx.precision - j * m)
+                    steps[j] += 1
+                    if geom.in_X(image) is None:
+                        break
+        assert max(steps) >= 126
+
+    def test_image_difference_has_the_order_of_the_cross_product(self):
+        # lemmas' scaling sample: ord(k(x) - k(y)) = ord(X Z' - X' Z), and a
+        # pair indistinguishable at N stays so
+        seen = set()
+        for params, rng in ratio_cases():
+            ctx, M = params.ctx, params.ctx.modulus
+            for x, y in ball_points(params, rng, 40):
+                (X, Z), (X2, Z2) = (_k_ratio_step(params, x.unit, 1),
+                                    _k_ratio_step(params, y.unit, 1))
+                got = diff_valuation(PadicNumber(ctx, 0, X * Z2 % M),
+                                     PadicNumber(ctx, 0, X2 * Z % M))
+                want = diff_valuation(eval_k(params, x), eval_k(params, y))
+                assert got == want
+                seen.add(want is None)
+        assert seen == {True, False}
+
+    def test_off_the_balls_it_raises(self):
+        # b^2 + x of order 0 at x0 and 1, and of order m + 1 at -b^2 + p^(m+1)
+        for params, _ in ratio_cases():
+            ctx, m = params.ctx, params.radius_exponent
+            x0 = params.fixed_points[0]
+            deep = -params.b2 + ctx.from_int(ctx.p) ** (m + 1)
+            for x in (x0, ctx.one(), deep):
+                with pytest.raises(PrecisionExhausted):
+                    _k_ratio_step(params, x.unit, 1)

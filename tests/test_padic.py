@@ -577,6 +577,31 @@ class TestBall:
         assert Ball(c, -1).contains(c)
         assert Ball(c, 0).to_json()["closed"] is False
 
+    def test_contains_ratio_is_contains_of_the_quotient(self, ctx, rng):
+        # X/Z for integers X, Z mod p^N, Z prime to p, against contains on
+        # the quotient: centres zero, of negative and positive valuation, and
+        # X within p^-e of c Z for e on both sides of every radius.  X and Z
+        # hold N digits from p^0 up, so radii reach down to p^(1 - N): below,
+        # the quotient's own digits past p^N would decide
+        N, p = ctx.precision, ctx.p
+        centers = [ctx.zero()] + [random_padic(ctx, rng, vmin=-3, vmax=5) for _ in range(6)]
+        seen = set()
+        for c in centers:
+            for _ in range(40):
+                Z = rng.randrange(1, ctx.modulus)
+                while Z % p == 0:
+                    Z = rng.randrange(1, ctx.modulus)
+                e = rng.randrange(0, N + 1)
+                cZ = 0 if c.is_zero or c.valuation < 0 else c.unit * p ** c.valuation * Z
+                X = (cZ + rng.randrange(ctx.modulus) * p ** e) % ctx.modulus
+                x = ctx.from_int(X) / ctx.from_int(Z)
+                for radius_exponent in {max(r, 1 - N) for r in (-e - 1, -e, -e + 1, 0, 1, 3)}:
+                    ball = Ball(c, radius_exponent)
+                    want = ball.contains(x)
+                    assert ball.contains_ratio(X, Z) is want, (c, X, Z, radius_exponent)
+                    seen.add(want)
+        assert seen == {True, False}
+
 
 class TestNormStr:
     def test_renders_the_order(self):

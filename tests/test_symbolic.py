@@ -28,6 +28,7 @@ from padicdyn import (
     find_x0,
     k_membership,
     norm_diff,
+    parse_padic,
 )
 from padicdyn import symbolic
 from padicdyn.maps import eval_k_slope
@@ -732,8 +733,30 @@ def replay_itinerary(geom, x, length):
         return ("escape", exc.step)
 
 
+def decided_steps(params):
+    """The last step whose symbol itinerary decides: step j spends jm of the
+    N - g trusted digits, and its symbol reads m + 1 digits of k^j(x), which
+    keeps N - jm of x's N."""
+    ctx, m = params.ctx, params.radius_exponent
+    return max(j for j in range(ctx.precision)
+               if j * m <= ctx.residual_digits and ctx.precision - j * m >= m + 1)
+
+
+# pairs with m = ord(b - 1) = 8 and 16 at p = 13: m >= g, where (N - g) // m
+# steps leave fewer than the m + 1 digits a symbol reads
+M8 = (13, 1 + 296 * 13 ** 9, 1 + 10 * 13 ** 8)
+M16 = (13, 1 + 296 * 13 ** 17, 1 + 10 * 13 ** 16)
+
+
+def geom_of(p, a, b, precision):
+    ctx = PrimeContext(p, precision)
+    return RepellerGeometry.build(MapParams(ctx.from_int(a), ctx.from_int(b)))
+
+
 class TestItineraryBudget:
-    """itinerary answers only within its digit budget T = (N - g) // m.
+    """itinerary answers only within its digit budget T, the last step j with
+    jm <= N - g and N - jm >= m + 1 (decided_steps); below m = g that is
+    (N - g) // m.
 
     The periodic point x of every word of length <= 4 is asked for T - 2 to
     T + 8 symbols at N = 64, and the same 64 digits are replayed at N = 256,
@@ -741,16 +764,16 @@ class TestItineraryBudget:
     replay's, or PrecisionExhausted, which every length past T + 1 raises.
     """
 
-    @pytest.mark.parametrize("p, a, b", [(13, 170, 14), (5, 26, 6), (13, 2198, 170)])
+    @pytest.mark.parametrize("p, a, b", [(13, 170, 14), (5, 26, 6), (13, 2198, 170), M8, M16])
     def test_answers_match_the_4n_replay(self, p, a, b):
-        def geom_at(precision):
-            ctx = PrimeContext(p, precision)
-            return RepellerGeometry.build(MapParams(ctx.from_int(a), ctx.from_int(b)))
-
-        geom, wide = geom_at(64), geom_at(256)
-        budget = geom.params.trusted_steps
-        lengths = range(budget - 2, budget + 9)
-        assert wide.params.trusted_steps > lengths[-1]
+        geom, wide = geom_of(p, a, b, 64), geom_of(p, a, b, 256)
+        budget = decided_steps(geom.params)
+        m = geom.params.radius_exponent
+        # below m = g the budget is (N - g) // m; at m = 8 and 16 step
+        # (N - g) // m keeps m digits of k^j(x), one fewer than its symbol reads
+        assert budget == geom.params.trusted_steps - (m >= geom.params.ctx.guard)
+        lengths = range(max(budget - 2, 0), budget + 9)
+        assert decided_steps(wide.params) > lengths[-1]
         answered = exhausted = 0
         for n in range(1, 5):
             for word in all_words(n):
@@ -772,6 +795,90 @@ class TestItineraryBudget:
                     assert length <= budget + 1
                     answered += 1
         assert answered and exhausted
+
+    def test_step_without_its_symbol_digits_is_refused(self):
+        # at m = 8 = g, (N - g) // m = 7 steps leave 8 digits of k^7(x); the
+        # symbol of step 7 reads 9.  Read from those 8 digits, step 7 of this
+        # deep cylinder point looks like ball 2, where N = 128 and 256 see the
+        # orbit escape there
+        x = ("0;12,12,12,12,12,12,12,12,3,9,10,10,3,9,10,10,4,9,12,7,5,11,8,9,"
+             "6,11,11,7,3,12,12,2,0,10,11,7,3,6,1,8,2,3,3,12,3,6,3,0,8,3,12,12,"
+             "10,8,8,5,6,8,5,3,5,3,2,8")
+        geom = geom_of(*M8, 64)
+        point = parse_padic(x, geom.params.ctx)
+        assert geom.itinerary(point, 7) == (1, 1, 1, 1, 2, 2, 2)
+        with pytest.raises(PrecisionExhausted):
+            geom.itinerary(point, 8)
+        for precision in (128, 256):
+            wide = geom_of(*M8, precision)
+            wide_x = wide.params.ctx.from_digits(point.valuation, point.digits())
+            assert replay_itinerary(wide, wide_x, 8) == ("escape", 7)
+            assert wide.itinerary(wide_x, 7) == (1, 1, 1, 1, 2, 2, 2)
+
+
+def oracle_itinerary(geom, x, length):
+    """The itinerary by eval_k and in_X, one inverse and one PadicNumber per
+    step (the loop itinerary ran before its steps became fractions of
+    units), under the same digit budget, kept as its oracle."""
+    budget = decided_steps(geom.params)
+    out, current = [], x
+    for step in range(length):
+        if step > budget:
+            raise PrecisionExhausted(f"step {step}")
+        j = geom.in_X(current)
+        if j is None:
+            raise EscapeError(step)
+        out.append(j)
+        if step + 1 < length:
+            current = eval_k(geom.params, current)
+    return tuple(out)
+
+
+def outcome(itinerary, geom, x, length):
+    try:
+        return itinerary(geom, x, length)
+    except EscapeError as exc:
+        return ("escape", exc.step)
+    except PrecisionExhausted:
+        return "exhausted"
+
+
+# the four grid pairs of tests/output_grid.py and the m = 8 pair
+ORACLE_PAIRS = [(13, 170, 14), (5, 26, 6), (13, 2198, 170), (17, 290, 18), M8]
+
+
+class TestItineraryAgainstOracle:
+    """itinerary on fractions of units answers as the eval_k loop does: the
+    periodic points of every word of length <= 5 and seeded points of the
+    depth-1 to depth-3 cylinders, most of which escape, for T - 2 to T + 2
+    symbols (T = decided_steps), at N = 12, 20, 64 and 128.  A pair that
+    leaves no digit at some N (m > N - g) is refused there."""
+
+    @pytest.mark.parametrize("precision", [12, 20, 64, 128])
+    @pytest.mark.parametrize("p, a, b", ORACLE_PAIRS)
+    def test_same_answers(self, p, a, b, precision):
+        try:
+            geom = geom_of(p, a, b, precision)
+        except DomainError:
+            assert (p, a, b) == M8 and precision == 12
+            return
+        ctx, m = geom.params.ctx, geom.params.radius_exponent
+        rng = random.Random(precision * 1000 + p * 7 + m)
+        points = [geom.periodic_point_k(word)
+                  for n in range(1, 6) for word in all_words(n)]
+        for depth in (1, 2, 3):
+            for _, ball in geom.julia_cylinders(depth):
+                shift = depth * m + 1 + rng.randrange(2 * m + 1)
+                points.append(ball.center + ctx.from_int(rng.randrange(1, ctx.modulus)
+                                                         * ctx.p ** shift))
+        budget = decided_steps(geom.params)
+        seen = set()
+        for x in points:
+            for length in range(max(budget - 2, 0), budget + 3):
+                got = outcome(RepellerGeometry.itinerary, geom, x, length)
+                assert got == outcome(oracle_itinerary, geom, x, length), (x, length)
+                seen.add(got if got == "exhausted" else got[:1])
+        assert {"exhausted", ("escape",)} <= seen
 
 
 class TestCylinders:
