@@ -351,8 +351,8 @@ def _cmd_lemmas(args):
             # orders: |k(x) - k(y)|_p r = |x - y|_p, r = p^-m.  k(x) = X/Z and
             # k(y) = X2/Z2 are fractions of units, so k(x) - k(y) has the
             # order of X Z2 - X2 Z
-            X, Z = _k_ratio_step(params, x.unit, 1)
-            X2, Z2 = _k_ratio_step(params, y.unit, 1)
+            X, Z, _, _ = _k_ratio_step(params, x.unit, 1)
+            X2, Z2, _, _ = _k_ratio_step(params, y.unit, 1)
             image = diff_valuation(PadicNumber(ctx, 0, X * Z2 % modulus),
                                    PadicNumber(ctx, 0, X2 * Z % modulus))
             if (None if image is None else image + m) == diff_valuation(x, y):

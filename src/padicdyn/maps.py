@@ -170,33 +170,21 @@ def eval_k(params: MapParams, x: PadicNumber) -> PadicNumber:
     return PadicNumber(ctx, *_times(ctx, root, root))
 
 
-def eval_k_slope(params: MapParams, x: PadicNumber) -> tuple[PadicNumber, PadicNumber]:
-    """(k(x), k'(x)) from one inverse of b^2 + x.
-
-    With root = a(b^2 x + 1)/(b^2 + x), k = root^2 and
-    k' = 2 root a(b^4 - 1)/(b^2 + x)^2.
-    """
-    ctx = params.ctx
-    q, inv = _quotient(params, (x.valuation, x.unit))
-    factor = params.slope_factor
-    root = _times(ctx, (0, params.a.unit), q)
-    slope = _times(ctx, _times(ctx, root, (factor.valuation, factor.unit)),
-                   _times(ctx, inv, inv))
-    return PadicNumber(ctx, *_times(ctx, root, root)), PadicNumber(ctx, *slope)
-
-
-def _k_ratio_step(params: MapParams, X: int, Z: int) -> tuple[int, int]:
+def _k_ratio_step(params: MapParams, X: int, Z: int) -> tuple[int, int, int, int]:
     """k on the repeller balls in homogeneous coordinates, as plain integers:
     x = X/Z with X, Z units mod p^N goes to k(x) = X'/Z', again units, with
 
-        X' = (a (b^2 X + Z) / p^m)^2,  Z' = ((b^2 Z + X) / p^m)^2  mod p^N,
+        X' = (a num)^2,  Z' = den^2  mod p^N,
+        num = (b^2 X + Z) / p^m,  den = (b^2 Z + X) / p^m,
 
-    m = ord(b - 1).  On B_r(x_j^2) both b^2 + x and b^2 x + 1 have order
-    exactly m (Lemma 3.4 (iii), |x_j^2 + b^2|_p = r, and g(x_j) = x_j), so
-    k(x) is a quotient of two units and no inverse is taken.  Each step
-    keeps m fewer digits of the quotient, as eval_k's does.  A sum that p^m
-    does not divide exactly, or that p^(m+1) divides, raises
-    PrecisionExhausted: x is then off the balls at the digits kept.
+    m = ord(b - 1).  Returns (X', Z', num, den): the parts num and den are
+    units, and the slope of k reads on them (_k_ratio_orbit).  On B_r(x_j^2)
+    both b^2 + x and b^2 x + 1 have order exactly m (Lemma 3.4 (iii),
+    |x_j^2 + b^2|_p = r, and g(x_j) = x_j), so k(x) is a quotient of two
+    units and no inverse is taken.  Each step keeps m fewer digits of the
+    quotient, as eval_k's does.  A sum that p^m does not divide exactly, or
+    that p^(m+1) divides, raises PrecisionExhausted: x is then off the
+    balls at the digits kept.
     """
     ctx, m = params.ctx, params.radius_exponent
     pN, pm, b2 = ctx.modulus, ctx._powers[m], params.b2.unit
@@ -206,4 +194,30 @@ def _k_ratio_step(params: MapParams, X: int, Z: int) -> tuple[int, int]:
         raise PrecisionExhausted(f"b^2 + x or b^2 x + 1 is not of order m = {m}: "
                                  "x is off the repeller balls at the digits kept")
     root = params.a.unit * num % pN
-    return root * root % pN, den * den % pN
+    return root * root % pN, den * den % pN, num, den
+
+
+def _k_ratio_orbit(params: MapParams, X: int, n: int) -> tuple[int, int, int, int]:
+    """n steps of k from the unit x = X mod p^N on the repeller balls, with
+    the slope of k^n there, in plain integers: (X_n, Z_n, A, B), all units,
+    with
+
+        k^n(x) = X_n/Z_n  and  (k^n)'(x) = p^(-nm) A/B.
+
+    Step j is _k_ratio_step from x_j = X_j/Z_j (X_0 = X, Z_0 = 1), whose
+    parts give b^2 x_j + 1 = p^m num_j/Z_j and b^2 + x_j = p^m den_j/Z_j.
+    So k' = 2a^2(b^4 - 1)(b^2 x + 1)/(b^2 + x)^3 reads
+    k'(x_j) = p^-m c num_j Z_j^2/den_j^3, with c = 2a^2(b^4 - 1)/p^m =
+    a * slope_factor.unit, a unit (b + 1 and b^2 + 1 are units).  As
+    Z_(j+1) = den_j^2, the product over j < n telescopes to
+    A = c^n prod num_j prod_(j < n-1) den_j and B = den_(n-1)^3 = den_(n-1) Z_n.
+    No inverse is taken.
+    """
+    pN = params.ctx.modulus
+    Z, A, den = 1, 1, 1
+    for _ in range(n):
+        A *= den  # den_(j-1), 1 before the first step
+        X, Z, num, den = _k_ratio_step(params, X, Z)
+        A = A * num % pN
+    c = params.a.unit * params.slope_factor.unit % pN
+    return X, Z, A * pow(c, n, pN) % pN, den * Z % pN

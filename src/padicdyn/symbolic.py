@@ -21,11 +21,12 @@ from .errors import (
     VerificationError,
 )
 from .fixedpoints import find_x0
-from .maps import MapParams, _k_ratio_step, eval_g, eval_k, eval_k_slope
+from .maps import MapParams, _k_ratio_orbit, _k_ratio_step, eval_g
 from .padic import (
     Ball,
     PadicNumber,
     _Immutable,
+    _inv_unit,
     converge,
     diff_valuation,
     eq_to_precision,
@@ -209,27 +210,39 @@ class RepellerGeometry(_Immutable):
     def inverse_branch(self, j: int, x: PadicNumber) -> PadicNumber:
         """The k-preimage of x lying in B_r(x_j^2).
 
-        Both square-root branches of x are tried; exactly one yields a
-        preimage in the target ball.
+        Each square root s of x gives a candidate y = (a - s b^2)/(s - a b^2),
+        read as the fraction of its two parts, both units: x lies on a ball
+        of X, so x = -1 (mod p), and s = +-i, a = b^2 = 1 (mod p) with i^2 = -1,
+        so the parts are 1 -+ i and +-i - 1 = -(1 -+ i) mod p, and
+        (1 - i)(1 + i) = 2 is prime to p.  So Ball.contains_ratio tests each
+        candidate against the target ball without dividing; exactly one
+        must land there.  Its forward round trip k(y) = x is one
+        _k_ratio_step from the parts and the congruence X' = x Z' on the
+        digits an orbit keeps after one step, and only the hit is divided
+        out: one inverse per call.
         """
         if j not in (1, 2):
             raise DomainError("branch index must be 1 or 2")
         if self.in_X(x) is None:
             raise DomainError("inverse branches are only defined on X")
-        a, b2 = self.params.a, self.params.b2
+        params = self.params
+        ctx = params.ctx
+        pN, a, b2 = ctx.modulus, params.a.unit, params.b2.unit
         target = self.ball_sq(j)
         hits = []
         for s in sqrt_both(x):
-            y = (a - s * b2) / (s - a * b2)
-            if target.contains(y):
-                hits.append(y)
+            num, den = (a - s.unit * b2) % pN, (s.unit - a * b2) % pN
+            if target.contains_ratio(num, den):
+                hits.append((num, den))
         if len(hits) != 1:
             raise BranchError(
                 f"{len(hits)} square-root branches landed in ball {j}")
-        y = hits[0]
-        if not eq_to_precision(eval_k(self.params, y), x, self._orbit_digits(1)):
+        num, den = hits[0]
+        X, Z, _, _ = _k_ratio_step(params, num, den)
+        digits = self._orbit_digits(1)
+        if digits > 0 and (X - x.unit * Z) % ctx._powers[digits]:
             raise BranchError("inverse branch failed the forward round trip")
-        return y
+        return PadicNumber(ctx, 0, num * _inv_unit(den, ctx) % pN)
 
     def cylinder_center(self, word: Word) -> PadicNumber:
         """Centre of the cylinder of w_1 ... w_d: psi_{w_1}(... psi_{w_{d-1}}(c_{w_d})).
@@ -307,11 +320,17 @@ class RepellerGeometry(_Immutable):
         the cylinder of w w_1, one pass of inverse branches from the centre
         of ball w_1, which lies in the word's depth-|w| cylinder.  It is read
         from the geometry's tree of cylinder centres (cylinder_center), which
-        julia_cylinders shares.  (k^n)'(x) comes by the chain rule along the
-        forward orbit; |(k^n)'|_p = p^(nm), so the denominator (k^n)' - 1
-        never cancels.  When n * m >= N - g the forward orbit keeps no
-        trusted digit, so the pass itself is iterated instead: it contracts
-        by p^(-nm) and settles the N - g digits in one step.
+        julia_cylinders shares.  The iterates are units on B_r(x_{w1}^2), and
+        k^n(x) = X_n/Z_n and (k^n)'(x) = p^(-nm) A/B come from n steps of k
+        in unit fractions (maps._k_ratio_orbit), so the Newton step
+        x - (k^n(x) - x)/((k^n)'(x) - 1) is
+
+            (x A Z_n - p^(nm) B X_n) / (Z_n (A - p^(nm) B)),
+
+        whose denominator is a unit, as A is and nm >= 1: one inverse per
+        step.  When n * m >= N - g the forward orbit keeps no trusted digit,
+        so the pass itself is iterated instead: it contracts by p^(-nm) and
+        settles the N - g digits in one step.
 
         The square root s of x is taken in B_r(x_{w1}).  Because g is even,
         the forward orbit returns to +s or to -s, the latter exactly when the
@@ -334,17 +353,18 @@ class RepellerGeometry(_Immutable):
                 y = self.inverse_branch(sym, y)
             return y
 
-        def newton(x: PadicNumber) -> PadicNumber:
-            image, slope = x, ctx.one()
-            for _ in word:
-                image, step_slope = eval_k_slope(params, image)
-                slope = slope * step_slope
-            return (x * slope - image) / (slope - 1)
-
-        if len(word) * params.radius_exponent >= ctx.residual_digits:
+        n, nm = len(word), len(word) * params.radius_exponent
+        if nm >= ctx.residual_digits:
             point = converge(one_pass, self.center_sq(word[0]),
                              "inverse-branch composition")
         else:
+            pN, p_nm = ctx.modulus, ctx._powers[nm]
+
+            def newton(x: PadicNumber) -> PadicNumber:
+                X, Z, A, B = _k_ratio_orbit(params, x.unit, n)
+                top = (x.unit * A * Z - p_nm * B * X) % pN
+                return PadicNumber(ctx, 0, top * _inv_unit(Z * (A - p_nm * B) % pN, ctx) % pN)
+
             point = converge(newton, self.cylinder_center(word + word[:1]),
                              "Newton iteration for k^n(x) = x")
         ball = self.ball_g(word[0])
@@ -393,7 +413,7 @@ class RepellerGeometry(_Immutable):
                 raise PrecisionExhausted(
                     f"step {step} is past the digit budget of {budget} steps")
             if step:
-                X, Z = _k_ratio_step(params, X, Z)
+                X, Z, _, _ = _k_ratio_step(params, X, Z)
                 j = (1 if ball1.contains_ratio(X, Z) else
                      2 if ball2.contains_ratio(X, Z) else None)
             if j is None:

@@ -25,7 +25,7 @@ from padicdyn import (
 )
 from padicdyn import cli
 from padicdyn.cli import build_parser, run
-from padicdyn.maps import eval_k_slope
+from padicdyn.maps import _k_ratio_orbit
 import output_grid
 from conftest import acceptance_params
 
@@ -353,10 +353,10 @@ class TestPairMemo:
         self.counted(monkeypatch, RepellerGeometry, "__init__", work)
         # the Newton steps of x0 and of the periodic point
         self.counted(monkeypatch, fixedpoints, "_newton_step", work)
-        self.counted(monkeypatch, symbolic, "eval_k_slope", work)
+        self.counted(monkeypatch, symbolic, "_k_ratio_orbit", work)
         first = invoke(capsys, self.PERIODIC)
         assert first[0] == 0 and work.count("__init__") == 1
-        assert work.count("_newton_step") > 0 and work.count("eval_k_slope") > 0
+        assert work.count("_newton_step") > 0 and work.count("_k_ratio_orbit") > 0
         del work[:]
         assert invoke(capsys, self.PERIODIC) == first
         assert work == []
@@ -777,10 +777,10 @@ class TestDynamics:
 
         def counted(*args):
             calls.append(args)
-            return eval_k_slope(*args)
+            return _k_ratio_orbit(*args)
 
         # 62 words on one pair: more than a 16-entry (pair, word) memo holds
-        monkeypatch.setattr(symbolic, "eval_k_slope", counted)
+        monkeypatch.setattr(symbolic, "_k_ratio_orbit", counted)
         argvs = [["periodic", *STRICT, "--word", ",".join(map(str, word)),
                   "--map", "k"]
                  for length in range(1, 6) for word in symbolic.all_words(length)]
@@ -878,7 +878,10 @@ class TestDynamics:
 
         for module in (symbolic, cli):
             monkeypatch.setattr(module, "eval_g", counted(g_steps, eval_g))
-            monkeypatch.setattr(module, "eval_k", counted(k_steps, eval_k))
+        # the CLI steps k by eval_k, the geometry in unit fractions
+        monkeypatch.setattr(cli, "eval_k", counted(k_steps, eval_k))
+        for name in ("_k_ratio_step", "_k_ratio_orbit"):
+            monkeypatch.setattr(symbolic, name, counted(k_steps, getattr(symbolic, name)))
         point = geom.periodic_point_k(word)  # the solve, which steps k
         assert len(g_steps) == 5
         del k_steps[:]

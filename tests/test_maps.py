@@ -21,8 +21,9 @@ from padicdyn import (
     sqrt_both,
     sqrt_exists,
 )
-from padicdyn.maps import _k_ratio_step, eval_g_slope, eval_k_slope
+from padicdyn.maps import _k_ratio_orbit, _k_ratio_step, eval_g_slope
 from conftest import random_padic, strict_params
+from periodic_oracle import eval_k_slope
 
 
 # The PadicNumber compositions that the integer kernels of maps.py replaced,
@@ -407,7 +408,7 @@ class TestKRatioStep:
             M = params.ctx.modulus
             for x, y in ball_points(params, rng, 40):
                 for point in (x, y):
-                    X, Z = _k_ratio_step(params, point.unit, 1)
+                    X, Z, _, _ = _k_ratio_step(params, point.unit, 1)
                     image = eval_k(params, point)
                     assert image.valuation == 0 and X % params.ctx.p and Z % params.ctx.p
                     assert X == image.unit * Z % M
@@ -426,7 +427,7 @@ class TestKRatioStep:
             for x in starts:
                 X, Z, image = x.unit, 1, x
                 for j in range(1, (ctx.precision - 1) // m):
-                    X, Z = _k_ratio_step(params, X, Z)
+                    X, Z, _, _ = _k_ratio_step(params, X, Z)
                     image = eval_k(params, image)
                     assert eq_to_precision(ctx.from_int(X) / ctx.from_int(Z), image,
                                            ctx.precision - j * m)
@@ -442,8 +443,8 @@ class TestKRatioStep:
         for params, rng in ratio_cases():
             ctx, M = params.ctx, params.ctx.modulus
             for x, y in ball_points(params, rng, 40):
-                (X, Z), (X2, Z2) = (_k_ratio_step(params, x.unit, 1),
-                                    _k_ratio_step(params, y.unit, 1))
+                X, Z, _, _ = _k_ratio_step(params, x.unit, 1)
+                X2, Z2, _, _ = _k_ratio_step(params, y.unit, 1)
                 got = diff_valuation(PadicNumber(ctx, 0, X * Z2 % M),
                                      PadicNumber(ctx, 0, X2 * Z % M))
                 want = diff_valuation(eval_k(params, x), eval_k(params, y))
@@ -460,3 +461,44 @@ class TestKRatioStep:
             for x in (x0, ctx.one(), deep):
                 with pytest.raises(PrecisionExhausted):
                     _k_ratio_step(params, x.unit, 1)
+
+
+class TestKRatioOrbit:
+    """maps._k_ratio_orbit, n steps of k in unit fractions with the slope of
+    k^n, against the chain rule along the eval_k_slope orbit (the oracle of
+    tests/periodic_oracle.py), which takes one inverse per step."""
+
+    def test_orbit_and_slope_are_the_chain_rule(self):
+        # the first step is exact; each later one keeps m fewer digits, on
+        # both sides, for as long as the orbit stays on the balls
+        steps = Counter()
+        for params, rng in ratio_cases():
+            ctx, m, geom = params.ctx, params.radius_exponent, params.geometry
+            starts = [geom.periodic_point_k(word) for word in ((1, 2), (2, 2, 1))]
+            starts += [x for x, _ in ball_points(params, rng, 5)]
+            for x in starts:
+                image, slope = x, ctx.one()
+                for n in range(1, (ctx.precision - 1) // m):
+                    image, step_slope = eval_k_slope(params, image)
+                    slope = slope * step_slope
+                    X, Z, A, B = _k_ratio_orbit(params, x.unit, n)
+                    if n == 1:
+                        assert (X, Z) == _k_ratio_step(params, x.unit, 1)[:2]
+                    digits = ctx.precision - (n - 1) * m
+                    assert eq_to_precision(ctx.from_int(X) / ctx.from_int(Z), image, digits)
+                    assert slope.valuation == -n * m
+                    assert eq_to_precision(ctx.from_int(A) / ctx.from_int(B),
+                                           PadicNumber(ctx, 0, slope.unit), digits)
+                    steps[n] += 1
+                    if geom.in_X(image) is None:
+                        break
+        assert max(steps) >= 126
+
+    def test_off_the_balls_it_raises(self):
+        # the check is _k_ratio_step's, on every step: a start off the balls
+        # raises at once
+        for params, _ in ratio_cases():
+            x0 = params.fixed_points[0]
+            for n in (1, 3):
+                with pytest.raises(PrecisionExhausted):
+                    _k_ratio_orbit(params, x0.unit, n)

@@ -14,6 +14,7 @@ from padicdyn import (
     LengthMismatch,
     MapParams,
     NoConvergence,
+    PoleError,
     PrecisionExhausted,
     PrimeContext,
     RepellerGeometry,
@@ -30,10 +31,11 @@ from padicdyn import (
     norm_diff,
     parse_padic,
 )
-from padicdyn import symbolic
-from padicdyn.maps import eval_k_slope
+from padicdyn import padic, symbolic
+from padicdyn.maps import _k_ratio_orbit
 from padicdyn.padic import converge
 from conftest import acceptance_params, random_Ep, random_unit, strict_params
+from periodic_oracle import OracleGeometry, record_or_error
 
 
 # (17, 290, 18) is a pair whose alpha1 is sqrt_both's canonical root of -1;
@@ -454,12 +456,13 @@ class TestNewtonAgainstInverseBranches:
             branches.append(j)
             return inverse_branch(self, j, x)
 
-        def counted_k(*args):
-            k_steps.append(args)
-            return eval_k_slope(*args)
+        def counted_k(params, X, n):
+            # one entry per ratio step of k, not per kernel call
+            k_steps.extend([X] * n)
+            return _k_ratio_orbit(params, X, n)
 
         monkeypatch.setattr(RepellerGeometry, "inverse_branch", counted_branch)
-        monkeypatch.setattr(symbolic, "eval_k_slope", counted_k)
+        monkeypatch.setattr(symbolic, "_k_ratio_orbit", counted_k)
         assert geom._periodic_words == {}  # the cold solve
         point = geom.periodic_point_k((1, 2, 2, 1, 2))
         assert list(geom._periodic_words) == [(1, 2, 2, 1, 2)]
@@ -500,13 +503,7 @@ class TestPeriodicMemo:
         assert geom.forward_k_ends(word) == (uncached, image)
 
     def test_g_point_reuses_the_k_point(self, geom, monkeypatch):
-        k_steps = []
-
-        def counted_k(*args):
-            k_steps.append(args)
-            return eval_k_slope(*args)
-
-        monkeypatch.setattr(symbolic, "eval_k_slope", counted_k)
+        k_steps = count_calls(monkeypatch, "_k_ratio_orbit")
         geom.periodic_point_k((1, 2))
         assert k_steps
         del k_steps[:]
@@ -561,13 +558,7 @@ class TestPeriodicMemo:
         cap = symbolic.MAX_CYLINDER_DEPTH
         kept, long_word = ((1, 2) * cap)[:cap - 1], ((2, 1) * cap)[:cap]
         point = geom.periodic_point_k(kept)
-        k_steps = []
-
-        def counted_k(*args):
-            k_steps.append(args)
-            return eval_k_slope(*args)
-
-        monkeypatch.setattr(symbolic, "eval_k_slope", counted_k)
+        k_steps = count_calls(monkeypatch, "_k_ratio_orbit")
         assert geom.periodic_point_k(kept) is point
         assert k_steps == []
         solved = geom.periodic_point_k(long_word)
@@ -607,7 +598,8 @@ class TestPeriodicPointGSign:
         # below N = 64 the length-7 word keeps no trusted digit and the g-check
         # is skipped; at each N a kept word runs its |w| g-steps once per
         # geometry, at the first reader, and k^n(x) is the square of their
-        # end: no k pass runs
+        # end: no k pass runs, neither a k-step (_k_ratio_step, which the
+        # inverse branches' round trips take) nor a Newton pass of k^n
         geom = self.geom_at(precision)
         word = (1, 2, 2, 1, 1, 2, 1)
         assert (geom._orbit_digits(len(word)) > 0) is (precision == 64)
@@ -615,11 +607,12 @@ class TestPeriodicPointGSign:
         point = geom.periodic_point_k(word)  # the solve runs the g-steps
         assert len(g_steps) == len(word)
         del g_steps[:]
-        k_steps = count_calls(monkeypatch, "eval_k")
+        k_steps = count_calls(monkeypatch, "_k_ratio_step")
+        k_passes = count_calls(monkeypatch, "_k_ratio_orbit")
         ends = geom.forward_k_ends(word)
         forward = geom.forward_g_orbit(word)
         assert len(forward) == len(word) + 1
-        assert g_steps == [] and k_steps == []
+        assert g_steps == [] and k_steps == [] and k_passes == []
         for x, image in zip(forward, forward[1:]):
             assert eval_g(geom.params, x) == image
         # the n steps of k, kept here as the oracle of k^n(x)
@@ -631,7 +624,7 @@ class TestPeriodicPointGSign:
         assert geom.forward_g_orbit(word) is forward
         assert geom.forward_k_ends(word) == ends
         assert geom.g_orbit(word) == [forward[0], *forward[-2:0:-1]]
-        assert g_steps == [] and k_steps == []
+        assert g_steps == [] and k_steps == [] and k_passes == []
         # a 12-symbol word is not kept: it is solved, and its g-orbit run, on
         # every call of every reader.  Each solve steps k in the inverse
         # branches' round trips only, the same number of times once the tree
@@ -661,7 +654,7 @@ class TestPeriodicPointGSign:
                 reader(word)
             assert geom._periodic_words == {}
         monkeypatch.undo()
-        k_steps = count_calls(monkeypatch, "eval_k_slope")
+        k_steps = count_calls(monkeypatch, "_k_ratio_orbit")
         forward = geom.forward_g_orbit(word)
         assert k_steps and list(geom._periodic_words) == [word]
         assert forward == fresh_geometry(geom.params).forward_g_orbit(word)
@@ -678,6 +671,93 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(symbolic, name, counted)
     return calls
+
+
+# the four pairs of tests/output_grid.py
+ORACLE_PAIRS = [(13, 170, 14), (5, 26, 6), (13, 2198, 170), (17, 290, 18)]
+
+
+class TestUnitFractionsAgainstOracle:
+    """The solve in unit fractions, one inverse per Newton step and per
+    inverse branch, against the former solve (tests/periodic_oracle.py):
+    the chain-rule Newton by eval_k_slope and the eval_k round trip."""
+
+    @pytest.mark.parametrize("precision", [12, 20, 64, 128])
+    @pytest.mark.parametrize("p, a, b", ORACLE_PAIRS)
+    def test_same_record_or_error_for_every_word(self, p, a, b, precision):
+        # every word of up to 6 symbols and six seeded ones of 7 to 9
+        ctx = PrimeContext(p, precision)
+        params = MapParams(ctx.from_int(a), ctx.from_int(b))
+        new, old = RepellerGeometry(params), OracleGeometry(params)
+        rng = random.Random(f"{p}/{a}/{b}/{precision}")
+        words = [word for length in range(1, 7) for word in all_words(length)]
+        words += [tuple(rng.choice((1, 2)) for _ in range(length))
+                  for length in (7, 8, 9) for _ in range(2)]
+        for word in words:
+            assert record_or_error(new, word) == record_or_error(old, word), word
+
+    def test_same_errors_where_the_g_orbit_cancels(self):
+        # at N = 10, g = 8 and m = 2 some g-orbits cancel past the guard:
+        # the solve raises the same error, with the same text, as before
+        ctx = PrimeContext(5, 10, 8)
+        params = MapParams(ctx.from_int(126), ctx.from_int(26))
+        new, old = RepellerGeometry(params), OracleGeometry(params)
+        raised = set()
+        for length in range(1, 7):
+            for word in all_words(length):
+                got = record_or_error(new, word)
+                assert got == record_or_error(old, word), word
+                if isinstance(got[0], type):
+                    raised.add(got[0])
+        assert raised == {PoleError, PrecisionExhausted}
+
+    @pytest.mark.parametrize("p, a, b", ORACLE_PAIRS)
+    def test_same_inverse_branch_at_points_of_X(self, p, a, b):
+        ctx = PrimeContext(p)
+        params = MapParams(ctx.from_int(a), ctx.from_int(b))
+        new, old = RepellerGeometry(params), OracleGeometry(params)
+        rng = random.Random(f"{p}/{a}/{b}")
+        m = params.radius_exponent
+        points = [new.center_sq(1), new.center_sq(2)]
+        for _ in range(40):
+            points.append(new.center_sq(rng.choice((1, 2))) + ctx.from_int(
+                rng.randrange(1, ctx.p ** 8) * ctx.p ** (m + 1 + rng.randrange(4))))
+        for x in points:
+            for j in (1, 2):
+                assert new.inverse_branch(j, x) == old.inverse_branch(j, x)
+        for j, x in ((1, ctx.one()), (3, points[0])):
+            for geom in (new, old):
+                with pytest.raises(DomainError):
+                    geom.inverse_branch(j, x)
+
+
+class TestInversesPerSolve:
+    @pytest.mark.parametrize("p, a, b, precision, word", [
+        (13, 170, 14, 64, (1, 2, 2, 1, 2)), (13, 170, 14, 128, (2, 1, 1, 2, 2, 2, 1, 2, 1)),
+        # n m = 21 >= N - g = 8: the pass of inverse branches is iterated
+        (13, 1 + 13 ** 4, 1 + 13 ** 3, 16, (1, 2, 2, 1, 1, 2, 1))])
+    def test_one_inverse_per_newton_step_and_per_branch(self, p, a, b, precision, word,
+                                                        monkeypatch):
+        # a cold solve on a fresh geometry inverts once per Newton step, once
+        # per inverse branch it composes and once per step of its g-orbit
+        ctx = PrimeContext(p, precision)
+        params = MapParams(ctx.from_int(a), ctx.from_int(b))
+        geom = fresh_geometry(params)  # x0 and the repelling pair solved here
+        inverses = []
+        inv_unit = padic._inv_unit
+
+        def counted(u, ctx):
+            inverses.append(u)
+            return inv_unit(u, ctx)
+
+        monkeypatch.setattr(padic, "_inv_unit", counted)
+        monkeypatch.setattr(symbolic, "_inv_unit", counted)
+        newton_steps = count_calls(monkeypatch, "_k_ratio_orbit")
+        branches = count_branches(monkeypatch)
+        geom.periodic_point_k(word)
+        newton = len(word) * params.radius_exponent < ctx.residual_digits
+        assert branches and bool(newton_steps) is newton
+        assert len(inverses) == len(newton_steps) + len(branches) + len(word)
 
 
 class TestCoding:
